@@ -377,7 +377,7 @@ def cmd_margin(args: argparse.Namespace) -> int:
     if k < 0:
         return _fail("margin", "--k must be non-negative")
     target, amap = augment_to_perfect(instance)
-    outcome = solve_k_margin(target, k, parallel_branches=args.parallel_branches)
+    outcome = solve_k_margin(target, k)
     elapsed = (time.perf_counter() - started) * 1000.0
     report = {
         "command": "margin",
@@ -556,13 +556,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--evaluate",
         metavar="MATCHING",
         help="compute the exact margin of the assignment in this file",
-    )
-    p.add_argument(
-        "--parallel-branches",
-        type=int,
-        default=1,
-        metavar="W",
-        help="worker threads for the load-pattern search (default 1)",
     )
     p.add_argument(
         "--verify",

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 
 class InstanceError(ValueError):
@@ -45,10 +45,34 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _check_name(name: Any, what: str) -> str:
-    if not isinstance(name, str) or not name:
-        raise InstanceError(f"{what} identifiers must be non-empty strings, got {name!r}")
-    return name
+#: Where the parser sends each problem it finds: :func:`_raise` stops at the
+#: first, a collecting sink (as in :func:`validate`) lets parsing skip the
+#: offending item and go on.
+Report = Callable[[str], None]
+
+
+def _raise(problem: str) -> None:
+    raise InstanceError(problem)
+
+
+def _valid_names(names: Iterable[Any], what: str, report: Report) -> list[str]:
+    kept = []
+    for name in names:
+        if isinstance(name, str) and name:
+            kept.append(name)
+        else:
+            report(f"{what} identifiers must be non-empty strings, got {name!r}")
+    return kept
+
+
+def _index_names(names: list[str], what: str, report: Report) -> dict[str, int]:
+    index: dict[str, int] = {}
+    for name in names:
+        if name in index:
+            report(f"duplicate {what} identifier")
+        else:
+            index[name] = len(index)
+    return index
 
 
 class Instance:
@@ -90,14 +114,25 @@ class Instance:
         edges: Iterable[tuple[str, str]],
         preferences: Mapping[str, Iterable[tuple[str, str]]] | None = None,
     ) -> None:
-        self._agents = tuple(_check_name(a, "agent") for a in agents)
-        self._objects = tuple(_check_name(b, "object") for b in objects)
-        self._agent_index = {a: i for i, a in enumerate(self._agents)}
-        self._object_index = {b: j for j, b in enumerate(self._objects)}
-        if len(self._agent_index) != len(self._agents):
-            raise InstanceError("duplicate agent identifier")
-        if len(self._object_index) != len(self._objects):
-            raise InstanceError("duplicate object identifier")
+        self._build(agents, objects, edges, preferences or {}, _raise)
+
+    def _build(
+        self,
+        agents: Iterable[str],
+        objects: Iterable[str],
+        edges: Iterable[tuple[str, str]],
+        preferences: Mapping[str, Iterable[tuple[str, str]]],
+        report: Report,
+    ) -> None:
+        # Every check of the instance format below the document level; a
+        # problem that ``report`` does not raise skips its name, edge,
+        # preference pair or (for a cycle) the agent's whole order.
+        agent_names = _valid_names(agents, "agent", report)
+        object_names = _valid_names(objects, "object", report)
+        self._agent_index = _index_names(agent_names, "agent", report)
+        self._object_index = _index_names(object_names, "object", report)
+        self._agents = tuple(self._agent_index)
+        self._objects = tuple(self._object_index)
 
         adj_sets: list[set[int]] = [set() for _ in self._agents]
         object_adj_sets: list[set[int]] = [set() for _ in self._objects]
@@ -105,15 +140,19 @@ class Instance:
             try:
                 a, b = edge
             except (TypeError, ValueError):
-                raise InstanceError(f"edge {edge!r} is not an (agent, object) pair") from None
+                report(f"edge {edge!r} is not an (agent, object) pair")
+                continue
             ai = self._agent_index.get(a)
             bj = self._object_index.get(b)
             if ai is None:
-                raise InstanceError(f"edge {edge!r} references unknown agent {a!r}")
+                report(f"edge {edge!r} references unknown agent {a!r}")
             if bj is None:
-                raise InstanceError(f"edge {edge!r} references unknown object {b!r}")
+                report(f"edge {edge!r} references unknown object {b!r}")
+            if ai is None or bj is None:
+                continue
             if bj in adj_sets[ai]:
-                raise InstanceError(f"duplicate edge ({a!r}, {b!r})")
+                report(f"duplicate edge ({a!r}, {b!r})")
+                continue
             adj_sets[ai].add(bj)
             object_adj_sets[bj].add(ai)
         self._adj = tuple(tuple(sorted(s)) for s in adj_sets)
@@ -124,46 +163,49 @@ class Instance:
         )
         self._edge_set = frozenset(self._edges)
 
-        worse_by_agent: list[dict[int, int]] = []
-        better_by_agent: list[dict[int, int]] = []
-        preferences = preferences or {}
         succ_by_agent: dict[int, dict[int, set[int]]] = {}
         for agent_name, pairs in preferences.items():
             ai = self._agent_index.get(agent_name)
             if ai is None:
-                raise InstanceError(f"preferences reference unknown agent {agent_name!r}")
+                report(f"preferences reference unknown agent {agent_name!r}")
+                continue
             succ: dict[int, set[int]] = {}
             for pair in pairs:
                 try:
                     b, b2 = pair
                 except (TypeError, ValueError):
-                    raise InstanceError(
+                    report(
                         f"preference pair {pair!r} for agent {agent_name!r} is not a pair"
-                    ) from None
+                    )
+                    continue
                 bj = self._object_index.get(b)
                 cj = self._object_index.get(b2)
                 if bj is None or cj is None:
-                    raise InstanceError(
+                    report(
                         f"preference pair ({b!r}, {b2!r}) for agent {agent_name!r} "
                         "references an unknown object"
                     )
-                if bj not in adj_sets[ai] or cj not in adj_sets[ai]:
-                    raise InstanceError(
+                elif bj not in adj_sets[ai] or cj not in adj_sets[ai]:
+                    report(
                         f"preference pair ({b!r}, {b2!r}) for agent {agent_name!r} "
                         "compares objects that are not both adjacent to the agent"
                     )
-                if bj == cj:
-                    raise InstanceError(
-                        f"agent {agent_name!r} declares {b!r} better than itself"
-                    )
-                succ.setdefault(bj, set()).add(cj)
+                elif bj == cj:
+                    report(f"agent {agent_name!r} declares {b!r} better than itself")
+                else:
+                    succ.setdefault(bj, set()).add(cj)
             succ_by_agent[ai] = succ
 
+        worse_by_agent: list[dict[int, int]] = []
+        better_by_agent: list[dict[int, int]] = []
         for ai, agent_name in enumerate(self._agents):
-            succ = succ_by_agent.get(ai, {})
-            worse_by_agent.append(self._close(agent_name, succ))
+            worse = self._close(succ_by_agent.get(ai, {}))
+            if worse is None:
+                report(f"cyclic preferences for agent {agent_name!r}")
+                worse = {}
+            worse_by_agent.append(worse)
             better: dict[int, int] = {}
-            for b, mask in worse_by_agent[ai].items():
+            for b, mask in worse.items():
                 bit = 1 << b
                 for c in iter_bits(mask):
                     better[c] = better.get(c, 0) | bit
@@ -172,9 +214,12 @@ class Instance:
         self._better = tuple(better_by_agent)
 
     @staticmethod
-    def _close(agent_name: str, succ: Mapping[int, set[int]]) -> dict[int, int]:
-        # Transitive closure of the raw "strictly better than" pairs, by
-        # depth-first search in postorder; a back edge is a preference cycle.
+    def _close(succ: Mapping[int, set[int]]) -> dict[int, int] | None:
+        """Transitive closure of the "strictly better than" relation ``succ``
+        as a worse-set bitmask per node, or None if it has a cycle.  This is
+        the package's one cycle check; it is iterative, so a long chain
+        cannot exhaust the interpreter's recursion limit."""
+        # Depth-first search in postorder; a back edge is a cycle.
         worse: dict[int, int] = {}
         color: dict[int, int] = {}  # 1 = on stack, 2 = finished
         for root in sorted(succ):
@@ -188,9 +233,7 @@ class Instance:
                 for nxt in it:
                     c = color.get(nxt, 0)
                     if c == 1:
-                        raise InstanceError(
-                            f"cyclic preferences for agent {agent_name!r}"
-                        )
+                        return None
                     if c == 0:
                         color[nxt] = 1
                         stack.append((nxt, iter(sorted(succ.get(nxt, ())))))
@@ -472,18 +515,21 @@ def compare(instance: Instance, agent: str, obj: str, other: str) -> PrefCompari
 # -- documents ---------------------------------------------------------------
 
 
-def _tier_pairs(agent: str, tiers: list) -> list[tuple[str, str]]:
+def _tier_pairs(agent: str, tiers: list, report: Report) -> list[tuple[str, str]] | None:
     """Expand a tier list into strict pairs between consecutive tiers (the
-    transitive closure recovers the rest)."""
+    transitive closure recovers the rest); None after a reported problem."""
     seen: set[str] = set()
     for tier in tiers:
         if not isinstance(tier, list) or not tier:
-            raise InstanceError(f"tiers for agent {agent!r} must be non-empty lists")
+            report(f"tiers for agent {agent!r} must be non-empty lists")
+            return None
         for b in tier:
             if not isinstance(b, str):
-                raise InstanceError(f"tier entry {b!r} for agent {agent!r} is not a string")
+                report(f"tier entry {b!r} for agent {agent!r} is not a string")
+                return None
             if b in seen:
-                raise InstanceError(f"object {b!r} appears twice in tiers of agent {agent!r}")
+                report(f"object {b!r} appears twice in tiers of agent {agent!r}")
+                return None
             seen.add(b)
     pairs = []
     for hi, lo in zip(tiers, tiers[1:]):
@@ -491,59 +537,85 @@ def _tier_pairs(agent: str, tiers: list) -> list[tuple[str, str]]:
     return pairs
 
 
-def instance_from_document(doc: Any) -> Instance:
-    """Build an :class:`Instance` from a parsed JSON document."""
+def _from_document(doc: Any, report: Report) -> Instance | None:
+    """The one parse-and-validate path: check the document's shape, then
+    build the instance, sending every problem to ``report``.  Returns None
+    only when ``report`` does not raise and the document lacks one of its
+    three lists."""
     if not isinstance(doc, dict):
-        raise InstanceError("instance document must be a JSON object")
+        report("instance document must be a JSON object")
+        return None
+    shaped = True
     for key in ("agents", "objects", "edges"):
         if key not in doc:
-            raise InstanceError(f"instance document is missing {key!r}")
-        if not isinstance(doc[key], list):
-            raise InstanceError(f"{key!r} must be a list")
+            report(f"instance document is missing {key!r}")
+            shaped = False
+        elif not isinstance(doc[key], list):
+            report(f"{key!r} must be a list")
+            shaped = False
     unknown = set(doc) - {"agents", "objects", "edges", "preferences"}
     if unknown:
-        raise InstanceError(f"unknown top-level keys: {sorted(unknown)}")
+        report(f"unknown top-level keys: {sorted(unknown)}")
+    if not shaped:
+        return None
     edges = []
     for e in doc["edges"]:
-        if not isinstance(e, list) or len(e) != 2:
-            raise InstanceError(f"edge {e!r} must be a two-element list")
-        edges.append((e[0], e[1]))
+        if isinstance(e, list) and len(e) == 2:
+            edges.append((e[0], e[1]))
+        else:
+            report(f"edge {e!r} must be a two-element list")
     preferences: dict[str, list[tuple[str, str]]] = {}
     raw_prefs = doc.get("preferences", {})
     if not isinstance(raw_prefs, dict):
-        raise InstanceError("'preferences' must be an object keyed by agent")
+        report("'preferences' must be an object keyed by agent")
+        raw_prefs = {}
     for agent, spec in raw_prefs.items():
         if not isinstance(spec, dict) or len(spec) != 1 or \
                 next(iter(spec)) not in ("pairs", "tiers"):
-            raise InstanceError(
+            report(
                 f"preferences for agent {agent!r} must be exactly one of "
                 "{'pairs': [...]} or {'tiers': [...]}"
             )
+            continue
         kind, body = next(iter(spec.items()))
         if not isinstance(body, list):
-            raise InstanceError(f"{kind!r} for agent {agent!r} must be a list")
+            report(f"{kind!r} for agent {agent!r} must be a list")
+            continue
         if kind == "tiers":
-            preferences[agent] = _tier_pairs(agent, body)
+            pairs = _tier_pairs(agent, body, report)
+            if pairs is None:
+                continue
         else:
             pairs = []
             for p in body:
-                if not isinstance(p, list) or len(p) != 2:
-                    raise InstanceError(
+                if isinstance(p, list) and len(p) == 2:
+                    pairs.append((p[0], p[1]))
+                else:
+                    report(
                         f"preference pair {p!r} for agent {agent!r} must be a "
                         "two-element list"
                     )
-                pairs.append((p[0], p[1]))
-            preferences[agent] = pairs
-    return Instance(doc["agents"], doc["objects"], edges, preferences)
+        preferences[agent] = pairs
+    instance = Instance.__new__(Instance)
+    instance._build(doc["agents"], doc["objects"], edges, preferences, report)
+    return instance
+
+
+def instance_from_document(doc: Any) -> Instance:
+    """Build an :class:`Instance` from a parsed JSON document."""
+    return _from_document(doc, _raise)
+
+
+def _decode(source: str) -> Any:
+    try:
+        return json.loads(source)
+    except json.JSONDecodeError as exc:
+        raise InstanceError(f"invalid JSON: {exc}") from exc
 
 
 def parse_instance(source: str) -> Instance:
     """Parse a JSON instance document (see README for the schema)."""
-    try:
-        doc = json.loads(source)
-    except json.JSONDecodeError as exc:
-        raise InstanceError(f"invalid JSON: {exc}") from exc
-    return instance_from_document(doc)
+    return instance_from_document(_decode(source))
 
 
 def serialize_instance(instance: Instance) -> str:
@@ -567,8 +639,14 @@ class ValidationReport:
 
 
 def validate(source: str | dict | Instance) -> ValidationReport:
-    """Check an instance document, collecting every violation found rather
+    """Check an instance document, collecting every problem found rather
     than stopping at the first.
+
+    The checks and their messages are the parser's own: the first problem is
+    exactly the error :func:`instance_from_document` (or, for JSON text,
+    :func:`parse_instance`) raises.  Each later one is found after skipping
+    the name, edge, preference pair or agent order at fault; a document
+    missing one of its three lists is checked no further.
 
     Accepts raw JSON text, a parsed document, or an already-built
     :class:`Instance` (which is valid by construction).
@@ -578,138 +656,11 @@ def validate(source: str | dict | Instance) -> ValidationReport:
     problems: list[str] = []
     if isinstance(source, str):
         try:
-            doc = json.loads(source)
-        except json.JSONDecodeError as exc:
-            return ValidationReport(False, (f"invalid JSON: {exc}",))
-    else:
-        doc = source
-    if not isinstance(doc, dict):
-        return ValidationReport(False, ("instance document must be a JSON object",))
-
-    for key in ("agents", "objects", "edges"):
-        if key not in doc:
-            problems.append(f"missing key {key!r}")
-        elif not isinstance(doc[key], list):
-            problems.append(f"{key!r} must be a list")
-    unknown = set(doc) - {"agents", "objects", "edges", "preferences"}
-    if unknown:
-        problems.append(f"unknown top-level keys: {sorted(unknown)}")
-    if problems:
-        return ValidationReport(False, tuple(problems))
-
-    agents = doc["agents"]
-    objects = doc["objects"]
-    for side, names in (("agent", agents), ("object", objects)):
-        seen: set[str] = set()
-        for name in names:
-            if not isinstance(name, str) or not name:
-                problems.append(f"{side} identifier {name!r} is not a non-empty string")
-            elif name in seen:
-                problems.append(f"duplicate {side} identifier {name!r}")
-            else:
-                seen.add(name)
-    agent_set = {a for a in agents if isinstance(a, str)}
-    object_set = {b for b in objects if isinstance(b, str)}
-
-    adjacency: dict[str, set[str]] = {a: set() for a in agent_set}
-    seen_edges: set[tuple[str, str]] = set()
-    for e in doc["edges"]:
-        if not isinstance(e, list) or len(e) != 2:
-            problems.append(f"edge {e!r} must be a two-element list")
-            continue
-        a, b = e
-        if a not in agent_set:
-            problems.append(f"edge {e!r} references unknown agent {a!r}")
-        if b not in object_set:
-            problems.append(f"edge {e!r} references unknown object {b!r}")
-        if a in agent_set and b in object_set:
-            if (a, b) in seen_edges:
-                problems.append(f"duplicate edge ({a!r}, {b!r})")
-            seen_edges.add((a, b))
-            adjacency[a].add(b)
-
-    raw_prefs = doc.get("preferences", {})
-    if not isinstance(raw_prefs, dict):
-        problems.append("'preferences' must be an object keyed by agent")
-        raw_prefs = {}
-    for agent, spec in raw_prefs.items():
-        if agent not in agent_set:
-            problems.append(f"preferences reference unknown agent {agent!r}")
-            continue
-        if not isinstance(spec, dict) or len(spec) != 1 or \
-                next(iter(spec)) not in ("pairs", "tiers"):
-            problems.append(
-                f"preferences for agent {agent!r} must be exactly one of "
-                "{'pairs': [...]} or {'tiers': [...]}"
-            )
-            continue
-        kind, body = next(iter(spec.items()))
-        if not isinstance(body, list):
-            problems.append(f"{kind!r} for agent {agent!r} must be a list")
-            continue
-        pairs: list[tuple[str, str]] = []
-        if kind == "tiers":
-            try:
-                pairs = _tier_pairs(agent, body)
-            except InstanceError as exc:
-                problems.append(str(exc))
-                continue
-        else:
-            bad = False
-            for p in body:
-                if not isinstance(p, list) or len(p) != 2:
-                    problems.append(
-                        f"preference pair {p!r} for agent {agent!r} must be a "
-                        "two-element list"
-                    )
-                    bad = True
-                    continue
-                pairs.append((p[0], p[1]))
-            if bad:
-                continue
-        succ: dict[str, set[str]] = {}
-        ok_pairs = True
-        for b, c in pairs:
-            for obj in (b, c):
-                if obj not in object_set:
-                    problems.append(
-                        f"preferences of agent {agent!r} reference unknown object {obj!r}"
-                    )
-                    ok_pairs = False
-                elif obj not in adjacency.get(agent, ()):
-                    problems.append(
-                        f"preferences of agent {agent!r} compare non-adjacent object {obj!r}"
-                    )
-                    ok_pairs = False
-            if b == c:
-                problems.append(f"agent {agent!r} declares {b!r} better than itself")
-                ok_pairs = False
-            if ok_pairs:
-                succ.setdefault(b, set()).add(c)
-        if ok_pairs and _has_cycle(succ):
-            problems.append(f"cyclic preferences for agent {agent!r}")
-
-    if not problems:
-        try:
-            instance_from_document(doc)
+            source = _decode(source)
         except InstanceError as exc:
-            problems.append(str(exc))
+            return ValidationReport(False, (str(exc),))
+    _from_document(source, problems.append)
     return ValidationReport(not problems, tuple(problems))
-
-
-def _has_cycle(succ: Mapping[str, set[str]]) -> bool:
-    color: dict[str, int] = {}
-
-    def visit(node: str) -> bool:
-        color[node] = 1
-        for nxt in succ.get(node, ()):
-            c = color.get(nxt, 0)
-            if c == 1 or (c == 0 and visit(nxt)):
-                return True
-        color[node] = 2
-        return False
-
-    return any(color.get(n, 0) == 0 and visit(n) for n in sorted(succ))
 
 
 # -- augmentation to equal sides ----------------------------------------------

@@ -17,9 +17,13 @@ highest level among ``a``'s neighbors, either ``b`` sits at level ``L`` and no
 neighbor at level ``L`` beats it, or ``b`` sits at level ``L - 1``, beats
 every neighbor at level ``L``, and no neighbor at level ``L - 1`` beats it.
 The same test generalizes to a per-edge load allowance ``lam`` (used by the
-bounded-margin search), which shifts the level thresholds down by ``lam``:
-any edge to a level ``>= L - lam + 1`` object is admissible outright, and the
-two preference-sensitive cases apply at levels ``L - lam`` and ``L - lam - 1``.
+bounded-margin search), which shifts the levels of the candidate ``b`` down
+by ``lam`` but not the neighbor sets it is compared against: any edge to a
+level ``>= L - lam + 1`` object is admissible outright; ``b`` at level
+``L - lam`` is admissible when no neighbor at level ``L`` beats it; and ``b``
+at level ``L - lam - 1`` is admissible when it beats every neighbor at level
+``L`` and no neighbor at level ``L - 1`` beats it.  :func:`_admissible_mask`
+is the one implementation of this test.
 """
 
 from __future__ import annotations
@@ -122,33 +126,6 @@ def _level_masks(levels: Sequence[int]) -> dict[int, int]:
     return masks
 
 
-def _edge_feasible(
-    instance: Instance,
-    levels: Sequence[int],
-    level_masks: Mapping[int, int],
-    ai: int,
-    top_level: int,
-    bj: int,
-    lam_e: int,
-) -> bool:
-    """Is edge ``(ai, bj)`` admissible at ``levels`` with load allowance
-    ``lam_e``?  ``top_level`` is the maximum level among ``ai``'s neighbors."""
-    lb = levels[bj]
-    if lb >= top_level - lam_e + 1:
-        return True
-    nbr = instance.neighbor_mask(ai)
-    if lb == top_level - lam_e:
-        top = level_masks.get(top_level, 0) & nbr
-        return instance.better_mask(ai, bj) & top == 0
-    if lb == top_level - lam_e - 1:
-        top = level_masks.get(top_level, 0) & nbr
-        if top & ~instance.worse_mask(ai, bj):
-            return False
-        below = level_masks.get(top_level - 1, 0) & nbr
-        return instance.better_mask(ai, bj) & below == 0
-    return False
-
-
 def _dominated_within(instance: Instance, ai: int, mask: int) -> int:
     """Objects dominated by some member of ``mask`` in agent ``ai``'s order.
 
@@ -168,18 +145,31 @@ def _dominated_within(instance: Instance, ai: int, mask: int) -> int:
 
 
 def _admissible_mask(
-    instance: Instance, masks: Mapping[int, int], ai: int, top_level: int
+    instance: Instance,
+    masks: Mapping[int, int],
+    ai: int,
+    top_level: int,
+    lam: int = 0,
 ) -> int:
-    """All objects admissible for ``ai`` at zero load allowance, as a mask:
-    the undominated neighbors at the agent's top level, plus the neighbors
-    one level down preferred to every top-level neighbor and undominated on
-    their own level."""
+    """All objects admissible for ``ai`` with load allowance ``lam``, as a
+    mask.  Writing ``L`` for ``top_level``: every neighbor at a level of at
+    least ``L - lam + 1``; the neighbors at level ``L - lam`` that no
+    top-level neighbor beats; and the neighbors at level ``L - lam - 1``
+    that beat every top-level neighbor and that no level ``L - 1`` neighbor
+    beats."""
     nbr = instance.neighbor_mask(ai)
     top = masks.get(top_level, 0) & nbr
-    admissible = top & ~_dominated_within(instance, ai, top)
-    if top_level:
-        below = masks.get(top_level - 1, 0) & nbr
-        candidates = below & ~_dominated_within(instance, ai, below)
+    below = masks.get(top_level - 1, 0) & nbr
+    admissible = 0
+    middle, low = top, below
+    if lam:
+        for level in range(max(top_level - lam + 1, 0), top_level + 1):
+            admissible |= masks.get(level, 0) & nbr
+        middle = masks.get(top_level - lam, 0) & nbr
+        low = masks.get(top_level - lam - 1, 0) & nbr
+    admissible |= middle & ~_dominated_within(instance, ai, top)
+    if low:
+        candidates = low & ~_dominated_within(instance, ai, below)
         while candidates:
             bit = candidates & -candidates
             candidates ^= bit
@@ -191,15 +181,13 @@ def _admissible_mask(
 def _build_level_graph(
     instance: Instance,
     levels: Sequence[int],
+    tops: Sequence[int],
     loads: Mapping[tuple[int, int], int] | None = None,
     forbidden: frozenset[tuple[int, int]] | None = None,
-    tops: Sequence[int] | None = None,
-    positions: Sequence[Mapping[int, int]] | None = None,
 ) -> BipartiteGraph:
-    """Build the level graph.  ``tops`` optionally carries each agent's
-    maximum neighbor level (the loop maintains it incrementally) and
-    ``positions`` each agent's object-to-adjacency-rank map; both are
-    recomputed when absent.  Rows keep the instance's adjacency order."""
+    """Build the level graph.  ``tops`` carries each agent's maximum
+    neighbor level.  Rows list objects in index order, which is the
+    instance's adjacency order."""
     masks = _level_masks(levels)
     loaded: dict[int, list[tuple[int, int]]] = {}
     if loads:
@@ -208,28 +196,17 @@ def _build_level_graph(
                 loaded.setdefault(li, []).append((lj, lam))
     rows = []
     for ai in range(instance.n_agents):
-        adj = instance.adj_indices(ai)
-        if not adj:
-            raise InstanceError(
-                f"agent {instance.agents[ai]!r} has no acceptable objects; "
-                "the level graph is undefined"
-            )
-        top_level = tops[ai] if tops is not None else max(levels[j] for j in adj)
+        top_level = tops[ai]
         admissible = _admissible_mask(instance, masks, ai, top_level)
         for bj, lam_e in loaded.get(ai, ()):
             # a positive allowance only ever widens the admissible band
-            if _edge_feasible(instance, levels, masks, ai, top_level, bj, lam_e):
+            if _admissible_mask(instance, masks, ai, top_level, lam_e) >> bj & 1:
                 admissible |= 1 << bj
-        if positions is not None:
-            row = []
-            mask = admissible
-            while mask:
-                bit = mask & -mask
-                mask ^= bit
-                row.append(bit.bit_length() - 1)
-            row.sort(key=positions[ai].__getitem__)
-        else:
-            row = [bj for bj in adj if admissible >> bj & 1]
+        row = []
+        while admissible:
+            bit = admissible & -admissible
+            admissible ^= bit
+            row.append(bit.bit_length() - 1)
         if forbidden:
             row = [bj for bj in row if (ai, bj) not in forbidden]
         rows.append(row)
@@ -244,7 +221,9 @@ def induced_subgraph(
     per-object level sequence."""
     if not isinstance(level_function, LevelFunction):
         level_function = make_level_function(instance, level_function)
-    return _build_level_graph(instance, level_function.levels)
+    return _build_level_graph(
+        instance, level_function.levels, level_function.max_neighbor_level
+    )
 
 
 def certificate_from_levels(
@@ -269,9 +248,8 @@ def certificate_from_levels(
     for a, b in matching:
         ai = instance.agent_index(a)
         bj = instance.object_index(b)
-        if not _edge_feasible(
-            instance, levels, masks, ai, level_function.max_neighbor_level[ai], bj, 0
-        ):
+        top_level = level_function.max_neighbor_level[ai]
+        if not _admissible_mask(instance, masks, ai, top_level) >> bj & 1:
             raise InstanceError(
                 f"matched edge ({a!r}, {b!r}) is not admissible at the given levels"
             )
@@ -316,18 +294,13 @@ def _run_level_loop(
     # levels only ever rise, so each agent's maximum neighbor level can be
     # maintained by bumped object rather than recomputed per iteration
     tops = [0] * instance.n_agents
-    positions: list[dict[int, int]] = []
     reverse_adj: list[list[int]] = [[] for _ in range(n_objects)]
     for ai in range(instance.n_agents):
-        adj = instance.adj_indices(ai)
-        positions.append({bj: rank for rank, bj in enumerate(adj)})
-        for bj in adj:
+        for bj in instance.adj_indices(ai):
             reverse_adj[bj].append(ai)
     iterations = 0
     while not any(level >= cap for level in levels):
-        graph = _build_level_graph(
-            instance, levels, loads, forbidden, tops, positions
-        )
+        graph = _build_level_graph(instance, levels, tops, loads, forbidden)
         match_l, match_r = maximum_matching(graph)
         iterations += 1
         if -1 not in match_l:

@@ -398,8 +398,7 @@ def market_from_document(doc: Any) -> HousingMarket:
         if a in seen:
             raise InstanceError(f"duplicate agent identifier {a!r}")
         seen.add(a)
-    arcs: list[tuple[str, str]] = []
-    arc_set: set[tuple[str, str]] = set()
+    arc_index: dict[tuple[str, str], int] = {}
     for arc in doc["arcs"]:
         if not isinstance(arc, list) or len(arc) != 2:
             raise InstanceError(f"arc {arc!r} must be a two-element list")
@@ -408,10 +407,9 @@ def market_from_document(doc: Any) -> HousingMarket:
             raise InstanceError(f"arc {arc!r} references an unknown agent")
         if x == y:
             raise InstanceError(f"self-arc {arc!r} is not allowed")
-        if (x, y) in arc_set:
+        if (x, y) in arc_index:
             raise InstanceError(f"duplicate arc {arc!r}")
-        arc_set.add((x, y))
-        arcs.append((x, y))
+        arc_index[(x, y)] = len(arc_index)
     preferences: dict[str, tuple] = {}
     raw_prefs = doc.get("preferences", {})
     if not isinstance(raw_prefs, dict):
@@ -424,7 +422,7 @@ def market_from_document(doc: Any) -> HousingMarket:
                 f"market preferences for agent {agent!r} must be {{'pairs': [...]}}"
             )
         pairs = []
-        succ: dict[tuple[str, str], set[tuple[str, str]]] = {}
+        succ: dict[int, set[int]] = {}
         for p in spec["pairs"]:
             if (
                 not isinstance(p, list)
@@ -438,7 +436,7 @@ def market_from_document(doc: Any) -> HousingMarket:
             hi = (p[0][0], p[0][1])
             lo = (p[1][0], p[1][1])
             for arc in (hi, lo):
-                if arc not in arc_set:
+                if arc not in arc_index:
                     raise InstanceError(
                         f"preference of agent {agent!r} references missing arc {list(arc)!r}"
                     )
@@ -452,26 +450,11 @@ def market_from_document(doc: Any) -> HousingMarket:
                     f"agent {agent!r} declares arc {list(hi)!r} better than itself"
                 )
             pairs.append((hi, lo))
-            succ.setdefault(hi, set()).add(lo)
-        if _arc_cycle(succ):
+            succ.setdefault(arc_index[hi], set()).add(arc_index[lo])
+        if Instance._close(succ) is None:
             raise InstanceError(f"cyclic arc preferences for agent {agent!r}")
         preferences[agent] = tuple(pairs)
-    return HousingMarket(agents, tuple(arcs), preferences)
-
-
-def _arc_cycle(succ: Mapping[tuple[str, str], set[tuple[str, str]]]) -> bool:
-    color: dict[tuple[str, str], int] = {}
-
-    def visit(node: tuple[str, str]) -> bool:
-        color[node] = 1
-        for nxt in succ.get(node, ()):
-            c = color.get(nxt, 0)
-            if c == 1 or (c == 0 and visit(nxt)):
-                return True
-        color[node] = 2
-        return False
-
-    return any(color.get(n, 0) == 0 and visit(n) for n in sorted(succ))
+    return HousingMarket(agents, tuple(arc_index), preferences)
 
 
 def parse_market(source: str) -> HousingMarket:

@@ -11,7 +11,7 @@ All of these reuse the level loop from :mod:`popassign.popular`:
   relax by the load, and their siblings are forbidden), and runs the loop per
   guess.  Guesses are enumerated in a fixed order -- ascending total load,
   then lexicographic by the edge-index multiset -- so the first hit is
-  deterministic even when branches run on a thread pool.
+  deterministic.
 * An assignment popular with penalty ``kappa`` (unmatched agents in rival
   matchings count ``kappa`` votes instead of one) is exactly what the level
   loop truncated at ``kappa + 1`` decides, so that variant is a direct
@@ -21,7 +21,6 @@ All of these reuse the level loop from :mod:`popassign.popular`:
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -31,7 +30,7 @@ from .popular import (
     DualCertificate,
     LevelFunction,
     SolveOutcome,
-    _edge_feasible,
+    _admissible_mask,
     _level_masks,
     _loop_outcome,
     _require_perfectly_matchable,
@@ -129,15 +128,8 @@ def lambda_feasible(
     if not instance.has_edge(a, b):
         raise InstanceError(f"({a!r}, {b!r}) is not an instance edge")
     masks = _level_masks(level_function.levels)
-    return _edge_feasible(
-        instance,
-        level_function.levels,
-        masks,
-        ai,
-        level_function.max_neighbor_level[ai],
-        bj,
-        load,
-    )
+    top_level = level_function.max_neighbor_level[ai]
+    return bool(_admissible_mask(instance, masks, ai, top_level, load) >> bj & 1)
 
 
 @dataclass(frozen=True)
@@ -235,61 +227,33 @@ def _run_margin_branch(instance: Instance, combo: tuple[int, ...]):
     )
 
 
-def solve_k_margin(
-    instance: Instance, k: int, parallel_branches: int = 1
-) -> KMarginOutcome:
+def solve_k_margin(instance: Instance, k: int) -> KMarginOutcome:
     """Find an assignment whose unpopularity margin is at most ``k``, or
     report that none exists.
 
     Enumerates load guesses of total ``0..k`` over the edges (ascending
     total, then lexicographic by edge-index multiset); the first successful
-    branch in that order wins.  ``parallel_branches`` > 1 runs branches on a
-    thread pool in windows, still collecting results in enumeration order.
+    branch in that order wins.
 
     Raises :class:`popassign.popular.NoPerfectMatchingError` if the instance
     admits no perfect matching at all.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    if parallel_branches < 1:
-        raise ValueError("parallel_branches must be at least 1")
     _require_perfectly_matchable(instance)
     m = len(instance.edge_indices)
     combos = itertools.chain.from_iterable(
         itertools.combinations_with_replacement(range(m), t) for t in range(k + 1)
     )
     branches = 0
-    if parallel_branches == 1:
-        for combo in combos:
-            branches += 1
-            hit = _run_margin_branch(instance, combo)
-            if hit is not None:
-                assignment, loads, level_function, certificate, bound = hit
-                return KMarginOutcome(
-                    True, assignment, loads, level_function, certificate, bound, branches
-                )
-    else:
-        window_size = parallel_branches * 4
-        with ThreadPoolExecutor(max_workers=parallel_branches) as pool:
-            while True:
-                window = list(itertools.islice(combos, window_size))
-                if not window:
-                    break
-                futures = [pool.submit(_run_margin_branch, instance, c) for c in window]
-                for future in futures:
-                    branches += 1
-                    hit = future.result()
-                    if hit is not None:
-                        assignment, loads, level_function, certificate, bound = hit
-                        return KMarginOutcome(
-                            True,
-                            assignment,
-                            loads,
-                            level_function,
-                            certificate,
-                            bound,
-                            branches,
-                        )
+    for combo in combos:
+        branches += 1
+        hit = _run_margin_branch(instance, combo)
+        if hit is not None:
+            assignment, loads, level_function, certificate, bound = hit
+            return KMarginOutcome(
+                True, assignment, loads, level_function, certificate, bound, branches
+            )
     return KMarginOutcome(False, None, None, None, None, None, branches)
 
 

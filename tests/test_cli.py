@@ -197,14 +197,6 @@ def test_margin_search_and_verify(write, capsys):
     assert code == 2 and "error" in report
 
 
-def test_margin_parallel_flag_matches_serial(write, capsys):
-    path = write("k33.json", K33)
-    _, serial, _ = run(capsys, "margin", path, "--k", "1")
-    _, threaded, _ = run(capsys, "margin", path, "--k", "1", "--parallel-branches", "3")
-    assert threaded["assignment"] == serial["assignment"]
-    assert threaded["branches"] == serial["branches"]
-
-
 def test_margin_evaluate(write, capsys):
     chain = write("chain.json", CHAIN)
     ident = write("ident.json", IDENTITY)

@@ -70,6 +70,17 @@ def test_preference_cycles_rejected(pairs):
         )
 
 
+def test_long_preference_chain_validates():
+    objects = [f"o{i}" for i in range(3000)]
+    doc = {
+        "agents": ["a"],
+        "objects": objects,
+        "edges": [["a", o] for o in objects],
+        "preferences": {"a": {"pairs": [[x, y] for x, y in zip(objects, objects[1:])]}},
+    }
+    assert validate(doc).ok
+
+
 def test_constructor_validation_errors():
     with pytest.raises(InstanceError, match="duplicate agent"):
         Instance(["a", "a"], ["x"], [])
@@ -176,6 +187,75 @@ def test_validate_collects_problems():
     assert not bool(report)
 
 
+def _with(**changes):
+    """A valid document with the given keys replaced, or deleted if None."""
+    doc = {
+        "agents": ["a", "c"],
+        "objects": ["x", "y", "z"],
+        "edges": [["a", "x"], ["a", "y"], ["c", "z"]],
+        "preferences": {"a": {"pairs": [["x", "y"]]}},
+    }
+    for key, value in changes.items():
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+    return doc
+
+
+# One document per check of the instance format, each with a single fault.
+SINGLE_FAULT_DOCUMENTS = {
+    "not-an-object": ["not", "an", "object"],
+    "missing-agents": _with(agents=None),
+    "missing-objects": _with(objects=None),
+    "missing-edges": _with(edges=None),
+    "agents-not-a-list": _with(agents="a"),
+    "edges-not-a-list": _with(edges={"a": "x"}),
+    "unknown-key": _with(extra=1),
+    "empty-agent-name": _with(agents=["a", ""]),
+    "non-string-object-name": _with(objects=["x", "y", 3]),
+    "duplicate-agent": _with(agents=["a", "c", "a"]),
+    "duplicate-object": _with(objects=["x", "y", "z", "y"]),
+    "short-edge": _with(edges=[["a", "x"], ["a", "y"], ["c"]]),
+    "edge-not-a-list": _with(edges=[["a", "x"], ["a", "y"], "c-z"]),
+    "unknown-edge-agent": _with(edges=[["a", "x"], ["a", "y"], ["ghost", "z"]]),
+    "unknown-edge-object": _with(edges=[["a", "x"], ["a", "y"], ["c", "nowhere"]]),
+    "duplicate-edge": _with(edges=[["a", "x"], ["a", "y"], ["c", "z"], ["a", "x"]]),
+    "preferences-not-a-dict": _with(preferences=[["x", "y"]]),
+    "unknown-preference-agent": _with(preferences={"ghost": {"pairs": []}}),
+    "unknown-spec": _with(preferences={"a": {"ranking": [["x"], ["y"]]}}),
+    "two-specs": _with(preferences={"a": {"pairs": [], "tiers": []}}),
+    "spec-not-a-list": _with(preferences={"a": {"pairs": "x>y"}}),
+    "long-pair": _with(preferences={"a": {"pairs": [["x", "y", "z"]]}}),
+    "empty-tier": _with(preferences={"a": {"tiers": [["x"], []]}}),
+    "non-string-tier-entry": _with(preferences={"a": {"tiers": [["x"], [7]]}}),
+    "repeated-tier-entry": _with(preferences={"a": {"tiers": [["x"], ["y", "x"]]}}),
+    "unknown-pair-object": _with(preferences={"a": {"pairs": [["x", "nowhere"]]}}),
+    "non-adjacent-pair": _with(preferences={"a": {"pairs": [["x", "z"]]}}),
+    "self-pair": _with(preferences={"a": {"pairs": [["x", "x"]]}}),
+    "cycle": _with(preferences={"a": {"pairs": [["x", "y"], ["y", "x"]]}}),
+}
+
+
+@pytest.mark.parametrize(
+    "doc", SINGLE_FAULT_DOCUMENTS.values(), ids=SINGLE_FAULT_DOCUMENTS.keys()
+)
+def test_validate_reports_the_parsers_error_first(doc):
+    with pytest.raises(InstanceError) as err:
+        instance_from_document(doc)
+    report = validate(doc)
+    assert not report.ok
+    assert report.problems[0] == str(err.value)
+
+
+def _parses(doc):
+    try:
+        instance_from_document(doc)
+    except InstanceError:
+        return False
+    return True
+
+
 def test_validate_accepts_good_documents():
     doc = random_instance_document(4, 4, 0.7, "partial", 3)
     report = validate(doc)
@@ -262,7 +342,19 @@ def test_augmentation_restrict_drops_padding():
 def test_random_documents_always_validate(seed):
     style = ("strict", "weak", "partial")[seed % 3]
     doc = random_instance_document(1 + seed % 5, 1 + (seed // 3) % 5, 0.5, style, seed)
-    assert validate(doc).ok
+    assert validate(doc).ok and _parses(doc)
+    # validate accepts exactly what the parser accepts, also after dropping
+    # an edge that a preference may mention, or closing a preference cycle
+    if doc["edges"]:
+        broken = dict(doc, edges=doc["edges"][1:])
+        assert validate(broken).ok == _parses(broken)
+    for agent, spec in doc.get("preferences", {}).items():
+        if spec.get("pairs"):
+            x, y = spec["pairs"][0]
+            prefs = dict(doc["preferences"], **{agent: {"pairs": [*spec["pairs"], [y, x]]}})
+            broken = dict(doc, preferences=prefs)
+            assert not _parses(broken) and not validate(broken).ok
+            break
 
 
 def test_corpus_is_deterministic():

@@ -356,6 +356,25 @@ def test_market_cyclic_arc_preferences_rejected():
         market_from_document(doc)
 
 
+def _chain_market(n, closed):
+    """One agent ranking its ``n`` outgoing arcs in a strict chain, closed
+    into a cycle if asked."""
+    others = [f"v{i}" for i in range(n)]
+    arcs = [["u", v] for v in others]
+    pairs = [[arcs[i], arcs[i + 1]] for i in range(n - 1)]
+    if closed:
+        pairs.append([arcs[-1], arcs[0]])
+    doc = {"agents": ["u", *others], "arcs": arcs, "preferences": {"u": {"pairs": pairs}}}
+    return json.dumps(doc)
+
+
+def test_long_market_arc_chain_parses_and_its_cycle_is_rejected():
+    market = parse_market(_chain_market(3000, closed=False))
+    assert len(market.preferences["u"]) == 2999
+    with pytest.raises(InstanceError, match="cyclic"):
+        parse_market(_chain_market(3000, closed=True))
+
+
 def test_parse_market_bad_json():
     with pytest.raises(InstanceError, match="invalid JSON"):
         parse_market("{nope")

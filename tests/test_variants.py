@@ -213,8 +213,6 @@ def test_load_capacity_validation():
 def test_margin_search_argument_validation(unanimous_k33):
     with pytest.raises(ValueError):
         solve_k_margin(unanimous_k33, -1)
-    with pytest.raises(ValueError):
-        solve_k_margin(unanimous_k33, 0, parallel_branches=0)
 
 
 def test_margin_zero_is_the_plain_solver(partial_order_triple, unanimous_k33):
@@ -271,22 +269,6 @@ def test_branch_count_is_bounded_by_the_multiset_count():
                 break
             cap = sum(math.comb(m + j - 1, j) for j in range(k + 1))
             assert out.branches <= cap
-
-
-def test_parallel_branches_match_the_serial_search():
-    for instance in corpus(10, min_n=2, max_n=4, seed0=41):
-        for k in (0, 1, 2):
-            try:
-                serial = solve_k_margin(instance, k)
-            except NoPerfectMatchingError:
-                break
-            threaded = solve_k_margin(instance, k, parallel_branches=3)
-            assert threaded.found == serial.found
-            assert threaded.branches == serial.branches
-            if serial.found:
-                assert threaded.assignment.pairs == serial.assignment.pairs
-                assert threaded.certified_bound == serial.certified_bound
-                assert threaded.loads.loads == serial.loads.loads
 
 
 def test_found_margin_certificates_verify_at_their_bound():
