@@ -47,13 +47,11 @@ from .popular import (
     LevelFunction,
     NoPerfectMatchingError,
     solve_popular_assignment,
-    solve_truncated,
 )
 from .reductions import (
     assignment_to_allocation,
     housing_to_assignment,
     parse_market,
-    reduce_popular_matching,
     solve_penalty_matching,
 )
 from .variants import EdgeConstraints, solve_k_margin, solve_with_constraints
@@ -326,13 +324,8 @@ def cmd_matching(args: argparse.Namespace) -> int:
         return _fail("matching", "--penalty must be at least 1")
     started = time.perf_counter()
     instance = _load_instance(args.instance)
-    if args.penalty == 1:
-        target, rmap = reduce_popular_matching(instance)
-        outcome = solve_truncated(target, 2)
-        matching = rmap.lift_back(outcome.assignment) if outcome.found else None
-    else:
-        result = solve_penalty_matching(instance, args.penalty)
-        outcome, matching = result.outcome, result.matching
+    result = solve_penalty_matching(instance, args.penalty)
+    outcome, matching = result.outcome, result.matching
     elapsed = (time.perf_counter() - started) * 1000.0
     report: dict = {
         "command": "matching",

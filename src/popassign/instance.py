@@ -142,8 +142,10 @@ class Instance:
             except (TypeError, ValueError):
                 report(f"edge {edge!r} is not an (agent, object) pair")
                 continue
-            ai = self._agent_index.get(a)
-            bj = self._object_index.get(b)
+            # names are strings; any other value, even an unhashable one such
+            # as a list, is an unknown name
+            ai = self._agent_index.get(a) if isinstance(a, str) else None
+            bj = self._object_index.get(b) if isinstance(b, str) else None
             if ai is None:
                 report(f"edge {edge!r} references unknown agent {a!r}")
             if bj is None:
@@ -178,8 +180,8 @@ class Instance:
                         f"preference pair {pair!r} for agent {agent_name!r} is not a pair"
                     )
                     continue
-                bj = self._object_index.get(b)
-                cj = self._object_index.get(b2)
+                bj = self._object_index.get(b) if isinstance(b, str) else None
+                cj = self._object_index.get(b2) if isinstance(b2, str) else None
                 if bj is None or cj is None:
                     report(
                         f"preference pair ({b!r}, {b2!r}) for agent {agent_name!r} "
@@ -199,17 +201,19 @@ class Instance:
         worse_by_agent: list[dict[int, int]] = []
         better_by_agent: list[dict[int, int]] = []
         for ai, agent_name in enumerate(self._agents):
-            worse = self._close(succ_by_agent.get(ai, {}))
+            succ = succ_by_agent.get(ai, {})
+            worse = self._close(succ)
             if worse is None:
                 report(f"cyclic preferences for agent {agent_name!r}")
-                worse = {}
+                worse, succ = {}, {}
             worse_by_agent.append(worse)
-            better: dict[int, int] = {}
-            for b, mask in worse.items():
-                bit = 1 << b
-                for c in iter_bits(mask):
-                    better[c] = better.get(c, 0) | bit
-            better_by_agent.append(better)
+            # "better than" is the closure of the reversed relation, which
+            # has no cycle since the relation itself has none
+            reverse: dict[int, set[int]] = {}
+            for b, below in succ.items():
+                for c in below:
+                    reverse.setdefault(c, set()).add(b)
+            better_by_agent.append(self._close(reverse))
         self._worse = tuple(worse_by_agent)
         self._better = tuple(better_by_agent)
 
@@ -222,10 +226,10 @@ class Instance:
         # Depth-first search in postorder; a back edge is a cycle.
         worse: dict[int, int] = {}
         color: dict[int, int] = {}  # 1 = on stack, 2 = finished
-        for root in sorted(succ):
+        for root in succ:
             if color.get(root) == 2:
                 continue
-            stack = [(root, iter(sorted(succ.get(root, ()))))]
+            stack = [(root, iter(succ[root]))]
             color[root] = 1
             while stack:
                 node, it = stack[-1]
@@ -236,7 +240,7 @@ class Instance:
                         return None
                     if c == 0:
                         color[nxt] = 1
-                        stack.append((nxt, iter(sorted(succ.get(nxt, ())))))
+                        stack.append((nxt, iter(succ.get(nxt, ()))))
                         advanced = True
                         break
                 if not advanced:
@@ -725,7 +729,12 @@ def augment_to_perfect(instance: Instance) -> tuple[Instance, AugmentationMap]:
     preferences: dict[str, list[tuple[str, str]]] = {}
     for a in instance.agents:
         pairs = list(instance.preference_pairs(a))
-        pairs.extend((b, x) for b in instance.neighbors(a) for x in arts)
+        # closing the order puts every artificial object below every
+        # neighbor, so only the neighbors with no worse neighbor need pairs
+        better = {b for b, _ in pairs}
+        pairs.extend(
+            (b, x) for b in instance.neighbors(a) if b not in better for x in arts
+        )
         if pairs:
             preferences[a] = pairs
     target = Instance(

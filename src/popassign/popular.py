@@ -16,14 +16,15 @@ An edge ``(a, b)`` is admissible at levels ``l`` when, writing ``L`` for the
 highest level among ``a``'s neighbors, either ``b`` sits at level ``L`` and no
 neighbor at level ``L`` beats it, or ``b`` sits at level ``L - 1``, beats
 every neighbor at level ``L``, and no neighbor at level ``L - 1`` beats it.
-The same test generalizes to a per-edge load allowance ``lam`` (used by the
-bounded-margin search), which shifts the levels of the candidate ``b`` down
-by ``lam`` but not the neighbor sets it is compared against: any edge to a
-level ``>= L - lam + 1`` object is admissible outright; ``b`` at level
-``L - lam`` is admissible when no neighbor at level ``L`` beats it; and ``b``
-at level ``L - lam - 1`` is admissible when it beats every neighbor at level
-``L`` and no neighbor at level ``L - 1`` beats it.  :func:`_admissible_mask`
-is the one implementation of this test.
+The same test generalizes to a load allowance ``lam`` (the bounded-margin
+search gives it to an agent whose row it restricts to her loaded edge), which
+shifts the levels of the candidate ``b`` down by ``lam`` but not the neighbor
+sets it is compared against: any edge to a level ``>= L - lam + 1`` object
+is admissible outright; ``b`` at level ``L - lam`` is admissible when no
+neighbor at level ``L`` beats it; and ``b`` at level ``L - lam - 1`` is
+admissible when it beats every neighbor at level ``L`` and no neighbor at
+level ``L - 1`` beats it.  :func:`_admissible_mask` is the one
+implementation of this test.
 """
 
 from __future__ import annotations
@@ -182,33 +183,26 @@ def _build_level_graph(
     instance: Instance,
     levels: Sequence[int],
     tops: Sequence[int],
-    loads: Mapping[tuple[int, int], int] | None = None,
-    forbidden: frozenset[tuple[int, int]] | None = None,
+    allowed: Sequence[int] | None = None,
+    allowance: Mapping[int, int] | None = None,
 ) -> BipartiteGraph:
     """Build the level graph.  ``tops`` carries each agent's maximum
-    neighbor level.  Rows list objects in index order, which is the
-    instance's adjacency order."""
+    neighbor level.  ``allowed``, if given, is each agent's mask of usable
+    objects (default: every neighbor); ``allowance`` maps an agent to the
+    positive load allowance of her row.  Rows list objects in index order,
+    which is the instance's adjacency order."""
     masks = _level_masks(levels)
-    loaded: dict[int, list[tuple[int, int]]] = {}
-    if loads:
-        for (li, lj), lam in loads.items():
-            if lam > 0:
-                loaded.setdefault(li, []).append((lj, lam))
     rows = []
     for ai in range(instance.n_agents):
-        top_level = tops[ai]
-        admissible = _admissible_mask(instance, masks, ai, top_level)
-        for bj, lam_e in loaded.get(ai, ()):
-            # a positive allowance only ever widens the admissible band
-            if _admissible_mask(instance, masks, ai, top_level, lam_e) >> bj & 1:
-                admissible |= 1 << bj
+        lam = allowance.get(ai, 0) if allowance else 0
+        admissible = _admissible_mask(instance, masks, ai, tops[ai], lam)
+        if allowed is not None:
+            admissible &= allowed[ai]
         row = []
         while admissible:
             bit = admissible & -admissible
             admissible ^= bit
             row.append(bit.bit_length() - 1)
-        if forbidden:
-            row = [bj for bj in row if (ai, bj) not in forbidden]
         rows.append(row)
     return BipartiteGraph(instance.n_agents, instance.n_objects, rows)
 
@@ -283,12 +277,13 @@ def _require_perfectly_matchable(instance: Instance) -> None:
 def _run_level_loop(
     instance: Instance,
     cap: int,
-    loads: Mapping[tuple[int, int], int] | None = None,
-    forbidden: frozenset[tuple[int, int]] | None = None,
+    allowed: Sequence[int] | None = None,
+    allowance: Mapping[int, int] | None = None,
 ) -> _LoopResult:
-    """The shared solver core.  Runs until the level graph (restricted by
-    ``loads`` / ``forbidden``) has a perfect matching, or some object's level
-    reaches ``cap``."""
+    """The shared solver core.  Runs until the level graph has a perfect
+    matching, or some object's level reaches ``cap``.  ``allowed`` and
+    ``allowance`` restrict and widen each agent's row as in
+    :func:`_build_level_graph`."""
     n_objects = instance.n_objects
     levels = [0] * n_objects
     # levels only ever rise, so each agent's maximum neighbor level can be
@@ -300,7 +295,7 @@ def _run_level_loop(
             reverse_adj[bj].append(ai)
     iterations = 0
     while not any(level >= cap for level in levels):
-        graph = _build_level_graph(instance, levels, tops, loads, forbidden)
+        graph = _build_level_graph(instance, levels, tops, allowed, allowance)
         match_l, match_r = maximum_matching(graph)
         iterations += 1
         if -1 not in match_l:

@@ -3,15 +3,15 @@ penalty-vote assignments.
 
 All of these reuse the level loop from :mod:`popassign.popular`:
 
-* Forced edges are rewritten into forbidden sibling edges (forcing ``(a, b)``
-  means forbidding every other edge at ``a``); the loop then matches in the
-  level graph minus the forbidden set.
+* Constraints restrict the level graph by a mask per agent of the objects
+  she may use: forcing ``(a, b)`` masks ``a`` down to ``b``, and forbidding
+  ``(a, b)`` clears ``b`` from ``a``'s mask.
 * The bounded-margin search guesses, for each total budget ``t <= k``, a
-  multiset of edges carrying positive *load* (their admissibility thresholds
-  relax by the load, and their siblings are forbidden), and runs the loop per
-  guess.  Guesses are enumerated in a fixed order -- ascending total load,
-  then lexicographic by the edge-index multiset -- so the first hit is
-  deterministic.
+  multiset of edges carrying positive *load*, and runs the loop per guess.
+  A loaded edge is forced the same way, and its agent's admissibility
+  threshold relaxes by the load.  Guesses are enumerated in a fixed order --
+  ascending total load, then lexicographic by the edge-index multiset -- so
+  the first hit is deterministic.
 * An assignment popular with penalty ``kappa`` (unmatched agents in rival
   matchings count ``kappa`` votes instead of one) is exactly what the level
   loop truncated at ``kappa + 1`` decides, so that variant is a direct
@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
-from .instance import Instance, InstanceError, Matching
+from .instance import Instance, InstanceError, Matching, iter_bits
 from .matching import BipartiteGraph, maximum_matching
 from .popular import (
     DualCertificate,
@@ -72,18 +72,6 @@ def _check_constraints(instance: Instance, constraints: EdgeConstraints) -> None
         seen_objects.add(b)
 
 
-def forced_to_forbidden(
-    instance: Instance, constraints: EdgeConstraints
-) -> frozenset[tuple[str, str]]:
-    """Rewrite constraints into a pure forbidden set: forcing ``(a, b)``
-    forbids every other edge incident to ``a``."""
-    _check_constraints(instance, constraints)
-    forbidden = set(constraints.forbidden)
-    for a, b in constraints.forced:
-        forbidden.update((a, b2) for b2 in instance.neighbors(a) if b2 != b)
-    return frozenset(forbidden)
-
-
 def solve_with_constraints(
     instance: Instance,
     constraints: EdgeConstraints,
@@ -100,13 +88,17 @@ def solve_with_constraints(
     """
     if max_level is not None and max_level < 0:
         raise ValueError("max_level must be non-negative")
-    forbidden_names = forced_to_forbidden(instance, constraints)
+    _check_constraints(instance, constraints)
     _require_perfectly_matchable(instance)
-    forbidden = frozenset(
-        (instance.agent_index(a), instance.object_index(b)) for a, b in forbidden_names
-    )
+    allowed = None
+    if constraints.forced or constraints.forbidden:
+        allowed = [instance.neighbor_mask(ai) for ai in range(instance.n_agents)]
+        for a, b in constraints.forced:
+            allowed[instance.agent_index(a)] = 1 << instance.object_index(b)
+        for a, b in constraints.forbidden:
+            allowed[instance.agent_index(a)] &= ~(1 << instance.object_index(b))
     cap = instance.n_objects if max_level is None else min(max_level, instance.n_objects)
-    result = _run_level_loop(instance, cap, forbidden=forbidden)
+    result = _run_level_loop(instance, cap, allowed)
     return _loop_outcome(instance, result, cap)
 
 
@@ -168,12 +160,12 @@ class KMarginOutcome:
     branches: int
 
 
-def _perfect_without(instance: Instance, forbidden: set[tuple[int, int]]) -> bool:
-    rows = [
-        [bj for bj in instance.adj_indices(ai) if (ai, bj) not in forbidden]
-        for ai in range(instance.n_agents)
-    ]
-    graph = BipartiteGraph(instance.n_agents, instance.n_objects, rows)
+def _perfect_without(instance: Instance, allowed: Sequence[int]) -> bool:
+    """Does the graph of each agent's ``allowed`` objects have a perfect
+    matching?"""
+    graph = BipartiteGraph(
+        instance.n_agents, instance.n_objects, [list(iter_bits(m)) for m in allowed]
+    )
     match_l, _ = maximum_matching(graph)
     return -1 not in match_l
 
@@ -182,23 +174,20 @@ def _run_margin_branch(instance: Instance, combo: tuple[int, ...]):
     """Run the level loop for one load guess (a multiset of edge indices).
     Returns the found pieces, or None if this branch yields nothing."""
     edge_indices = instance.edge_indices
-    loads: dict[tuple[int, int], int] = {}
+    allowed = [instance.neighbor_mask(ai) for ai in range(instance.n_agents)]
+    allowance: dict[int, int] = {}
     for idx in combo:
-        e = edge_indices[idx]
-        loads[e] = loads.get(e, 0) + 1
-    forbidden = {
-        (ai, bj2)
-        for (ai, bj) in loads
-        for bj2 in instance.adj_indices(ai)
-        if bj2 != bj
-    }
-    # Positive-load edges act as forced edges; if forbidding their siblings
-    # already kills perfect matchability, the level loop could only time out.
-    if forbidden and not _perfect_without(instance, forbidden):
+        ai, bj = edge_indices[idx]
+        # a loaded edge acts as a forced edge: two different loaded edges at
+        # one agent leave her no allowed object
+        allowed[ai] &= 1 << bj
+        allowance[ai] = allowance.get(ai, 0) + 1
+    # If restricting the loaded agents already kills perfect matchability,
+    # the level loop could only time out.
+    restricted = any(allowed[ai] != instance.neighbor_mask(ai) for ai in allowance)
+    if restricted and not _perfect_without(instance, allowed):
         return None
-    result = _run_level_loop(
-        instance, instance.n_objects, loads=loads, forbidden=frozenset(forbidden)
-    )
+    result = _run_level_loop(instance, instance.n_objects, allowed, allowance)
     if result.match_l is None:
         return None
     level_function = make_level_function(instance, result.levels)
@@ -210,14 +199,12 @@ def _run_margin_branch(instance: Instance, combo: tuple[int, ...]):
         a = instance.agents[ai]
         b = instance.objects[bj]
         pairs.append((a, b))
-        load = loads.get((ai, bj), 0)
+        load = allowance.get(ai, 0)
         bound += load
         alpha_agents[a] = levels[bj] + load
     alpha_objects = {b: -levels[j] for j, b in enumerate(instance.objects)}
-    named_loads = {
-        (instance.agents[ai], instance.objects[bj]): load
-        for (ai, bj), load in sorted(loads.items())
-    }
+    # a found branch matches each loaded agent along her loaded edge
+    named_loads = {pairs[ai]: allowance[ai] for ai in sorted(allowance)}
     return (
         Matching(pairs),
         LoadCapacity(named_loads),

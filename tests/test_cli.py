@@ -346,6 +346,21 @@ def test_bad_instance_json_exits_two(write, capsys):
     assert code == 2 and "error" in report
 
 
+def test_unhashable_endpoints_exit_two(write, capsys):
+    docs = (
+        {"agents": ["a"], "objects": ["x"], "edges": [[["a"], "x"]]},
+        {
+            "agents": ["a"],
+            "objects": ["x", "y"],
+            "edges": [["a", "x"], ["a", "y"]],
+            "preferences": {"a": {"pairs": [[["x"], "y"]]}},
+        },
+    )
+    for doc in docs:
+        code, report, _ = run(capsys, "solve", write("bad.json", doc))
+        assert code == 2 and "unknown" in report["error"]
+
+
 def test_usage_errors_exit_two(capsys):
     assert main([]) == 2
     assert main(["margin", "x.json"]) == 2  # neither --k nor --evaluate

@@ -220,6 +220,7 @@ SINGLE_FAULT_DOCUMENTS = {
     "edge-not-a-list": _with(edges=[["a", "x"], ["a", "y"], "c-z"]),
     "unknown-edge-agent": _with(edges=[["a", "x"], ["a", "y"], ["ghost", "z"]]),
     "unknown-edge-object": _with(edges=[["a", "x"], ["a", "y"], ["c", "nowhere"]]),
+    "unhashable-edge-agent": _with(edges=[["a", "x"], ["a", "y"], [["c"], "z"]]),
     "duplicate-edge": _with(edges=[["a", "x"], ["a", "y"], ["c", "z"], ["a", "x"]]),
     "preferences-not-a-dict": _with(preferences=[["x", "y"]]),
     "unknown-preference-agent": _with(preferences={"ghost": {"pairs": []}}),
@@ -231,6 +232,7 @@ SINGLE_FAULT_DOCUMENTS = {
     "non-string-tier-entry": _with(preferences={"a": {"tiers": [["x"], [7]]}}),
     "repeated-tier-entry": _with(preferences={"a": {"tiers": [["x"], ["y", "x"]]}}),
     "unknown-pair-object": _with(preferences={"a": {"pairs": [["x", "nowhere"]]}}),
+    "unhashable-pair-object": _with(preferences={"a": {"pairs": [["x", ["y"]]]}}),
     "non-adjacent-pair": _with(preferences={"a": {"pairs": [["x", "z"]]}}),
     "self-pair": _with(preferences={"a": {"pairs": [["x", "x"]]}}),
     "cycle": _with(preferences={"a": {"pairs": [["x", "y"], ["y", "x"]]}}),
@@ -355,6 +357,17 @@ def test_random_documents_always_validate(seed):
             broken = dict(doc, preferences=prefs)
             assert not _parses(broken) and not validate(broken).ok
             break
+
+
+def test_better_masks_are_the_transpose_of_worse_masks():
+    for instance in corpus(30, 2, 7, seed0=40):
+        n = instance.n_objects
+        for ai in range(instance.n_agents):
+            for bj in range(n):
+                better = instance.better_mask(ai, bj)
+                assert better == sum(
+                    1 << cj for cj in range(n) if instance.worse_mask(ai, cj) >> bj & 1
+                )
 
 
 def test_corpus_is_deterministic():

@@ -12,7 +12,6 @@ from popassign import (
     LoadCapacity,
     NoPerfectMatchingError,
     enumerate_perfect_matchings,
-    forced_to_forbidden,
     induced_subgraph,
     is_popular_with_penalty,
     lambda_feasible,
@@ -24,26 +23,20 @@ from popassign import (
     verify_certificate,
 )
 
-from helpers import brute_margin_of, brute_min_margin, corpus
+from popassign.cli import random_instance_document
+
+from helpers import brute_margin_of, brute_min_margin, complete_doc, corpus, inst
 
 
 # -- constraint plumbing ----------------------------------------------------------
 
 
-def test_forcing_an_edge_forbids_its_siblings(unanimous_k33):
-    constraints = EdgeConstraints.of(forced=[("a1", "b2")], forbidden=[("a3", "b1")])
-    forbidden = forced_to_forbidden(unanimous_k33, constraints)
-    assert forbidden == frozenset(
-        {("a1", "b1"), ("a1", "b3"), ("a3", "b1")}
-    )
-
-
 def test_constraints_reject_unknown_edges():
     inst = Instance(["a1", "a2"], ["b1", "b2"], [("a1", "b1"), ("a2", "b1"), ("a2", "b2")])
     with pytest.raises(InstanceError):
-        forced_to_forbidden(inst, EdgeConstraints.of(forced=[("a1", "b2")]))
+        solve_with_constraints(inst, EdgeConstraints.of(forced=[("a1", "b2")]))
     with pytest.raises(InstanceError):
-        forced_to_forbidden(inst, EdgeConstraints.of(forbidden=[("a1", "nope")]))
+        solve_with_constraints(inst, EdgeConstraints.of(forbidden=[("a1", "nope")]))
 
 
 def test_forced_edges_sharing_an_endpoint_are_rejected(unanimous_k33):
@@ -120,6 +113,37 @@ def test_constrained_solver_agrees_with_brute_force():
                 assert ok, problems
             checked += 1
     assert checked > 100
+
+
+# (instance, forced, forbidden) -> per max_level None, 2: (found, levels,
+# iterations)
+PINNED_CONSTRAINED_SOLVES = [
+    ("partial_order_triple", [("a", "x")], [("a", "x")],
+     [(False, (1, 1, 3), 4), (False, (0, 0, 2), 2)]),
+    ("partial_order_triple", [("a", "x")], [("b", "z")],
+     [(False, (1, 1, 3), 4), (False, (0, 0, 2), 2)]),
+    ("partial_order_triple", [("b", "x")], [("c", "z")],
+     [(True, (0, 0, 1), 2), (True, (0, 0, 1), 2)]),
+    ("partial_order_triple", [("b", "x"), ("c", "y")], [("c", "y")],
+     [(False, (1, 1, 3), 4), (False, (0, 0, 2), 2)]),
+    ("unanimous_k33", [("a1", "b2"), ("a2", "b1")], [("a1", "b2")],
+     [(False, (1, 1, 3), 3), (False, (0, 1, 2), 2)]),
+]
+
+
+@pytest.mark.parametrize("fixture, forced, forbidden, expected", PINNED_CONSTRAINED_SOLVES)
+def test_constrained_outcomes_are_pinned(request, fixture, forced, forbidden, expected):
+    instance = request.getfixturevalue(fixture)
+    constraints = EdgeConstraints.of(forced=forced, forbidden=forbidden)
+    for max_level, (found, levels, iterations) in zip((None, 2), expected):
+        out = solve_with_constraints(instance, constraints, max_level)
+        assert (out.found, out.levels.levels, out.iterations) == (
+            found, levels, iterations
+        )
+        if found:
+            pairs = set(out.assignment.pairs)
+            assert set(constraints.forced) <= pairs
+            assert not pairs & constraints.forbidden
 
 
 # -- load feasibility -------------------------------------------------------------
@@ -283,6 +307,63 @@ def test_found_margin_certificates_verify_at_their_bound():
             instance, out.assignment, out.certificate, k=out.certified_bound
         )
         assert ok, problems
+
+
+def _unanimous(n):
+    chain = {"tiers": [[f"b{j}"] for j in range(1, n + 1)]}
+    return inst(complete_doc(n, {f"a{i}": chain for i in range(1, n + 1)}))
+
+
+# instance -> per k = 0, 1, 2: (found, branches, loads, levels)
+PINNED_MARGIN_SEARCHES = {
+    "unanimous-4": (
+        lambda: _unanimous(4),
+        [
+            (False, 1, None, None),
+            (False, 17, None, None),
+            # of the five total-2 guesses before the hit, three load two
+            # edges at a1 and one two edges at b1; all four are pruned
+            (True, 23, {("a1", "b1"): 1, ("a2", "b2"): 1}, (0, 0, 1, 2)),
+        ],
+    ),
+    "unanimous-5": (
+        lambda: _unanimous(5),
+        [(False, 1, None, None), (False, 26, None, None), (False, 351, None, None)],
+    ),
+    "weak-4": (
+        lambda: inst(random_instance_document(4, 4, 0.9, "weak", 133)),
+        [
+            (False, 1, None, None),
+            (True, 6, {("a2", "b1"): 1}, (1, 0, 0, 1)),
+            (True, 6, {("a2", "b1"): 1}, (1, 0, 0, 1)),
+        ],
+    ),
+    "partial-5": (
+        lambda: inst(random_instance_document(5, 5, 0.9, "partial", 7)),
+        [
+            (False, 1, None, None),
+            (True, 4, {("a1", "b3"): 1}, (0, 0, 0, 0, 0)),
+            (True, 4, {("a1", "b3"): 1}, (0, 0, 0, 0, 0)),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_MARGIN_SEARCHES)
+def test_margin_search_outcomes_are_pinned(name):
+    make, expected = PINNED_MARGIN_SEARCHES[name]
+    instance = make()
+    for k, (found, branches, loads, levels) in enumerate(expected):
+        out = solve_k_margin(instance, k)
+        assert out.found == found and out.branches == branches
+        assert (out.loads.loads if found else out.loads) == loads
+        assert (out.levels.levels if found else out.levels) == levels
+        if found:
+            assert out.certified_bound == out.certificate.total() == sum(loads.values())
+            for (a, b), load in loads.items():
+                assert out.assignment.object_for(a) == b
+                level = out.levels.level_of(instance, b)
+                assert out.certificate.alpha_agents[a] == level + load
 
 
 # -- penalty votes ----------------------------------------------------------------
