@@ -14,8 +14,8 @@ to standard error.  Exit codes are uniform: 0 = found / check passed,
 1 = not found / check failed, 2 = bad input or internal inconsistency.
 
 Instances that do not admit a perfect matching are padded transparently
-(see :func:`popassign.instance.augment_to_perfect`); reports then carry the
-restriction to the original instance alongside the padded solution.
+(see :func:`popassign.reductions.augment_to_perfect`); reports then carry
+the restriction to the original instance alongside the padded solution.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .instance import (
     Matching,
     MatchingError,
     check_assignment,
-    augment_to_perfect,
     parse_instance,
 )
 from .oracle import (
@@ -50,6 +49,7 @@ from .popular import (
 )
 from .reductions import (
     assignment_to_allocation,
+    augment_to_perfect,
     housing_to_assignment,
     parse_market,
     solve_penalty_matching,
@@ -258,12 +258,12 @@ def _verification(
     return checks, margins_ok
 
 
-def _augmentation_fragment(amap, full: Matching) -> dict | None:
-    if not amap.dummy_agents and not amap.artificial_objects:
+def _augmentation_fragment(rmap, full: Matching) -> dict | None:
+    if not rmap.added_agents and not rmap.added_objects:
         return None
     return {
-        "dummy_agents": list(amap.dummy_agents),
-        "artificial_objects": list(amap.artificial_objects),
+        "dummy_agents": list(rmap.added_agents),
+        "artificial_objects": list(rmap.added_objects),
         "full_assignment": _pairs(full),
     }
 
@@ -277,7 +277,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     constraints = EdgeConstraints.of(
         _parse_edge_flags(args.forced), _parse_edge_flags(args.forbidden)
     )
-    target, amap = augment_to_perfect(instance)
+    target, rmap = augment_to_perfect(instance)
     outcome = solve_with_constraints(target, constraints, max_level=args.truncate)
     elapsed = (time.perf_counter() - started) * 1000.0
     report: dict = {
@@ -296,10 +296,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
         )
         return 1
     assert outcome.assignment is not None and outcome.certificate is not None
-    restricted = amap.restrict(outcome.assignment)
+    restricted = rmap.lift_back(outcome.assignment)
     report["assignment"] = _pairs(restricted)
     report["certificate"] = _cert_dict(outcome.certificate)
-    augmented = _augmentation_fragment(amap, outcome.assignment)
+    augmented = _augmentation_fragment(rmap, outcome.assignment)
     if augmented:
         report["augmentation"] = augmented
     if args.verify:
@@ -369,7 +369,7 @@ def cmd_margin(args: argparse.Namespace) -> int:
     k = args.k
     if k < 0:
         return _fail("margin", "--k must be non-negative")
-    target, amap = augment_to_perfect(instance)
+    target, rmap = augment_to_perfect(instance)
     outcome = solve_k_margin(target, k)
     elapsed = (time.perf_counter() - started) * 1000.0
     report = {
@@ -385,7 +385,7 @@ def cmd_margin(args: argparse.Namespace) -> int:
         return 1
     assert outcome.assignment is not None and outcome.levels is not None
     assert outcome.loads is not None and outcome.certificate is not None
-    restricted = amap.restrict(outcome.assignment)
+    restricted = rmap.lift_back(outcome.assignment)
     report["assignment"] = _pairs(restricted)
     report["levels"] = _levels_dict(target, outcome.levels)
     report["certificate"] = _cert_dict(outcome.certificate)
@@ -394,7 +394,7 @@ def cmd_margin(args: argparse.Namespace) -> int:
         {"agent": a, "object": b, "load": load}
         for (a, b), load in sorted(outcome.loads.loads.items())
     ]
-    augmented = _augmentation_fragment(amap, outcome.assignment)
+    augmented = _augmentation_fragment(rmap, outcome.assignment)
     if augmented:
         report["augmentation"] = augmented
     if args.verify:

@@ -666,81 +666,3 @@ def validate(source: str | dict | Instance) -> ValidationReport:
     _from_document(source, problems.append)
     return ValidationReport(not problems, tuple(problems))
 
-
-# -- augmentation to equal sides ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class AugmentationMap:
-    """Records how an instance was padded to admit a perfect matching.
-
-    ``restrict`` drops the padding from a matching of the target instance,
-    leaving a maximum matching of the source.
-    """
-
-    source: Instance
-    target: Instance
-    dummy_agents: tuple[str, ...]
-    artificial_objects: tuple[str, ...]
-
-    def restrict(self, matching: Matching) -> Matching:
-        dummies = set(self.dummy_agents)
-        arts = set(self.artificial_objects)
-        return Matching(
-            (a, b) for a, b in matching if a not in dummies and b not in arts
-        )
-
-
-def augment_to_perfect(instance: Instance) -> tuple[Instance, AugmentationMap]:
-    """Pad an instance so it admits a perfect matching, preserving popularity
-    comparisons between maximum matchings of the original.
-
-    Adds ``|B| - nu`` dummy agents (adjacent to all original objects,
-    indifferent) and ``|A| - nu`` artificial objects (tied worst choices of
-    every original agent), where ``nu`` is the maximum matching size.  If the
-    instance already admits a perfect matching it is returned unchanged.
-    """
-    from .matching import BipartiteGraph, maximum_matching
-
-    graph = BipartiteGraph(
-        instance.n_agents,
-        instance.n_objects,
-        [list(instance.adj_indices(a)) for a in range(instance.n_agents)],
-    )
-    match_l, _ = maximum_matching(graph)
-    nu = sum(1 for j in match_l if j >= 0)
-    need_dummies = instance.n_objects - nu
-    need_arts = instance.n_agents - nu
-    if need_dummies == 0 and need_arts == 0:
-        return instance, AugmentationMap(instance, instance, (), ())
-
-    dummies = tuple(f"__dummy:{i}" for i in range(need_dummies))
-    arts = tuple(f"__art:aug:{i}" for i in range(need_arts))
-    for d in dummies:
-        if instance.has_agent(d):
-            raise InstanceError(f"agent identifier {d!r} collides with augmentation naming")
-    for x in arts:
-        if instance.has_object(x):
-            raise InstanceError(f"object identifier {x!r} collides with augmentation naming")
-
-    edges = list(instance.edges)
-    edges.extend((d, b) for d in dummies for b in instance.objects)
-    edges.extend((a, x) for a in instance.agents for x in arts)
-    preferences: dict[str, list[tuple[str, str]]] = {}
-    for a in instance.agents:
-        pairs = list(instance.preference_pairs(a))
-        # closing the order puts every artificial object below every
-        # neighbor, so only the neighbors with no worse neighbor need pairs
-        better = {b for b, _ in pairs}
-        pairs.extend(
-            (b, x) for b in instance.neighbors(a) if b not in better for x in arts
-        )
-        if pairs:
-            preferences[a] = pairs
-    target = Instance(
-        tuple(instance.agents) + dummies,
-        tuple(instance.objects) + arts,
-        edges,
-        preferences,
-    )
-    return target, AugmentationMap(instance, target, dummies, arts)

@@ -289,10 +289,6 @@ def _run_level_loop(
     # levels only ever rise, so each agent's maximum neighbor level can be
     # maintained by bumped object rather than recomputed per iteration
     tops = [0] * instance.n_agents
-    reverse_adj: list[list[int]] = [[] for _ in range(n_objects)]
-    for ai in range(instance.n_agents):
-        for bj in instance.adj_indices(ai):
-            reverse_adj[bj].append(ai)
     iterations = 0
     while not any(level >= cap for level in levels):
         graph = _build_level_graph(instance, levels, tops, allowed, allowance)
@@ -304,7 +300,7 @@ def _run_level_loop(
             if match_r[bj] == -1:
                 levels[bj] += 1
                 new_level = levels[bj]
-                for ai in reverse_adj[bj]:
+                for ai in instance.object_adj_indices(bj):
                     if tops[ai] < new_level:
                         tops[ai] = new_level
     return _LoopResult(None, levels, iterations)

@@ -1,10 +1,12 @@
 """Instance transformations.
 
-Each ``reduce_*`` / ``*_to_*`` function builds a new instance plus a
-:class:`ReductionMap` that can lift solutions back to the source problem.
-Node names introduced here live in a reserved ``__``-prefixed namespace and
-every transformation raises if a generated name collides with an existing
-identifier.
+Each ``reduce_*`` / ``*_to_*`` function, and :func:`augment_to_perfect`,
+builds a new instance plus a :class:`ReductionMap` that can lift solutions
+back to the source problem.  The padding reductions share one construction,
+:func:`_pad`: it appends indifferent dummy agents and objects that source
+agents rank tied worst.  Node names introduced here live in a reserved
+``__``-prefixed namespace and every transformation raises if a generated name
+collides with an existing identifier.
 """
 
 from __future__ import annotations
@@ -56,28 +58,92 @@ class ReductionMap:
         )
 
 
-def _claim_agents(instance: Instance, names: Iterable[str]) -> None:
-    for name in names:
-        if instance.has_agent(name):
-            raise InstanceError(
-                f"agent identifier {name!r} collides with reduction naming"
-            )
+def _claim(instance: Instance, agents: Iterable[str], objects: Iterable[str]) -> None:
+    """Raise if a generated name is already a name of ``instance``."""
+    for kind, names, taken in (
+        ("agent", agents, instance.has_agent),
+        ("object", objects, instance.has_object),
+    ):
+        for name in names:
+            if taken(name):
+                raise InstanceError(
+                    f"{kind} identifier {name!r} collides with reduction naming"
+                )
 
 
-def _claim_objects(instance: Instance, names: Iterable[str]) -> None:
-    for name in names:
-        if instance.has_object(name):
-            raise InstanceError(
-                f"object identifier {name!r} collides with reduction naming"
-            )
+def _pad(
+    instance: Instance,
+    agents: Sequence[str],
+    objects: Sequence[str],
+    edges: Iterable[tuple[str, str]],
+    worst: Mapping[str, Sequence[str]],
+    preferences: Mapping[str, list[tuple[str, str]]],
+) -> Instance:
+    """The padding construction every reduction to popular assignments
+    shares: ``instance`` followed by the new ``agents`` and ``objects`` (in
+    the order given), the new ``edges`` and ``preferences`` among them, and
+    an edge from each source agent ``a`` to each object in ``worst[a]``,
+    ranked tied below all of ``a``'s source neighbors."""
+    _claim(instance, agents, objects)
+    all_edges = [*instance.edges, *edges]
+    all_prefs = dict(preferences)
+    for a in instance.agents:
+        low = worst.get(a, ())
+        all_edges.extend((a, x) for x in low)
+        pairs = list(instance.preference_pairs(a))
+        # closing the order puts every worst object below every neighbor, so
+        # only the neighbors with no worse neighbor need pairs
+        better = {b for b, _ in pairs}
+        pairs.extend(
+            (b, x) for b in instance.neighbors(a) if b not in better for x in low
+        )
+        if pairs:
+            all_prefs[a] = pairs
+    return Instance(
+        instance.agents + tuple(agents),
+        instance.objects + tuple(objects),
+        all_edges,
+        all_prefs,
+    )
 
 
-def _worst_choice_pairs(
-    instance: Instance, agent: str, worst: Sequence[str]
-) -> list[tuple[str, str]]:
-    """Pairs placing every name in ``worst`` strictly below all of
-    ``agent``'s real neighbors (the new names stay mutually tied)."""
-    return [(b, w) for b in instance.neighbors(agent) for w in worst]
+# -- maximum matchings via dummies and artificial objects ----------------------
+
+
+def augment_to_perfect(instance: Instance) -> tuple[Instance, ReductionMap]:
+    """Pad an instance so it admits a perfect matching, preserving popularity
+    comparisons between maximum matchings of the original.
+
+    Adds ``|B| - nu`` dummy agents (adjacent to all original objects,
+    indifferent) and ``|A| - nu`` artificial objects (tied worst choices of
+    every original agent), where ``nu`` is the maximum matching size.  If the
+    instance already admits a perfect matching it is returned unchanged.
+    ``lift_back`` drops the padding, leaving a maximum matching of the source.
+    """
+    # imported when called, so that a replaced ``matching.maximum_matching``
+    # (as the benchmark's tracer installs) is the one that runs
+    from .matching import BipartiteGraph, maximum_matching
+
+    graph = BipartiteGraph(
+        instance.n_agents,
+        instance.n_objects,
+        [list(instance.adj_indices(a)) for a in range(instance.n_agents)],
+    )
+    match_l, _ = maximum_matching(graph)
+    nu = sum(1 for j in match_l if j >= 0)
+    dummies = tuple(f"__dummy:{i}" for i in range(instance.n_objects - nu))
+    arts = tuple(f"__art:aug:{i}" for i in range(instance.n_agents - nu))
+    target = instance
+    if dummies or arts:
+        target = _pad(
+            instance,
+            dummies,
+            arts,
+            [(d, b) for d in dummies for b in instance.objects],
+            {a: arts for a in instance.agents},
+            {},
+        )
+    return target, ReductionMap("augment", instance, target, dummies, arts, {})
 
 
 # -- popular matchings via last resorts and dummies ---------------------------
@@ -92,60 +158,12 @@ def add_last_resorts(instance: Instance) -> tuple[Instance, ReductionMap]:
     agents.
     """
     last_resort = {a: f"__lr:{a}" for a in instance.agents}
-    _claim_objects(instance, last_resort.values())
-    objects = tuple(instance.objects) + tuple(last_resort[a] for a in instance.agents)
-    edges = list(instance.edges)
-    edges.extend((a, last_resort[a]) for a in instance.agents)
-    preferences: dict[str, list[tuple[str, str]]] = {}
-    for a in instance.agents:
-        pairs = list(instance.preference_pairs(a))
-        pairs.extend(_worst_choice_pairs(instance, a, [last_resort[a]]))
-        if pairs:
-            preferences[a] = pairs
-    target = Instance(instance.agents, objects, edges, preferences)
-    rmap = ReductionMap(
-        "last-resorts",
-        instance,
-        target,
-        (),
-        tuple(last_resort[a] for a in instance.agents),
-        {"last_resort": last_resort},
+    added = tuple(last_resort[a] for a in instance.agents)
+    target = _pad(
+        instance, (), added, (), {a: (last_resort[a],) for a in instance.agents}, {}
     )
-    return target, rmap
-
-
-def reduce_popular_matching(instance: Instance) -> tuple[Instance, ReductionMap]:
-    """Embed the popular-matching problem into the popular-assignment one.
-
-    Every agent gets a personal worst-choice last resort, and one indifferent
-    dummy agent per original object is added, adjacent to everything.  A
-    matching of the source is popular iff its canonical completion (see
-    :func:`extend_to_assignment`) is a popular assignment of the target, and
-    popular assignments of the target lift back to popular matchings.
-    """
-    last_resort = {a: f"__lr:{a}" for a in instance.agents}
-    _claim_objects(instance, last_resort.values())
-    dummies = tuple(f"__dummy:{i}" for i in range(instance.n_objects))
-    _claim_agents(instance, dummies)
-    objects = tuple(instance.objects) + tuple(last_resort[a] for a in instance.agents)
-    agents = tuple(instance.agents) + dummies
-    edges = list(instance.edges)
-    edges.extend((a, last_resort[a]) for a in instance.agents)
-    edges.extend((d, b) for d in dummies for b in objects)
-    preferences: dict[str, list[tuple[str, str]]] = {}
-    for a in instance.agents:
-        pairs = list(instance.preference_pairs(a))
-        pairs.extend(_worst_choice_pairs(instance, a, [last_resort[a]]))
-        if pairs:
-            preferences[a] = pairs
-    target = Instance(agents, objects, edges, preferences)
     rmap = ReductionMap(
-        "popular-matching",
-        instance,
-        target,
-        dummies,
-        tuple(last_resort[a] for a in instance.agents),
-        {"last_resort": last_resort},
+        "last-resorts", instance, target, (), added, {"last_resort": last_resort}
     )
     return target, rmap
 
@@ -164,6 +182,12 @@ def reduce_penalty_matching(
     all original objects and to every path's last object.  Vote tallies with
     penalty ``kappa`` between source matchings equal plain head-to-head
     tallies between their canonical completions.
+
+    With ``kappa = 1`` there are no helper agents and the path is a single
+    last resort: this is the embedding of the popular-matching problem.  A
+    matching of the source is popular iff its canonical completion (see
+    :func:`extend_to_assignment`) is a popular assignment of the target, and
+    popular assignments of the target lift back to popular matchings.
     """
     if kappa < 1:
         raise ValueError("kappa must be at least 1")
@@ -173,39 +197,32 @@ def reduce_penalty_matching(
             "agents": tuple(f"__p:{a}:{i}" for i in range(1, kappa)),
             "objects": tuple(f"__l:{a}:{i}" for i in range(1, kappa + 1)),
         }
-        _claim_agents(instance, paths[a]["agents"])
-        _claim_objects(instance, paths[a]["objects"])
     dummies = tuple(f"__dummy:{i}" for i in range(instance.n_objects))
-    _claim_agents(instance, dummies)
 
-    agents = list(instance.agents)
-    objects = list(instance.objects)
-    edges = list(instance.edges)
+    edges: list[tuple[str, str]] = []
     preferences: dict[str, list[tuple[str, str]]] = {}
     for a in instance.agents:
-        p_agents = paths[a]["agents"]
         l_objects = paths[a]["objects"]
-        agents.extend(p_agents)
-        objects.extend(l_objects)
-        edges.append((a, l_objects[0]))
-        for i, p in enumerate(p_agents):
+        for i, p in enumerate(paths[a]["agents"]):
             edges.append((p, l_objects[i]))
             edges.append((p, l_objects[i + 1]))
             preferences[p] = [(l_objects[i], l_objects[i + 1])]
-        pairs = list(instance.preference_pairs(a))
-        pairs.extend(_worst_choice_pairs(instance, a, [l_objects[0]]))
-        if pairs:
-            preferences[a] = pairs
-    agents.extend(dummies)
     tail_objects = [paths[a]["objects"][-1] for a in instance.agents]
     edges.extend(
         (d, b) for d in dummies for b in list(instance.objects) + tail_objects
     )
-    target = Instance(agents, objects, edges, preferences)
     added_agents = tuple(
         p for a in instance.agents for p in paths[a]["agents"]
     ) + dummies
     added_objects = tuple(l for a in instance.agents for l in paths[a]["objects"])
+    target = _pad(
+        instance,
+        added_agents,
+        added_objects,
+        edges,
+        {a: paths[a]["objects"][:1] for a in instance.agents},
+        preferences,
+    )
     rmap = ReductionMap(
         "penalty-matching",
         instance,
@@ -255,27 +272,25 @@ def extend_to_assignment(rmap: ReductionMap, matching: Matching) -> Matching:
         raise InstanceError(f"reduction kind {rmap.kind!r} has no source instance")
     check_matching(rmap.source, matching)
     source, target = rmap.source, rmap.target
-    pairs: list[tuple[str, str]] = []
-    if rmap.kind in ("popular-matching", "last-resorts"):
-        last_resort = rmap.data["last_resort"]
-        for a in source.agents:
-            pairs.append((a, matching.object_for(a) or last_resort[a]))
-    elif rmap.kind == "penalty-matching":
-        paths = rmap.data["paths"]
-        for a in source.agents:
-            b = matching.object_for(a)
-            p_agents = paths[a]["agents"]
-            l_objects = paths[a]["objects"]
-            if b is not None:
-                pairs.append((a, b))
-                pairs.extend(zip(p_agents, l_objects[:-1]))
-            else:
-                pairs.append((a, l_objects[0]))
-                pairs.extend(zip(p_agents, l_objects[1:]))
-    else:
-        raise InstanceError(f"no canonical completion for reduction kind {rmap.kind!r}")
     if rmap.kind == "last-resorts":
-        return Matching(pairs)
+        last_resort = rmap.data["last_resort"]
+        return Matching(
+            (a, matching.object_for(a) or last_resort[a]) for a in source.agents
+        )
+    if rmap.kind != "penalty-matching":
+        raise InstanceError(f"no canonical completion for reduction kind {rmap.kind!r}")
+    pairs: list[tuple[str, str]] = []
+    paths = rmap.data["paths"]
+    for a in source.agents:
+        b = matching.object_for(a)
+        p_agents = paths[a]["agents"]
+        l_objects = paths[a]["objects"]
+        if b is not None:
+            pairs.append((a, b))
+            pairs.extend(zip(p_agents, l_objects[:-1]))
+        else:
+            pairs.append((a, l_objects[0]))
+            pairs.extend(zip(p_agents, l_objects[1:]))
     used = {b for _, b in pairs}
     leftovers = [b for b in target.objects if b not in used]
     dummies = [d for d in rmap.added_agents if d.startswith("__dummy:")]
@@ -330,34 +345,26 @@ def reduce_diversity(
         tuple(f"__art:{i}:{j}" for j in range(count[i] - bounds[i][0]))
         for i in range(len(bounds))
     )
-    for group in artificials:
-        _claim_objects(instance, group)
     dummies = tuple(f"__dummy:{i}" for i in range(instance.n_objects - lower_total))
-    _claim_agents(instance, dummies)
     designated = tuple(
         artificials[i][: bounds[i][1] - bounds[i][0]] for i in range(len(bounds))
     )
-
-    agents = tuple(instance.agents) + dummies
-    objects = tuple(instance.objects) + tuple(x for group in artificials for x in group)
-    edges = list(instance.edges)
-    preferences: dict[str, list[tuple[str, str]]] = {}
-    for a in instance.agents:
-        group = artificials[colors[a]]
-        edges.extend((a, x) for x in group)
-        pairs = list(instance.preference_pairs(a))
-        pairs.extend(_worst_choice_pairs(instance, a, group))
-        if pairs:
-            preferences[a] = pairs
+    added_objects = tuple(x for group in artificials for x in group)
     dummy_objects = list(instance.objects) + [x for group in designated for x in group]
-    edges.extend((d, b) for d in dummies for b in dummy_objects)
-    target = Instance(agents, objects, edges, preferences)
+    target = _pad(
+        instance,
+        dummies,
+        added_objects,
+        [(d, b) for d in dummies for b in dummy_objects],
+        {a: artificials[colors[a]] for a in instance.agents},
+        {},
+    )
     rmap = ReductionMap(
         "diversity",
         instance,
         target,
         dummies,
-        tuple(x for group in artificials for x in group),
+        added_objects,
         {
             "colors": dict(colors),
             "bounds": tuple(tuple(b) for b in bounds),
@@ -609,8 +616,7 @@ def weak_to_strict(instance: Instance) -> tuple[Instance, int, ReductionMap]:
         tiers = instance.tiers(v)
         tier_agents = tuple(f"__tier:{v}:{i + 1}" for i in range(len(tiers)))
         tier_objects = tuple(f"__tierobj:{v}:{i + 1}" for i in range(len(tiers)))
-        _claim_agents(instance, tier_agents)
-        _claim_objects(instance, tier_objects)
+        _claim(instance, tier_agents, tier_objects)
         stage_agents.append(v)
         stage_agents.extend(tier_agents)
         tier_agents_all.extend(tier_agents)
@@ -638,8 +644,7 @@ def weak_to_strict(instance: Instance) -> tuple[Instance, int, ReductionMap]:
     for ta in tier_agents_all:
         clone_agents = (f"__ind:{ta}:1", f"__ind:{ta}:2")
         clone_objects = (f"__indobj:{ta}:1", f"__indobj:{ta}:2")
-        _claim_agents(instance, clone_agents)
-        _claim_objects(instance, clone_objects)
+        _claim(instance, clone_agents, clone_objects)
         final_agents.extend(clone_agents)
         final_objects.extend(clone_objects)
         chain = list(clone_objects) + stage_adj[ta]

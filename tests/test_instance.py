@@ -291,9 +291,9 @@ def test_check_matching_and_assignment(assignment_not_matching):
 
 
 def test_augment_noop_when_perfectly_matchable(assignment_not_matching):
-    aug, amap = augment_to_perfect(assignment_not_matching)
+    aug, rmap = augment_to_perfect(assignment_not_matching)
     assert aug is assignment_not_matching
-    assert amap.dummy_agents == () and amap.artificial_objects == ()
+    assert rmap.added_agents == () and rmap.added_objects == ()
 
 
 def test_augment_counts():
@@ -303,12 +303,12 @@ def test_augment_counts():
         ["b1", "b2"],
         [("a1", "b1"), ("a2", "b1"), ("a2", "b2"), ("a3", "b2")],
     )
-    aug, amap = augment_to_perfect(inst)
-    assert len(amap.dummy_agents) == 0
-    assert len(amap.artificial_objects) == 1
+    aug, rmap = augment_to_perfect(inst)
+    assert len(rmap.added_agents) == 0
+    assert len(rmap.added_objects) == 1
     assert aug.n_agents == aug.n_objects == 3
     # artificial objects are strictly worst: every original neighbor preferred
-    art = amap.artificial_objects[0]
+    art = rmap.added_objects[0]
     assert aug.prefers("a1", "b1", art)
     assert not aug.prefers("a1", art, "b1")
 
@@ -322,20 +322,20 @@ def test_augment_preserves_vote_totals():
         [("a1", "b1"), ("a1", "b2"), ("a2", "b1"), ("a2", "b2"), ("a3", "b1")],
         {"a1": [("b1", "b2")], "a2": [("b2", "b1")]},
     )
-    aug, amap = augment_to_perfect(inst)
+    aug, rmap = augment_to_perfect(inst)
     extensions = list(enumerate_perfect_matchings(aug))
     assert extensions
     for m in extensions:
         for n in extensions:
-            restricted = delta(inst, amap.restrict(n), amap.restrict(m))
+            restricted = delta(inst, rmap.lift_back(n), rmap.lift_back(m))
             assert delta(aug, n, m) == restricted
 
 
 def test_augmentation_restrict_drops_padding():
     inst = Instance(["a1", "a2"], ["b1"], [("a1", "b1"), ("a2", "b1")])
-    aug, amap = augment_to_perfect(inst)
+    aug, rmap = augment_to_perfect(inst)
     full = next(enumerate_perfect_matchings(aug))
-    restricted = amap.restrict(full)
+    restricted = rmap.lift_back(full)
     check_matching(inst, restricted)
     assert len(restricted) == 1
 

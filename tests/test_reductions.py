@@ -14,6 +14,7 @@ from popassign import (
     add_last_resorts,
     allocation_to_assignment,
     assignment_to_allocation,
+    augment_to_perfect,
     check_assignment,
     delta,
     enumerate_matchings,
@@ -25,7 +26,6 @@ from popassign import (
     parse_market,
     reduce_diversity,
     reduce_penalty_matching,
-    reduce_popular_matching,
     solve_penalty_matching,
     solve_popular_assignment,
     solve_truncated,
@@ -50,16 +50,86 @@ def small_matchings(instance, cap=200):
     return itertools.islice(enumerate_matchings(instance), cap)
 
 
-# -- popular matchings via last resorts and dummies --------------------------------
+# -- the shared padding ----------------------------------------------------------------
+
+
+def padded_targets(instance):
+    """Every padding reduction of ``instance``; diversity with two colors
+    and no lower quota."""
+    yield augment_to_perfect(instance)[0]
+    yield add_last_resorts(instance)[0]
+    for kappa in (1, 2, 3):
+        yield reduce_penalty_matching(instance, kappa)[0]
+    colors = {a: i % 2 for i, a in enumerate(instance.agents)}
+    bounds = [(0, list(colors.values()).count(c)) for c in (0, 1)]
+    yield reduce_diversity(instance, colors, bounds)[0]
+
+
+def test_padding_ranks_added_objects_tied_worst():
+    checked = 0
+    for instance in corpus(30, min_n=1, max_n=5, seed0=640, square=False):
+        for target in padded_targets(instance):
+            for a in instance.agents:
+                nbrs = instance.neighbors(a)
+                added = [x for x in target.neighbors(a) if not instance.has_object(x)]
+                for x in added:
+                    assert all(target.prefers(a, b, x) for b in nbrs)
+                for x, y in itertools.permutations(added, 2):
+                    assert not target.prefers(a, x, y)
+                kept = [
+                    (b, c)
+                    for b, c in target.preference_pairs(a)
+                    if instance.has_object(b) and instance.has_object(c)
+                ]
+                assert kept == list(instance.preference_pairs(a))
+                checked += len(added)
+    assert checked > 500
+
+
+def complete(agents, objects):
+    return Instance(agents, objects, [(a, b) for a in agents for b in objects])
+
+
+@pytest.mark.parametrize(
+    "reduce, agents, objects",
+    [
+        (augment_to_perfect, ["a1", "a2"], ["__art:aug:0"]),
+        (augment_to_perfect, ["__dummy:0"], ["b1", "b2"]),
+        (add_last_resorts, ["a1"], ["__lr:a1"]),
+        (lambda i: reduce_penalty_matching(i, 2), ["a1", "__p:a1:1"], ["b1", "b2"]),
+        (lambda i: reduce_penalty_matching(i, 2), ["a1"], ["b1", "__l:a1:2"]),
+        (lambda i: reduce_diversity(i, {"a1": 0}, [(0, 1)]), ["a1"], ["__art:0:0"]),
+        (weak_to_strict, ["a1", "__tier:a1:1"], ["b1"]),
+    ],
+    ids=[
+        "augment-object",
+        "augment-agent",
+        "last-resort",
+        "penalty-agent",
+        "penalty-object",
+        "diversity",
+        "weak-to-strict",
+    ],
+)
+def test_generated_name_collision_is_rejected(reduce, agents, objects):
+    with pytest.raises(InstanceError, match="collides with"):
+        reduce(complete(agents, objects))
+
+
+# -- popular matchings: the penalty gadget at kappa 1 ------------------------------
+
+
+def last_resorts(rmap):
+    return {a: path["objects"][0] for a, path in rmap.data["paths"].items()}
 
 
 def test_popular_matching_reduction_counts(unanimous_k33):
-    target, rmap = reduce_popular_matching(unanimous_k33)
+    target, rmap = reduce_penalty_matching(unanimous_k33, 1)
     assert target.n_agents == 6 and target.n_objects == 6
     assert len(rmap.added_agents) == 3 and len(rmap.added_objects) == 3
     assert validate(target).ok
     # each last resort sits strictly below all real neighbors of its agent
-    lr = rmap.data["last_resort"]
+    lr = last_resorts(rmap)
     for a in unanimous_k33.agents:
         for b in unanimous_k33.neighbors(a):
             assert target.prefers(a, b, lr[a])
@@ -72,7 +142,7 @@ def test_popular_matching_reduction_counts(unanimous_k33):
 
 
 def test_chain_instance_has_no_popular_matching(assignment_not_matching):
-    target, _ = reduce_popular_matching(assignment_not_matching)
+    target, _ = reduce_penalty_matching(assignment_not_matching, 1)
     out = solve_truncated(target, 2)
     assert not out.found
     # ... although the same instance admits a popular assignment
@@ -102,7 +172,7 @@ def test_popular_matching_positive_case():
 def test_completion_preserves_head_to_head_votes():
     pairs_checked = 0
     for instance in corpus(9, min_n=2, max_n=3, seed0=210, square=False):
-        target, rmap = reduce_popular_matching(instance)
+        target, rmap = reduce_penalty_matching(instance, 1)
         matchings = list(small_matchings(instance, 40))
         for old, new in itertools.product(matchings[:12], matchings[:12]):
             lhs = delta(target, extend_to_assignment(rmap, new), extend_to_assignment(rmap, old))
@@ -147,17 +217,6 @@ def test_penalty_reduction_counts():
         # the path head is the agent's unique worst choice
         for b in instance.neighbors(a):
             assert target.prefers(a, b, l1)
-
-
-def test_penalty_reduction_kappa_one_is_the_matching_gadget(unanimous_k33):
-    via_penalty, _ = reduce_penalty_matching(unanimous_k33, 1)
-    via_matching, _ = reduce_popular_matching(unanimous_k33)
-    assert via_penalty.n_agents == via_matching.n_agents
-    assert via_penalty.n_objects == via_matching.n_objects
-    assert len(via_penalty.edges) == len(via_matching.edges)
-    left = solve_truncated(via_penalty, 2)
-    right = solve_truncated(via_matching, 2)
-    assert left.found == right.found
 
 
 def test_penalty_votes_equal_completed_head_to_head():
