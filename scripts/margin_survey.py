@@ -23,7 +23,7 @@ from popassign import (
     solve_k_margin,
     solve_popular_assignment,
 )
-from popassign.cli import random_instance_document
+from popassign.generate import random_instance_document
 
 STYLES = ("strict", "weak", "partial")
 

@@ -11,7 +11,9 @@ Subcommands::
 
 Machine-readable JSON reports go to standard output, one-line human summaries
 to standard error.  Exit codes are uniform: 0 = found / check passed,
-1 = not found / check failed, 2 = bad input or internal inconsistency.
+1 = not found / check failed, 2 = bad input, internal inconsistency or crash.
+A crash (any other exception, such as a ``RecursionError``) is reported as
+``error: internal: <Type>: <message>``, so it never reads as "not found".
 
 Instances that do not admit a perfect matching are padded transparently
 (see :func:`popassign.reductions.augment_to_perfect`); reports then carry
@@ -22,11 +24,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import time
 from collections.abc import Sequence
 
+from .generate import PREF_STYLES, random_instance_document
 from .instance import (
     Instance,
     InstanceError,
@@ -41,12 +43,7 @@ from .oracle import (
     unpopularity_margin,
     verify_certificate,
 )
-from .popular import (
-    DualCertificate,
-    LevelFunction,
-    NoPerfectMatchingError,
-    solve_popular_assignment,
-)
+from .popular import DualCertificate, solve_popular_assignment
 from .reductions import (
     assignment_to_allocation,
     augment_to_perfect,
@@ -55,108 +52,6 @@ from .reductions import (
     solve_penalty_matching,
 )
 from .variants import EdgeConstraints, solve_k_margin, solve_with_constraints
-
-# -- seeded generators ----------------------------------------------------------
-
-PREF_STYLES = ("strict", "weak", "partial")
-
-#: Probability that a weak-style agent merges the next object into the current
-#: indifference tier rather than opening a new one.
-_TIER_MERGE_P = 0.45
-#: Probability that a partial-style agent keeps a forward pair of the sampled
-#: linear order (a random DAG; the parser closes it transitively).
-_PAIR_KEEP_P = 0.4
-
-
-def random_instance_document(
-    n_agents: int,
-    n_objects: int,
-    density: float,
-    pref_style: str,
-    seed: int,
-) -> dict:
-    """A random instance as a plain JSON-ready document.
-
-    Deterministic for a fixed argument tuple.  Every agent is guaranteed at
-    least one neighbor; ``density`` is the independent probability of each
-    agent-object edge.  ``strict`` draws a uniformly random total order per
-    agent, ``weak`` additionally merges adjacent objects into ties, and
-    ``partial`` keeps a random subset of forward pairs of a random total
-    order (a DAG whose transitive closure is the preference relation).
-    """
-    if n_agents < 1 or n_objects < 1:
-        raise ValueError("need at least one agent and one object")
-    if not 0.0 <= density <= 1.0:
-        raise ValueError("density must lie in [0, 1]")
-    if pref_style not in PREF_STYLES:
-        raise ValueError(f"pref_style must be one of {PREF_STYLES}")
-    rng = random.Random(seed)
-    agents = [f"a{i}" for i in range(1, n_agents + 1)]
-    objects = [f"b{j}" for j in range(1, n_objects + 1)]
-    edges: list[list[str]] = []
-    preferences: dict[str, dict] = {}
-    for a in agents:
-        nbrs = [b for b in objects if rng.random() < density]
-        if not nbrs:
-            nbrs = [objects[rng.randrange(n_objects)]]
-        edges.extend([a, b] for b in nbrs)
-        order = nbrs[:]
-        rng.shuffle(order)
-        if pref_style == "strict":
-            preferences[a] = {"tiers": [[b] for b in order]}
-        elif pref_style == "weak":
-            tiers = [[order[0]]]
-            for b in order[1:]:
-                if rng.random() < _TIER_MERGE_P:
-                    tiers[-1].append(b)
-                else:
-                    tiers.append([b])
-            preferences[a] = {"tiers": tiers}
-        else:
-            pairs = [
-                [order[i], order[j]]
-                for i in range(len(order))
-                for j in range(i + 1, len(order))
-                if rng.random() < _PAIR_KEEP_P
-            ]
-            preferences[a] = {"pairs": pairs}
-    return {
-        "agents": agents,
-        "objects": objects,
-        "edges": edges,
-        "preferences": preferences,
-    }
-
-
-def random_market_document(n_agents: int, density: float, seed: int) -> dict:
-    """A random housing market document: each ordered agent pair becomes an
-    arc with probability ``density``, and each agent ranks her outgoing arcs
-    by a random partial order (forward pairs of a shuffled total order)."""
-    if n_agents < 1:
-        raise ValueError("need at least one agent")
-    if not 0.0 <= density <= 1.0:
-        raise ValueError("density must lie in [0, 1]")
-    rng = random.Random(seed)
-    agents = [f"a{i}" for i in range(1, n_agents + 1)]
-    arcs = [
-        [x, y] for x in agents for y in agents if x != y and rng.random() < density
-    ]
-    preferences: dict[str, dict] = {}
-    for x in agents:
-        outgoing = [arc for arc in arcs if arc[0] == x]
-        if len(outgoing) < 2:
-            continue
-        rng.shuffle(outgoing)
-        pairs = [
-            [outgoing[i], outgoing[j]]
-            for i in range(len(outgoing))
-            for j in range(i + 1, len(outgoing))
-            if rng.random() < 0.6
-        ]
-        if pairs:
-            preferences[x] = {"pairs": pairs}
-    return {"agents": agents, "arcs": arcs, "preferences": preferences}
-
 
 # -- report plumbing ------------------------------------------------------------
 
@@ -174,10 +69,6 @@ def _fail(command: str, message: str) -> int:
 
 def _pairs(matching: Matching) -> list[list[str]]:
     return [[a, b] for a, b in matching.pairs]
-
-
-def _levels_dict(instance: Instance, levels: LevelFunction) -> dict[str, int]:
-    return levels.as_dict(instance)
 
 
 def _cert_dict(cert: DualCertificate) -> dict:
@@ -283,7 +174,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     report: dict = {
         "command": "solve",
         "outcome": "found" if outcome.found else "not-found",
-        "levels": _levels_dict(target, outcome.levels),
+        "levels": outcome.levels.as_dict(target),
         "iterations": outcome.iterations,
         "timing_ms": round(elapsed, 3),
     }
@@ -387,7 +278,7 @@ def cmd_margin(args: argparse.Namespace) -> int:
     assert outcome.loads is not None and outcome.certificate is not None
     restricted = rmap.lift_back(outcome.assignment)
     report["assignment"] = _pairs(restricted)
-    report["levels"] = _levels_dict(target, outcome.levels)
+    report["levels"] = outcome.levels.as_dict(target)
     report["certificate"] = _cert_dict(outcome.certificate)
     report["certified_margin_bound"] = outcome.certified_bound
     report["loads"] = [
@@ -596,10 +487,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except OSError as exc:
         return _fail(args.command, f"cannot read input: {exc}")
-    except NoPerfectMatchingError as exc:
+    except ValueError as exc:  # InstanceError, MatchingError, NoPerfectMatchingError
         return _fail(args.command, str(exc))
-    except (InstanceError, MatchingError, ValueError) as exc:
-        return _fail(args.command, str(exc))
+    except Exception as exc:  # a crash must not read as "no solution" (exit 1)
+        detail = " ".join(str(exc).split())
+        return _fail(args.command, f"internal: {type(exc).__name__}: {detail}")
 
 
 if __name__ == "__main__":

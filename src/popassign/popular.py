@@ -30,7 +30,7 @@ implementation of this test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .instance import (
     Instance,
@@ -224,17 +224,24 @@ def certificate_from_levels(
     instance: Instance,
     matching: Matching,
     level_function: LevelFunction | Sequence[int],
+    loads: Mapping[tuple[str, str], int] | None = None,
 ) -> DualCertificate:
-    """Read off the dual certificate of popularity from an assignment that is
-    perfect in the level graph: ``alpha[b] = -level(b)`` for every object and
-    ``alpha[a] = level(M(a))`` for every agent.
+    """Read off the dual certificate from an assignment that is perfect in
+    the level graph widened by ``loads`` (positive loads on matched edges):
+    ``alpha[b] = -level(b)`` for every object and
+    ``alpha[a] = level(M(a)) + load(a, M(a))`` for every agent, so the total
+    is the total load.
 
-    Raises if the matching is not an assignment of the instance or if some
-    matched edge is not admissible at the given levels.
+    Raises if the matching is not an assignment of the instance, if some
+    loaded edge is not matched, or if some matched edge is not admissible at
+    the given levels under its load allowance.
     """
     if not isinstance(level_function, LevelFunction):
         level_function = make_level_function(instance, level_function)
     check_assignment(instance, matching)
+    for edge in loads or ():
+        if edge not in matching:
+            raise InstanceError(f"loaded edge {edge!r} is not matched")
     levels = level_function.levels
     masks = _level_masks(levels)
     alpha_objects = {b: -levels[j] for j, b in enumerate(instance.objects)}
@@ -242,20 +249,15 @@ def certificate_from_levels(
     for a, b in matching:
         ai = instance.agent_index(a)
         bj = instance.object_index(b)
+        load = loads.get((a, b), 0) if loads else 0
         top_level = level_function.max_neighbor_level[ai]
-        if not _admissible_mask(instance, masks, ai, top_level) >> bj & 1:
+        if not _admissible_mask(instance, masks, ai, top_level, load) >> bj & 1:
             raise InstanceError(
-                f"matched edge ({a!r}, {b!r}) is not admissible at the given levels"
+                f"matched edge ({a!r}, {b!r}) with load {load} is not admissible "
+                "at the given levels"
             )
-        alpha_agents[a] = levels[bj]
+        alpha_agents[a] = levels[bj] + load
     return DualCertificate(alpha_agents, alpha_objects)
-
-
-@dataclass
-class _LoopResult:
-    match_l: list[int] | None
-    levels: list[int]
-    iterations: int
 
 
 def _require_perfectly_matchable(instance: Instance) -> None:
@@ -279,11 +281,12 @@ def _run_level_loop(
     cap: int,
     allowed: Sequence[int] | None = None,
     allowance: Mapping[int, int] | None = None,
-) -> _LoopResult:
-    """The shared solver core.  Runs until the level graph has a perfect
-    matching, or some object's level reaches ``cap``.  ``allowed`` and
-    ``allowance`` restrict and widen each agent's row as in
-    :func:`_build_level_graph`."""
+) -> SolveOutcome:
+    """The solver core.  Runs until the level graph has a perfect matching,
+    or some object's level reaches ``cap``.  ``allowed`` and ``allowance``
+    restrict and widen each agent's row as in :func:`_build_level_graph`; a
+    found assignment matches each agent with an allowance along the single
+    object she is allowed, which carries that allowance as its load."""
     n_objects = instance.n_objects
     levels = [0] * n_objects
     # levels only ever rise, so each agent's maximum neighbor level can be
@@ -295,7 +298,7 @@ def _run_level_loop(
         match_l, match_r = maximum_matching(graph)
         iterations += 1
         if -1 not in match_l:
-            return _LoopResult(match_l, levels, iterations)
+            break
         for bj in range(n_objects):
             if match_r[bj] == -1:
                 levels[bj] += 1
@@ -303,22 +306,17 @@ def _run_level_loop(
                 for ai in instance.object_adj_indices(bj):
                     if tops[ai] < new_level:
                         tops[ai] = new_level
-    return _LoopResult(None, levels, iterations)
-
-
-def _loop_outcome(instance: Instance, result: _LoopResult, cap: int) -> SolveOutcome:
-    level_function = make_level_function(instance, result.levels)
-    if result.match_l is not None:
-        assignment = Matching(
-            (instance.agents[ai], instance.objects[bj])
-            for ai, bj in enumerate(result.match_l)
-        )
-        certificate = certificate_from_levels(instance, assignment, level_function)
-        return SolveOutcome(
-            True, assignment, level_function, certificate, None, result.iterations
-        )
-    reason = "level-overflow" if cap >= instance.n_objects else "truncation-cap"
-    return SolveOutcome(False, None, level_function, None, reason, result.iterations)
+    else:
+        reason = "level-overflow" if cap >= n_objects else "truncation-cap"
+        level_function = LevelFunction(tuple(levels), tuple(tops))
+        return SolveOutcome(False, None, level_function, None, reason, iterations)
+    level_function = LevelFunction(tuple(levels), tuple(tops))
+    agents, objects = instance.agents, instance.objects
+    assignment = Matching((agents[ai], objects[bj]) for ai, bj in enumerate(match_l))
+    allowance = allowance or {}
+    loads = {(agents[ai], objects[match_l[ai]]): lam for ai, lam in allowance.items()}
+    certificate = certificate_from_levels(instance, assignment, level_function, loads)
+    return SolveOutcome(True, assignment, level_function, certificate, None, iterations)
 
 
 def solve_popular_assignment(instance: Instance) -> SolveOutcome:
@@ -329,9 +327,7 @@ def solve_popular_assignment(instance: Instance) -> SolveOutcome:
     matching at all (the popularity question is then vacuous; pad the
     instance first if maximum matchings are the intended universe).
     """
-    _require_perfectly_matchable(instance)
-    cap = instance.n_objects
-    return _loop_outcome(instance, _run_level_loop(instance, cap), cap)
+    return solve_truncated(instance, instance.n_objects)
 
 
 def solve_truncated(instance: Instance, max_level: int) -> SolveOutcome:
@@ -346,5 +342,4 @@ def solve_truncated(instance: Instance, max_level: int) -> SolveOutcome:
     if max_level < 0:
         raise ValueError("max_level must be non-negative")
     _require_perfectly_matchable(instance)
-    cap = min(max_level, instance.n_objects)
-    return _loop_outcome(instance, _run_level_loop(instance, cap), cap)
+    return _run_level_loop(instance, min(max_level, instance.n_objects))

@@ -7,11 +7,12 @@ All of these reuse the level loop from :mod:`popassign.popular`:
   she may use: forcing ``(a, b)`` masks ``a`` down to ``b``, and forbidding
   ``(a, b)`` clears ``b`` from ``a``'s mask.
 * The bounded-margin search guesses, for each total budget ``t <= k``, a
-  multiset of edges carrying positive *load*, and runs the loop per guess.
-  A loaded edge is forced the same way, and its agent's admissibility
-  threshold relaxes by the load.  Guesses are enumerated in a fixed order --
-  ascending total load, then lexicographic by the edge-index multiset -- so
-  the first hit is deterministic.
+  multiset of edges carrying positive *load* whose distinct edges form a
+  matching, and runs the loop per guess.  A loaded edge is forced the same
+  way, and its agent's admissibility threshold relaxes by the load; the
+  loop's certificate adds each load to its agent's value.  Guesses are
+  enumerated in a fixed order -- ascending total load, then lexicographic by
+  the edge-index multiset -- so the first hit is deterministic.
 * An assignment popular with penalty ``kappa`` (unmatched agents in rival
   matchings count ``kappa`` votes instead of one) is exactly what the level
   loop truncated at ``kappa + 1`` decides, so that variant is a direct
@@ -32,7 +33,6 @@ from .popular import (
     SolveOutcome,
     _admissible_mask,
     _level_masks,
-    _loop_outcome,
     _require_perfectly_matchable,
     _run_level_loop,
     make_level_function,
@@ -98,8 +98,7 @@ def solve_with_constraints(
         for a, b in constraints.forbidden:
             allowed[instance.agent_index(a)] &= ~(1 << instance.object_index(b))
     cap = instance.n_objects if max_level is None else min(max_level, instance.n_objects)
-    result = _run_level_loop(instance, cap, allowed)
-    return _loop_outcome(instance, result, cap)
+    return _run_level_loop(instance, cap, allowed)
 
 
 def lambda_feasible(
@@ -147,8 +146,9 @@ class KMarginOutcome:
     When found, ``certified_bound`` is the sum of all certificate values --
     the total load on matched edges -- and no rival assignment can beat the
     returned one by more than that in a head-to-head vote.  ``branches``
-    counts load guesses examined (in enumeration order) up to and including
-    the successful one.
+    counts the load guesses whose loaded edges form a matching, in
+    enumeration order, up to and including the successful one; the other
+    guesses admit no assignment and are skipped uncounted.
     """
 
     found: bool
@@ -170,48 +170,34 @@ def _perfect_without(instance: Instance, allowed: Sequence[int]) -> bool:
     return -1 not in match_l
 
 
-def _run_margin_branch(instance: Instance, combo: tuple[int, ...]):
-    """Run the level loop for one load guess (a multiset of edge indices).
-    Returns the found pieces, or None if this branch yields nothing."""
+def _run_margin_branch(
+    instance: Instance, combo: tuple[int, ...]
+) -> SolveOutcome | None:
+    """Run the level loop for one load guess, a multiset of edge indices
+    whose distinct edges form a matching.  Returns the loop's outcome, or
+    None if the guess leaves no perfect matching at all."""
     edge_indices = instance.edge_indices
     allowed = [instance.neighbor_mask(ai) for ai in range(instance.n_agents)]
     allowance: dict[int, int] = {}
     for idx in combo:
         ai, bj = edge_indices[idx]
-        # a loaded edge acts as a forced edge: two different loaded edges at
-        # one agent leave her no allowed object
-        allowed[ai] &= 1 << bj
+        # a loaded edge acts as a forced edge
+        allowed[ai] = 1 << bj
         allowance[ai] = allowance.get(ai, 0) + 1
     # If restricting the loaded agents already kills perfect matchability,
     # the level loop could only time out.
     restricted = any(allowed[ai] != instance.neighbor_mask(ai) for ai in allowance)
     if restricted and not _perfect_without(instance, allowed):
         return None
-    result = _run_level_loop(instance, instance.n_objects, allowed, allowance)
-    if result.match_l is None:
-        return None
-    level_function = make_level_function(instance, result.levels)
-    levels = level_function.levels
-    pairs = []
-    alpha_agents: dict[str, int] = {}
-    bound = 0
-    for ai, bj in enumerate(result.match_l):
-        a = instance.agents[ai]
-        b = instance.objects[bj]
-        pairs.append((a, b))
-        load = allowance.get(ai, 0)
-        bound += load
-        alpha_agents[a] = levels[bj] + load
-    alpha_objects = {b: -levels[j] for j, b in enumerate(instance.objects)}
-    # a found branch matches each loaded agent along her loaded edge
-    named_loads = {pairs[ai]: allowance[ai] for ai in sorted(allowance)}
-    return (
-        Matching(pairs),
-        LoadCapacity(named_loads),
-        level_function,
-        DualCertificate(alpha_agents, alpha_objects),
-        bound,
-    )
+    return _run_level_loop(instance, instance.n_objects, allowed, allowance)
+
+
+def _support_is_matching(instance: Instance, combo: tuple[int, ...]) -> bool:
+    """Do the distinct edges of ``combo`` share no agent and no object?"""
+    edge_indices = instance.edge_indices
+    support = {edge_indices[idx] for idx in combo}
+    agents, objects = {ai for ai, _ in support}, {bj for _, bj in support}
+    return len(support) == len(agents) == len(objects)
 
 
 def solve_k_margin(instance: Instance, k: int) -> KMarginOutcome:
@@ -219,8 +205,9 @@ def solve_k_margin(instance: Instance, k: int) -> KMarginOutcome:
     report that none exists.
 
     Enumerates load guesses of total ``0..k`` over the edges (ascending
-    total, then lexicographic by edge-index multiset); the first successful
-    branch in that order wins.
+    total, then lexicographic by edge-index multiset), skipping every guess
+    whose loaded edges share an agent or an object: such a guess admits no
+    assignment.  The first successful branch in that order wins.
 
     Raises :class:`popassign.popular.NoPerfectMatchingError` if the instance
     admits no perfect matching at all.
@@ -234,12 +221,17 @@ def solve_k_margin(instance: Instance, k: int) -> KMarginOutcome:
     )
     branches = 0
     for combo in combos:
+        if not _support_is_matching(instance, combo):
+            continue
         branches += 1
-        hit = _run_margin_branch(instance, combo)
-        if hit is not None:
-            assignment, loads, level_function, certificate, bound = hit
+        outcome = _run_margin_branch(instance, combo)
+        if outcome is not None and outcome.found:
+            edges = instance.edges
+            loads = LoadCapacity({edges[idx]: combo.count(idx) for idx in combo})
+            certificate = outcome.certificate
             return KMarginOutcome(
-                True, assignment, loads, level_function, certificate, bound, branches
+                True, outcome.assignment, loads, outcome.levels, certificate,
+                certificate.total(), branches,
             )
     return KMarginOutcome(False, None, None, None, None, None, branches)
 

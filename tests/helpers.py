@@ -19,7 +19,7 @@ from popassign import (
     instance_from_document,
     unpopularity_margin,
 )
-from popassign.cli import random_instance_document, random_market_document
+from popassign.generate import random_instance_document, random_market_document
 
 
 def inst(doc: dict) -> Instance:

@@ -44,7 +44,8 @@ from popassign import (
     verify_certificate,
     weak_to_strict,
 )
-from popassign.cli import main, random_instance_document
+from popassign.cli import main
+from popassign.generate import random_instance_document
 from popassign.matching import BipartiteGraph
 
 from helpers import (

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from popassign import solve_penalty_matching, validate
-from popassign.cli import main, random_instance_document
+from popassign.cli import main
+from popassign.generate import random_instance_document
 
 from helpers import inst
 
@@ -359,6 +360,19 @@ def test_unhashable_endpoints_exit_two(write, capsys):
     for doc in docs:
         code, report, _ = run(capsys, "solve", write("bad.json", doc))
         assert code == 2 and "unknown" in report["error"]
+
+
+def test_crash_exits_two_not_one(write, capsys, monkeypatch):
+    def crash(*args, **kwargs):
+        raise RuntimeError("solver\nfell over")
+
+    monkeypatch.setattr("popassign.cli.solve_with_constraints", crash)
+    code, report, err = run(capsys, "solve", write("k33.json", K33))
+    assert code == 2
+    assert report == {
+        "command": "solve", "error": "internal: RuntimeError: solver fell over"
+    }
+    assert err == "error: internal: RuntimeError: solver fell over\n"
 
 
 def test_usage_errors_exit_two(capsys):

@@ -20,7 +20,7 @@ from popassign import (
     serialize_instance,
     validate,
 )
-from popassign.cli import random_instance_document
+from popassign.generate import random_instance_document
 
 from helpers import corpus
 

@@ -27,7 +27,7 @@ from popassign import (
     verify_certificate,
     vote_with_penalty,
 )
-from popassign.cli import random_instance_document
+from popassign.generate import random_instance_document
 
 from helpers import brute_margin_of, complete_doc, corpus, inst
 

@@ -118,6 +118,26 @@ def test_certificate_from_levels(partial_order_triple):
         certificate_from_levels(inst, bad, out.levels)
 
 
+def test_certificate_from_levels_adds_loads(unanimous_k33):
+    inst = unanimous_k33
+    identity = Matching([("a1", "b1"), ("a2", "b2"), ("a3", "b3")])
+    levels = make_level_function(inst, [0, 2, 3])
+    # (a1, b1) sits three levels below a1's top and needs a load of two
+    cert = certificate_from_levels(inst, identity, levels, {("a1", "b1"): 2})
+    assert cert.alpha_agents == {"a1": 2, "a2": 2, "a3": 3}
+    assert cert.total() == 2
+    for loads in ({}, {("a1", "b1"): 1}):
+        with pytest.raises(InstanceError, match="not admissible"):
+            certificate_from_levels(inst, identity, levels, loads)
+
+
+def test_certificate_from_levels_rejects_unmatched_loaded_edges(unanimous_k33):
+    identity = Matching([("a1", "b1"), ("a2", "b2"), ("a3", "b3")])
+    for loads in ({("a1", "b2"): 1}, {("a1", "b1"): 1, ("a2", "b1"): 1}):
+        with pytest.raises(InstanceError, match="not matched"):
+            certificate_from_levels(unanimous_k33, identity, [0, 1, 2], loads)
+
+
 def test_truncation_caps_the_level_loop(unanimous_k33):
     out = solve_truncated(unanimous_k33, 1)
     assert not out.found

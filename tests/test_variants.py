@@ -11,10 +11,12 @@ from popassign import (
     InstanceError,
     LoadCapacity,
     NoPerfectMatchingError,
+    certificate_from_levels,
     enumerate_perfect_matchings,
     induced_subgraph,
     is_popular_with_penalty,
     lambda_feasible,
+    make_level_function,
     solve_k_margin,
     solve_penalty_assignment,
     solve_popular_assignment,
@@ -23,7 +25,7 @@ from popassign import (
     verify_certificate,
 )
 
-from popassign.cli import random_instance_document
+from popassign.generate import random_instance_document
 
 from helpers import brute_margin_of, brute_min_margin, complete_doc, corpus, inst
 
@@ -309,6 +311,41 @@ def test_found_margin_certificates_verify_at_their_bound():
         assert ok, problems
 
 
+def test_found_certificates_come_from_the_one_certificate_path():
+    """Every found plain, constrained, penalty and k-margin outcome carries
+    the certificate that ``certificate_from_levels`` reads off its levels
+    and loads, and the k-margin one verifies at its certified bound."""
+    instances = [*corpus(20, min_n=2, max_n=4, seed0=900), _unanimous(3), _unanimous(4)]
+    for instance in instances:
+        try:
+            outcomes = [solve_k_margin(instance, k) for k in range(3)]
+        except NoPerfectMatchingError:
+            continue
+        for out in outcomes:
+            if not out.found:
+                continue
+            expected = certificate_from_levels(
+                instance, out.assignment, out.levels, out.loads.loads
+            )
+            assert out.certificate == expected
+            assert out.certified_bound == expected.total() == out.loads.total
+            ok, problems = verify_certificate(
+                instance, out.assignment, out.certificate, k=out.certified_bound
+            )
+            assert ok, problems
+        a, b = instance.edges[0]
+        for out in (
+            solve_popular_assignment(instance),
+            solve_with_constraints(instance, EdgeConstraints.of(forced=[(a, b)])),
+            solve_with_constraints(instance, EdgeConstraints.of(forbidden=[(a, b)])),
+            solve_penalty_assignment(instance, 1),
+        ):
+            assert out.levels == make_level_function(instance, out.levels.levels)
+            if out.found:
+                expected = certificate_from_levels(instance, out.assignment, out.levels)
+                assert out.certificate == expected
+
+
 def _unanimous(n):
     chain = {"tiers": [[f"b{j}"] for j in range(1, n + 1)]}
     return inst(complete_doc(n, {f"a{i}": chain for i in range(1, n + 1)}))
@@ -321,14 +358,14 @@ PINNED_MARGIN_SEARCHES = {
         [
             (False, 1, None, None),
             (False, 17, None, None),
-            # of the five total-2 guesses before the hit, three load two
-            # edges at a1 and one two edges at b1; all four are pruned
-            (True, 23, {("a1", "b1"): 1, ("a2", "b2"): 1}, (0, 0, 1, 2)),
+            # the total-2 guesses that load two edges at one agent or one
+            # object are skipped: only (a1, b1) twice precedes the hit
+            (True, 19, {("a1", "b1"): 1, ("a2", "b2"): 1}, (0, 0, 1, 2)),
         ],
     ),
     "unanimous-5": (
         lambda: _unanimous(5),
-        [(False, 1, None, None), (False, 26, None, None), (False, 351, None, None)],
+        [(False, 1, None, None), (False, 26, None, None), (False, 251, None, None)],
     ),
     "weak-4": (
         lambda: inst(random_instance_document(4, 4, 0.9, "weak", 133)),
