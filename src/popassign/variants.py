@@ -12,7 +12,10 @@ All of these reuse the level loop from :mod:`popassign.popular`:
   way, and its agent's admissibility threshold relaxes by the load; the
   loop's certificate adds each load to its agent's value.  Guesses are
   enumerated in a fixed order -- ascending total load, then lexicographic by
-  the edge-index multiset -- so the first hit is deterministic.
+  the edge-index multiset -- so the first hit is deterministic.  Agents with
+  the same neighbours and the same order over them are *twins*; a guess that
+  swapping twins turns into an earlier guess is skipped, since both get the
+  same verdict.
 * An assignment popular with penalty ``kappa`` (unmatched agents in rival
   matchings count ``kappa`` votes instead of one) is exactly what the level
   loop truncated at ``kappa + 1`` decides, so that variant is a direct
@@ -146,9 +149,11 @@ class KMarginOutcome:
     When found, ``certified_bound`` is the sum of all certificate values --
     the total load on matched edges -- and no rival assignment can beat the
     returned one by more than that in a head-to-head vote.  ``branches``
-    counts the load guesses whose loaded edges form a matching, in
-    enumeration order, up to and including the successful one; the other
-    guesses admit no assignment and are skipped uncounted.
+    counts the guesses the search ran: the orbit representatives -- the
+    first guess of each twin-swap orbit, in enumeration order -- among the
+    load guesses whose loaded edges form a matching, up to and including the
+    successful one.  The other guesses are skipped uncounted: they admit no
+    assignment, or repeat the verdict of their representative.
     """
 
     found: bool
@@ -192,12 +197,37 @@ def _run_margin_branch(
     return _run_level_loop(instance, instance.n_objects, allowed, allowance)
 
 
-def _support_is_matching(instance: Instance, combo: tuple[int, ...]) -> bool:
-    """Do the distinct edges of ``combo`` share no agent and no object?"""
+def _twin_classes(instance: Instance) -> list[int]:
+    """Each agent's twin class: the index of the first agent with the same
+    neighbours and the same worse mask at every neighbour."""
+    first: dict[tuple, int] = {}
+    classes = []
+    for ai in range(instance.n_agents):
+        neighbors = instance.neighbor_mask(ai)
+        worse = tuple(instance.worse_mask(ai, bj) for bj in iter_bits(neighbors))
+        classes.append(first.setdefault((neighbors, worse), ai))
+    return classes
+
+
+def _orbit_key(
+    instance: Instance, combo: tuple[int, ...], twin_class: Sequence[int] | None
+) -> tuple | None:
+    """None if the distinct edges of ``combo`` share an agent or an object.
+    Otherwise the key of its twin-swap orbit: the sorted ``(twin class,
+    object, load)`` of its distinct edges, or ``()`` when ``twin_class`` is
+    None."""
     edge_indices = instance.edge_indices
-    support = {edge_indices[idx] for idx in combo}
-    agents, objects = {ai for ai, _ in support}, {bj for _, bj in support}
-    return len(support) == len(agents) == len(objects)
+    agents = objects = 0
+    key = []
+    for idx in dict.fromkeys(combo):
+        ai, bj = edge_indices[idx]
+        if agents >> ai & 1 or objects >> bj & 1:
+            return None
+        agents |= 1 << ai
+        objects |= 1 << bj
+        if twin_class is not None:
+            key.append((twin_class[ai], bj, combo.count(idx)))
+    return tuple(sorted(key))
 
 
 def solve_k_margin(instance: Instance, k: int) -> KMarginOutcome:
@@ -209,6 +239,21 @@ def solve_k_margin(instance: Instance, k: int) -> KMarginOutcome:
     whose loaded edges share an agent or an object: such a guess admits no
     assignment.  The first successful branch in that order wins.
 
+    Of the remaining guesses, only the first of each twin-swap orbit runs.
+    Two agents are twins when they have the same neighbours and the same
+    worse mask at every neighbour; swapping them maps the instance onto
+    itself.  So a swap maps a guess onto a guess whose level loop is the
+    same up to renaming agents, and whether that loop finds an assignment
+    -- whether a feasible level function exists for the guess -- does not
+    depend on names.  Every guess of one orbit gets the same verdict.  A
+    guess loads at most one edge per agent, so two guesses lie in one orbit
+    exactly when they have the same sorted ``(twin class, object, load)``
+    over their loaded edges.  The first hit in enumeration order is the
+    first of its orbit, since an earlier member would have hit first, so it
+    still runs: the outcome -- assignment, loads, levels and certificate --
+    is the one the search without skipping returns, and only ``branches``
+    falls.  Without twins there is nothing to skip, and no keys are kept.
+
     Raises :class:`popassign.popular.NoPerfectMatchingError` if the instance
     admits no perfect matching at all.
     """
@@ -219,10 +264,16 @@ def solve_k_margin(instance: Instance, k: int) -> KMarginOutcome:
     combos = itertools.chain.from_iterable(
         itertools.combinations_with_replacement(range(m), t) for t in range(k + 1)
     )
+    classes = _twin_classes(instance)
+    twin_class = classes if len(set(classes)) < len(classes) else None
+    seen: set[tuple] = set()
     branches = 0
     for combo in combos:
-        if not _support_is_matching(instance, combo):
+        key = _orbit_key(instance, combo, twin_class)
+        if key is None or key in seen:
             continue
+        if key:  # empty for the empty guess, and for every guess without twins
+            seen.add(key)
         branches += 1
         outcome = _run_margin_branch(instance, combo)
         if outcome is not None and outcome.found:

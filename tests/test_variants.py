@@ -2,8 +2,10 @@
 
 import itertools
 import math
+import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from popassign import (
     EdgeConstraints,
@@ -11,6 +13,7 @@ from popassign import (
     InstanceError,
     LoadCapacity,
     NoPerfectMatchingError,
+    augment_to_perfect,
     certificate_from_levels,
     enumerate_perfect_matchings,
     induced_subgraph,
@@ -26,8 +29,9 @@ from popassign import (
 )
 
 from popassign.generate import random_instance_document
+from popassign.variants import _run_margin_branch, _twin_classes
 
-from helpers import brute_margin_of, brute_min_margin, complete_doc, corpus, inst
+from helpers import STYLES, brute_margin_of, brute_min_margin, complete_doc, corpus, inst
 
 
 # -- constraint plumbing ----------------------------------------------------------
@@ -351,21 +355,31 @@ def _unanimous(n):
     return inst(complete_doc(n, {f"a{i}": chain for i in range(1, n + 1)}))
 
 
-# instance -> per k = 0, 1, 2: (found, branches, loads, levels)
+# instance -> per k = 0, 1, ...: (found, branches, loads, levels)
 PINNED_MARGIN_SEARCHES = {
     "unanimous-4": (
         lambda: _unanimous(4),
         [
             (False, 1, None, None),
-            (False, 17, None, None),
+            # all agents are twins: one single load per object runs
+            (False, 5, None, None),
             # the total-2 guesses that load two edges at one agent or one
             # object are skipped: only (a1, b1) twice precedes the hit
-            (True, 19, {("a1", "b1"): 1, ("a2", "b2"): 1}, (0, 0, 1, 2)),
+            (True, 7, {("a1", "b1"): 1, ("a2", "b2"): 1}, (0, 0, 1, 2)),
         ],
     ),
     "unanimous-5": (
         lambda: _unanimous(5),
-        [(False, 1, None, None), (False, 26, None, None), (False, 251, None, None)],
+        [(False, 1, None, None), (False, 6, None, None), (False, 21, None, None)],
+    ),
+    "unanimous-6": (
+        lambda: _unanimous(6),
+        [
+            (False, 1, None, None),
+            (False, 7, None, None),
+            (False, 28, None, None),
+            (False, 84, None, None),
+        ],
     ),
     "weak-4": (
         lambda: inst(random_instance_document(4, 4, 0.9, "weak", 133)),
@@ -401,6 +415,146 @@ def test_margin_search_outcomes_are_pinned(name):
                 assert out.assignment.object_for(a) == b
                 level = out.levels.level_of(instance, b)
                 assert out.certificate.alpha_agents[a] == level + load
+
+
+def _search_every_guess(instance, k):
+    """The bounded-margin search with no orbit skipping: every guess whose
+    loaded edges form a matching runs, in the same order.  Returns the
+    outcome fields that skipping must keep, and the branch count."""
+    edge_indices = instance.edge_indices
+    branches = 0
+    for t in range(k + 1):
+        for combo in itertools.combinations_with_replacement(range(len(edge_indices)), t):
+            support = {edge_indices[idx] for idx in combo}
+            if len({ai for ai, _ in support}) < len(support) or len(
+                {bj for _, bj in support}
+            ) < len(support):
+                continue
+            branches += 1
+            out = _run_margin_branch(instance, combo)
+            if out is not None and out.found:
+                loads = {instance.edges[idx]: combo.count(idx) for idx in combo}
+                return (True, out.assignment, loads, out.levels, out.certificate), branches
+    return (False, None, None, None, None), branches
+
+
+def _master_list(n, seed, swaps=False, density=1.0):
+    """Every agent ranks b1 > ... > bn over its neighbours.  With ``swaps``
+    each agent swaps one random adjacent pair with probability 1/2; below
+    density 1, agent a<i> keeps b<i> and each other object with probability
+    ``density``."""
+    rng = random.Random(seed)
+    agents = [f"a{i}" for i in range(1, n + 1)]
+    objects = [f"b{j}" for j in range(1, n + 1)]
+    edges, preferences = [], {}
+    for own, a in zip(objects, agents):
+        order = list(objects)
+        if swaps and rng.random() < 0.5:
+            j = rng.randrange(n - 1)
+            order[j], order[j + 1] = order[j + 1], order[j]
+        kept = [b for b in order if b == own or rng.random() < density]
+        edges += [[a, b] for b in kept]
+        preferences[a] = {"tiers": [[b] for b in kept]}
+    return inst(
+        {"agents": agents, "objects": objects, "edges": edges, "preferences": preferences}
+    )
+
+
+def _orbit_corpus():
+    yield from corpus(24, min_n=2, max_n=4, seed0=1200)
+    for rectangular in corpus(12, min_n=2, max_n=4, seed0=1300, square=False):
+        yield augment_to_perfect(rectangular)[0]
+    for n in (3, 4, 5):
+        yield _master_list(n, 0)
+        for seed in range(24):
+            yield _master_list(n, seed, swaps=True)
+        for seed in range(8):
+            yield _master_list(n, seed, density=0.8)
+            yield _master_list(n, seed, swaps=True, density=0.8)
+
+
+def test_orbit_skipping_keeps_every_outcome_of_the_full_search():
+    """Skipping twin swaps of earlier guesses changes no outcome, only lowers
+    ``branches``, against a search that runs every guess."""
+    searches = fewer = hits_after_skips = 0
+    for instance in _orbit_corpus():
+        try:
+            solve_k_margin(instance, 0)
+        except NoPerfectMatchingError:
+            continue
+        for k in range(4 if instance.n_agents <= 4 else 3):
+            out = solve_k_margin(instance, k)
+            expected, branches = _search_every_guess(instance, k)
+            loads = out.loads.loads if out.found else None
+            assert (
+                out.found, out.assignment, loads, out.levels, out.certificate
+            ) == expected
+            assert out.branches <= branches
+            searches += 1
+            fewer += out.branches < branches
+            hits_after_skips += out.found and out.branches < branches
+    assert searches > 500 and fewer > 40 and hits_after_skips > 15
+
+
+def _classes(edges, preferences):
+    agents = sorted(preferences)
+    objects = sorted({b for _, b in edges})
+    doc = {"agents": agents, "objects": objects, "edges": edges, "preferences": preferences}
+    return _twin_classes(inst(doc))
+
+
+def test_twins_have_the_same_neighbours_and_the_same_order():
+    complete = [[a, b] for a in ("a1", "a2", "a3") for b in ("b1", "b2", "b3")]
+    # same neighbours, different strict orders
+    assert _classes(complete, {
+        "a1": {"tiers": [["b1"], ["b2"], ["b3"]]},
+        "a2": {"tiers": [["b2"], ["b1"], ["b3"]]},
+        "a3": {"tiers": [["b1"], ["b2"], ["b3"]]},
+    }) == [0, 1, 0]
+    # weak orders one tie apart
+    assert _classes(complete, {
+        "a1": {"tiers": [["b1"], ["b2"], ["b3"]]},
+        "a2": {"tiers": [["b1", "b2"], ["b3"]]},
+        "a3": {"tiers": [["b1"], ["b2", "b3"]]},
+    }) == [0, 1, 2]
+    # b1 > b2 for each, over different neighbour sets (b3 unranked for a2)
+    edges = [["a1", "b1"], ["a1", "b2"], ["a2", "b1"], ["a2", "b2"], ["a2", "b3"],
+             ["a3", "b1"], ["a3", "b2"]]
+    assert _classes(edges, {
+        "a1": {"pairs": [["b1", "b2"]]},
+        "a2": {"pairs": [["b1", "b2"]]},
+        "a3": {"pairs": [["b1", "b2"]]},
+    }) == [0, 1, 0]
+    assert _twin_classes(_unanimous(5)) == [0] * 5
+
+
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(2, 4),
+    style=st.sampled_from(STYLES),
+    data=st.data(),
+)
+def test_margin_verdicts_do_not_depend_on_agent_order(seed, n, style, data):
+    """Twin swaps rest on the search verdict being a property of the instance,
+    not of its agent indices."""
+    doc = random_instance_document(n, n, 0.7, style, seed)
+    order = data.draw(st.permutations(doc["agents"]))
+    instances = (inst(doc), inst({**doc, "agents": list(order)}))
+    try:
+        solve_k_margin(instances[0], 0)
+    except NoPerfectMatchingError:
+        with pytest.raises(NoPerfectMatchingError):
+            solve_k_margin(instances[1], 0)
+        return
+    for k in range(3):
+        outcomes = [solve_k_margin(instance, k) for instance in instances]
+        assert outcomes[0].found == outcomes[1].found
+        for instance, out in zip(instances, outcomes):
+            if out.found:
+                ok, problems = verify_certificate(
+                    instance, out.assignment, out.certificate, k=out.certified_bound
+                )
+                assert ok, problems
 
 
 # -- penalty votes ----------------------------------------------------------------
