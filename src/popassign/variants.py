@@ -210,12 +210,11 @@ def _twin_classes(instance: Instance) -> list[int]:
 
 
 def _orbit_key(
-    instance: Instance, combo: tuple[int, ...], twin_class: Sequence[int] | None
+    instance: Instance, combo: tuple[int, ...], twin_class: Sequence[int]
 ) -> tuple | None:
     """None if the distinct edges of ``combo`` share an agent or an object.
     Otherwise the key of its twin-swap orbit: the sorted ``(twin class,
-    object, load)`` of its distinct edges, or ``()`` when ``twin_class`` is
-    None."""
+    object, load)`` of its distinct edges."""
     edge_indices = instance.edge_indices
     agents = objects = 0
     key = []
@@ -225,8 +224,7 @@ def _orbit_key(
             return None
         agents |= 1 << ai
         objects |= 1 << bj
-        if twin_class is not None:
-            key.append((twin_class[ai], bj, combo.count(idx)))
+        key.append((twin_class[ai], bj, combo.count(idx)))
     return tuple(sorted(key))
 
 
@@ -252,7 +250,7 @@ def solve_k_margin(instance: Instance, k: int) -> KMarginOutcome:
     first of its orbit, since an earlier member would have hit first, so it
     still runs: the outcome -- assignment, loads, levels and certificate --
     is the one the search without skipping returns, and only ``branches``
-    falls.  Without twins there is nothing to skip, and no keys are kept.
+    falls.
 
     Raises :class:`popassign.popular.NoPerfectMatchingError` if the instance
     admits no perfect matching at all.
@@ -264,16 +262,14 @@ def solve_k_margin(instance: Instance, k: int) -> KMarginOutcome:
     combos = itertools.chain.from_iterable(
         itertools.combinations_with_replacement(range(m), t) for t in range(k + 1)
     )
-    classes = _twin_classes(instance)
-    twin_class = classes if len(set(classes)) < len(classes) else None
+    twin_class = _twin_classes(instance)
     seen: set[tuple] = set()
     branches = 0
     for combo in combos:
         key = _orbit_key(instance, combo, twin_class)
         if key is None or key in seen:
             continue
-        if key:  # empty for the empty guess, and for every guess without twins
-            seen.add(key)
+        seen.add(key)
         branches += 1
         outcome = _run_margin_branch(instance, combo)
         if outcome is not None and outcome.found:
