@@ -7,10 +7,11 @@ agent is indifferent between them); indifference is not required to be
 transitive.
 
 Preferences are stored transitively closed, as per-agent bitmasks over global
-object indices ("which neighbors are strictly worse / strictly better than
-this one").  That representation makes the edge tests performed by the
-level-based solvers constant-time, which matters for dense instances with a
-couple hundred nodes per side.
+object indices ("which neighbors are strictly worse than this one"), and edges
+as per-agent neighbor bitmasks; dominance and tiers are read off those.  That
+representation makes the edge tests performed by the level-based solvers
+constant-time, which matters for dense instances with a couple hundred nodes
+per side.
 """
 
 from __future__ import annotations
@@ -101,10 +102,8 @@ class Instance:
         "_adj",
         "_object_adj",
         "_nbr_mask",
-        "_edge_set",
         "_edges",
         "_worse",
-        "_better",
     )
 
     def __init__(
@@ -163,7 +162,6 @@ class Instance:
         self._edges = tuple(
             (ai, bj) for ai in range(len(self._agents)) for bj in self._adj[ai]
         )
-        self._edge_set = frozenset(self._edges)
 
         succ_by_agent: dict[int, dict[int, set[int]]] = {}
         for agent_name, pairs in preferences.items():
@@ -199,23 +197,13 @@ class Instance:
             succ_by_agent[ai] = succ
 
         worse_by_agent: list[dict[int, int]] = []
-        better_by_agent: list[dict[int, int]] = []
         for ai, agent_name in enumerate(self._agents):
-            succ = succ_by_agent.get(ai, {})
-            worse = self._close(succ)
+            worse = self._close(succ_by_agent.get(ai, {}))
             if worse is None:
                 report(f"cyclic preferences for agent {agent_name!r}")
-                worse, succ = {}, {}
+                worse = {}
             worse_by_agent.append(worse)
-            # "better than" is the closure of the reversed relation, which
-            # has no cycle since the relation itself has none
-            reverse: dict[int, set[int]] = {}
-            for b, below in succ.items():
-                for c in below:
-                    reverse.setdefault(c, set()).add(b)
-            better_by_agent.append(self._close(reverse))
         self._worse = tuple(worse_by_agent)
-        self._better = tuple(better_by_agent)
 
     @staticmethod
     def _close(succ: Mapping[int, set[int]]) -> dict[int, int] | None:
@@ -301,7 +289,7 @@ class Instance:
     def has_edge(self, agent: str, obj: str) -> bool:
         ai = self._agent_index.get(agent)
         bj = self._object_index.get(obj)
-        return ai is not None and bj is not None and (ai, bj) in self._edge_set
+        return ai is not None and bj is not None and bool(self._nbr_mask[ai] >> bj & 1)
 
     def neighbors(self, agent: str) -> tuple[str, ...]:
         """Objects adjacent to ``agent``, in object-index order."""
@@ -325,9 +313,23 @@ class Instance:
         """Bitmask of objects strictly worse than ``bj`` for agent ``ai``."""
         return self._worse[ai].get(bj, 0)
 
-    def better_mask(self, ai: int, bj: int) -> int:
-        """Bitmask of objects strictly better than ``bj`` for agent ``ai``."""
-        return self._better[ai].get(bj, 0)
+    def dominated(self, ai: int, mask: int) -> int:
+        """Bitmask of the objects that some member of ``mask`` beats in
+        agent ``ai``'s order.  Worse masks lie inside the neighbor mask, so
+        for neighbors ``S``, ``S & ~dominated(ai, S)`` is exactly the
+        undominated members of ``S``.  Preferences are closed, so a member
+        already in the union adds nothing and leaves the work list."""
+        worse = self._worse[ai]
+        union = 0
+        todo = mask
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            below = worse.get(bit.bit_length() - 1)
+            if below:
+                union |= below
+                todo &= ~below
+        return union
 
     # -- preference queries --------------------------------------------------
 
@@ -340,7 +342,7 @@ class Instance:
         bj = self.object_index(obj)
         cj = self.object_index(other)
         for j, name in ((bj, obj), (cj, other)):
-            if (ai, j) not in self._edge_set:
+            if not self._nbr_mask[ai] >> j & 1:
                 raise InstanceError(f"object {name!r} is not adjacent to agent {agent!r}")
         return bool(self._worse[ai].get(bj, 0) >> cj & 1)
 
@@ -353,41 +355,52 @@ class Instance:
                 out.append((self._objects[b], self._objects[c]))
         return tuple(sorted(out))
 
+    def _tier_masks(self, ai: int) -> list[int] | None:
+        """Agent ``ai``'s neighbors as indifference tiers, best first, one
+        object mask per tier; None unless the order is a weak ranking.
+
+        Neighbors are grouped by worse mask, smallest first; the order is
+        weak iff each group's mask is the union of the groups before it.
+        Such a chain is a tiering.  Conversely, in a weak ranking the
+        incomparable neighbors share a worse set, so the groups are the
+        tiers; and sharing is enough for transitive indifference: if x ~ y
+        and y ~ z but x > z, then z is in worse(x) = worse(y), which
+        contradicts y ~ z."""
+        worse = self._worse[ai]
+        groups: dict[int, int] = {}
+        for b in self._adj[ai]:
+            w = worse.get(b, 0)
+            groups[w] = groups.get(w, 0) | (1 << b)
+        below = 0
+        tiers = []
+        for w in sorted(groups, key=int.bit_count):
+            if w != below:
+                return None
+            tiers.append(groups[w])
+            below |= groups[w]
+        tiers.reverse()
+        return tiers
+
     def is_weak_agent(self, agent: str) -> bool:
         """True iff ``agent``'s indifference is transitive (an ordered-tier
-        ranking).  Holds iff every incomparable neighbor pair has identical
-        worse-sets and better-sets."""
-        ai = self.agent_index(agent)
-        nbrs = self._adj[ai]
-        worse = self._worse[ai]
-        better = self._better[ai]
-        for x, b in enumerate(nbrs):
-            wb = worse.get(b, 0)
-            bb = better.get(b, 0)
-            for c in nbrs[x + 1:]:
-                if wb >> c & 1 or better.get(b, 0) >> c & 1:
-                    continue
-                if wb != worse.get(c, 0) or bb != better.get(c, 0):
-                    return False
-        return True
+        ranking)."""
+        return self._tier_masks(self.agent_index(agent)) is not None
 
     def has_weak_rankings(self) -> bool:
-        return all(self.is_weak_agent(a) for a in self._agents)
+        return all(self._tier_masks(ai) is not None for ai in range(self.n_agents))
+
+    def _names(self, mask: int) -> tuple[str, ...]:
+        return tuple(self._objects[b] for b in iter_bits(mask))
 
     def tiers(self, agent: str) -> tuple[tuple[str, ...], ...]:
         """The agent's neighbors grouped into indifference tiers, best first.
 
         Only defined for agents with weak rankings.
         """
-        if not self.is_weak_agent(agent):
+        masks = self._tier_masks(self.agent_index(agent))
+        if masks is None:
             raise InstanceError(f"agent {agent!r} does not have a weak ranking")
-        ai = self.agent_index(agent)
-        groups: dict[tuple[int, int], list[int]] = {}
-        for b in self._adj[ai]:
-            key = (self._worse[ai].get(b, 0), self._better[ai].get(b, 0))
-            groups.setdefault(key, []).append(b)
-        ordered = sorted(groups.items(), key=lambda kv: -kv[0][0].bit_count())
-        return tuple(tuple(self._objects[b] for b in sorted(g)) for _, g in ordered)
+        return tuple(self._names(m) for m in masks)
 
     # -- serialization -------------------------------------------------------
 
@@ -395,12 +408,12 @@ class Instance:
         """A JSON-ready document.  Weak rankings are emitted as tiers, other
         partial orders as the closed pair list."""
         prefs: dict[str, dict] = {}
-        for a in self._agents:
-            ai = self._agent_index[a]
+        for ai, a in enumerate(self._agents):
             if not self._worse[ai]:
                 continue
-            if self.is_weak_agent(a):
-                prefs[a] = {"tiers": [list(t) for t in self.tiers(a)]}
+            masks = self._tier_masks(ai)
+            if masks is not None:
+                prefs[a] = {"tiers": [list(self._names(m)) for m in masks]}
             else:
                 prefs[a] = {"pairs": [list(p) for p in self.preference_pairs(a)]}
         doc: dict = {
@@ -569,6 +582,8 @@ def _from_document(doc: Any, report: Report) -> Instance | None:
         else:
             report(f"edge {e!r} must be a two-element list")
     preferences: dict[str, list[tuple[str, str]]] = {}
+    # a single tier expands to no pairs, so its entries are checked after the build
+    lone_tiers: dict[str, list[str]] = {}
     raw_prefs = doc.get("preferences", {})
     if not isinstance(raw_prefs, dict):
         report("'preferences' must be an object keyed by agent")
@@ -589,6 +604,8 @@ def _from_document(doc: Any, report: Report) -> Instance | None:
             pairs = _tier_pairs(agent, body, report)
             if pairs is None:
                 continue
+            if len(body) == 1:
+                lone_tiers[agent] = body[0]
         else:
             pairs = []
             for p in body:
@@ -602,6 +619,14 @@ def _from_document(doc: Any, report: Report) -> Instance | None:
         preferences[agent] = pairs
     instance = Instance.__new__(Instance)
     instance._build(doc["agents"], doc["objects"], edges, preferences, report)
+    for agent, tier in lone_tiers.items():
+        if not instance.has_agent(agent):
+            continue  # reported by the build
+        for b in tier:
+            if not instance.has_object(b):
+                report(f"tier entry {b!r} for agent {agent!r} references an unknown object")
+            elif not instance.has_edge(agent, b):
+                report(f"tier entry {b!r} for agent {agent!r} is not adjacent to the agent")
     return instance
 
 

@@ -20,6 +20,7 @@ from .instance import (
     MatchingError,
     check_assignment,
     check_matching,
+    iter_bits,
 )
 from .matching import (
     BipartiteGraph,
@@ -343,6 +344,15 @@ def _max_matching_size(instance: Instance, rows: list[list[int]]) -> int:
     return sum(1 for j in match_l if j >= 0)
 
 
+def _first_choice_rows(instance: Instance) -> list[list[int]]:
+    """Each agent's first-choice objects: the neighbors no neighbor beats."""
+    rows = []
+    for ai in range(instance.n_agents):
+        nbr = instance.neighbor_mask(ai)
+        rows.append(list(iter_bits(nbr & ~instance.dominated(ai, nbr))))
+    return rows
+
+
 def characterize_weak_rankings(instance: Instance) -> CharacterizationSets:
     """Compute the first/second-choice edge sets of the classical popular-
     matching characterization.
@@ -351,38 +361,27 @@ def characterize_weak_rankings(instance: Instance) -> CharacterizationSets:
     "same agent, strictly better object"), but they characterize popularity
     only under weak rankings -- see :func:`is_popular_weak`.
     """
-    first_rows: list[list[int]] = []
-    first: set[tuple[str, str]] = set()
-    for ai in range(instance.n_agents):
-        nbr = instance.neighbor_mask(ai)
-        row = [
-            bj
-            for bj in instance.adj_indices(ai)
-            if instance.better_mask(ai, bj) & nbr == 0
-        ]
-        first_rows.append(row)
-        first.update((instance.agents[ai], instance.objects[bj]) for bj in row)
+    first_rows = _first_choice_rows(instance)
+    first = {
+        (instance.agents[ai], instance.objects[bj])
+        for ai, row in enumerate(first_rows)
+        for bj in row
+    }
     nu1 = _max_matching_size(instance, first_rows)
 
-    critical: dict[int, set[int]] = {}
+    second: set[tuple[str, str]] = set()
     for ai in range(instance.n_agents):
         first_set = set(first_rows[ai])
+        critical = 0
         for bj in instance.adj_indices(ai):
             if bj in first_set:
                 continue
             rows = [list(r) for r in first_rows]
             rows[ai].append(bj)
             if _max_matching_size(instance, rows) > nu1:
-                critical.setdefault(ai, set()).add(bj)
-
-    second: set[tuple[str, str]] = set()
-    for ai, objs in critical.items():
-        mask = 0
-        for bj in objs:
-            mask |= 1 << bj
-        for bj in objs:
-            if instance.better_mask(ai, bj) & mask == 0:
-                second.add((instance.agents[ai], instance.objects[bj]))
+                critical |= 1 << bj
+        undominated = iter_bits(critical & ~instance.dominated(ai, critical))
+        second.update((instance.agents[ai], instance.objects[bj]) for bj in undominated)
     return CharacterizationSets(frozenset(first), frozenset(second))
 
 
@@ -401,15 +400,7 @@ def satisfies_weak_characterization(instance: Instance, matching: Matching) -> b
         b = matching.object_for(a)
         if b is None or (a, b) not in allowed:
             return False
-    first_rows = [
-        [
-            bj
-            for bj in instance.adj_indices(ai)
-            if (instance.agents[ai], instance.objects[bj]) in sets.first_choice
-        ]
-        for ai in range(instance.n_agents)
-    ]
-    nu1 = _max_matching_size(instance, first_rows)
+    nu1 = _max_matching_size(instance, _first_choice_rows(instance))
     in_first = sum(1 for a, b in matching if (a, b) in sets.first_choice)
     return in_first == nu1
 

@@ -127,24 +127,6 @@ def _level_masks(levels: Sequence[int]) -> dict[int, int]:
     return masks
 
 
-def _dominated_within(instance: Instance, ai: int, mask: int) -> int:
-    """Objects dominated by some member of ``mask`` in agent ``ai``'s order.
-
-    Preferences are transitively closed, so a member that is itself dominated
-    by one already processed contributes only a subset of that member's worse
-    set; such members are dropped from the work list as the union grows."""
-    dominated = 0
-    todo = mask
-    while todo:
-        bit = todo & -todo
-        todo ^= bit
-        worse = instance.worse_mask(ai, bit.bit_length() - 1)
-        if worse:
-            dominated |= worse
-            todo &= ~worse
-    return dominated
-
-
 def _admissible_mask(
     instance: Instance,
     masks: Mapping[int, int],
@@ -168,9 +150,9 @@ def _admissible_mask(
             admissible |= masks.get(level, 0) & nbr
         middle = masks.get(top_level - lam, 0) & nbr
         low = masks.get(top_level - lam - 1, 0) & nbr
-    admissible |= middle & ~_dominated_within(instance, ai, top)
+    admissible |= middle & ~instance.dominated(ai, top)
     if low:
-        candidates = low & ~_dominated_within(instance, ai, below)
+        candidates = low & ~instance.dominated(ai, below)
         while candidates:
             bit = candidates & -candidates
             candidates ^= bit

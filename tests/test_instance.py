@@ -235,6 +235,8 @@ SINGLE_FAULT_DOCUMENTS = {
     "unhashable-pair-object": _with(preferences={"a": {"pairs": [["x", ["y"]]]}}),
     "non-adjacent-pair": _with(preferences={"a": {"pairs": [["x", "z"]]}}),
     "self-pair": _with(preferences={"a": {"pairs": [["x", "x"]]}}),
+    "one-tier-unknown-object": _with(preferences={"a": {"tiers": [["x", "nope"]]}}),
+    "one-tier-non-adjacent-object": _with(preferences={"a": {"tiers": [["x", "z"]]}}),
     "cycle": _with(preferences={"a": {"pairs": [["x", "y"], ["y", "x"]]}}),
 }
 
@@ -359,15 +361,66 @@ def test_random_documents_always_validate(seed):
             break
 
 
-def test_better_masks_are_the_transpose_of_worse_masks():
+def test_dominated_is_the_union_of_worse_masks():
     for instance in corpus(30, 2, 7, seed0=40):
         n = instance.n_objects
         for ai in range(instance.n_agents):
-            for bj in range(n):
-                better = instance.better_mask(ai, bj)
-                assert better == sum(
-                    1 << cj for cj in range(n) if instance.worse_mask(ai, cj) >> bj & 1
-                )
+            worse = [instance.worse_mask(ai, cj) for cj in range(n)]
+            for mask in range(1 << n):
+                union = 0
+                for cj in range(n):
+                    if mask >> cj & 1:
+                        union |= worse[cj]
+                assert instance.dominated(ai, mask) == union
+
+
+def _weak_by_definition(instance, agent):
+    """Incomparability among the agent's neighbors is transitive."""
+    nbrs = instance.neighbors(agent)
+
+    def incomparable(x, y):
+        return not instance.prefers(agent, x, y) and not instance.prefers(agent, y, x)
+
+    return all(
+        incomparable(x, z)
+        for x in nbrs
+        for y in nbrs
+        for z in nbrs
+        if len({x, y, z}) == 3 and incomparable(x, y) and incomparable(y, z)
+    )
+
+
+def test_weak_agents_and_tiers_match_their_definitions():
+    instances = [
+        *corpus(60, 2, 6, seed0=700),
+        *corpus(30, 2, 6, seed0=800, square=False),
+    ]
+    seen = {True: 0, False: 0}
+    for instance in instances:
+        for agent in instance.agents:
+            weak = instance.is_weak_agent(agent)
+            assert weak == _weak_by_definition(instance, agent)
+            seen[weak] += 1
+            if not weak:
+                with pytest.raises(InstanceError, match="weak ranking"):
+                    instance.tiers(agent)
+                continue
+            tiers = instance.tiers(agent)
+            flat = [b for tier in tiers for b in tier]
+            assert sorted(flat) == sorted(instance.neighbors(agent))
+            assert all(tier for tier in tiers)
+            for i, tier in enumerate(tiers):
+                for b in tier:
+                    assert all(
+                        compare(instance, agent, b, c) is PrefComparison.INDIFFERENT
+                        for c in tier
+                    )
+                    assert all(
+                        instance.prefers(agent, b, c)
+                        for later in tiers[i + 1:]
+                        for c in later
+                    )
+    assert seen[True] and seen[False]
 
 
 def test_corpus_is_deterministic():

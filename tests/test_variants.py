@@ -268,8 +268,26 @@ def test_unanimous_triple_needs_margin_one(unanimous_k33):
     assert unpopularity_margin(unanimous_k33, out.assignment).margin <= 1
 
 
+def _master_list_one_swap(n):
+    """Every agent ranks b1 > ... > bn, except that a1 swaps b2 and b3."""
+    order = [f"b{j}" for j in range(1, n + 1)]
+    swapped = [order[0], order[2], order[1], *order[3:]]
+    prefs = {f"a{i}": {"tiers": [[b] for b in order]} for i in range(2, n + 1)}
+    prefs["a1"] = {"tiers": [[b] for b in swapped]}
+    return inst(complete_doc(n, prefs))
+
+
 def test_margin_search_agrees_with_brute_force_and_is_monotone():
-    for instance in corpus(20, min_n=2, max_n=4, seed0=900):
+    # the random corpus has minimum margin 0 or no assignment throughout;
+    # the last three instances have minimum margins 1, 2 and 1
+    instances = [
+        *corpus(20, min_n=2, max_n=4, seed0=900),
+        _unanimous(3),
+        _unanimous(4),
+        _master_list_one_swap(4),
+    ]
+    positive_hits = 0
+    for instance in instances:
         best = brute_min_margin(instance)
         previous_found = False
         for k in range(3):
@@ -279,6 +297,7 @@ def test_margin_search_agrees_with_brute_force_and_is_monotone():
                 assert best is None
                 break
             assert out.found == (best <= k)
+            positive_hits += out.found and k >= 1 and best >= 1
             if previous_found:
                 assert out.found  # larger budget can only help
             previous_found = out.found
@@ -287,6 +306,7 @@ def test_margin_search_agrees_with_brute_force_and_is_monotone():
                 assert margin <= out.certified_bound <= k
                 assert out.certificate.total() == out.certified_bound
                 assert out.loads.total == out.certified_bound
+    assert positive_hits >= 3
 
 
 def test_branch_count_is_bounded_by_the_multiset_count():
