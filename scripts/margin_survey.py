@@ -3,8 +3,8 @@
 
 For each (size, preference style) cell the script draws seeded random
 instances, runs the level solver, and — when no popular assignment exists —
-searches for the minimum unpopularity margin with the bounded-margin solver,
-one budget at a time.  The search is exponential in the budget, so the cap
+searches for the minimum unpopularity margin with one run of the
+bounded-margin solver.  The search is exponential in the budget, so the cap
 should stay small; instances whose margin exceeds it are reported as ">cap".
 
 Example:
@@ -39,11 +39,13 @@ class SurveyConfig:
 
 
 def min_margin_bounded(instance, cap: int) -> int | None:
-    """The minimum unpopularity margin if it is at most ``cap``, else None."""
-    for k in range(cap + 1):
-        if solve_k_margin(instance, k).found:
-            return k
-    return None
+    """The minimum unpopularity margin if it is at most ``cap``, else None.
+
+    The search tries load guesses by ascending total, so its first hit has
+    the least total that succeeds, which is the minimum margin.
+    """
+    outcome = solve_k_margin(instance, cap)
+    return outcome.certified_bound if outcome.found else None
 
 
 def survey_cell(config: SurveyConfig, n: int, style: str) -> Counter:

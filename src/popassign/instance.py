@@ -70,7 +70,7 @@ def _index_names(names: list[str], what: str, report: Report) -> dict[str, int]:
     index: dict[str, int] = {}
     for name in names:
         if name in index:
-            report(f"duplicate {what} identifier")
+            report(f"duplicate {what} identifier {name!r}")
         else:
             index[name] = len(index)
     return index

@@ -5,7 +5,8 @@ level loop: head-to-head vote tallies between explicit matchings, exhaustive
 enumeration on small instances, a maximum-weight-matching computation of the
 exact unpopularity margin, direct dual-certificate checking, and the
 classical first/second-choice-edge characterization of popular matchings
-under weak rankings.
+under weak rankings.  Every vote between two objects goes through
+:func:`popassign.instance.compare`, the package's one comparison rule.
 """
 
 from __future__ import annotations
@@ -18,8 +19,10 @@ from .instance import (
     InstanceError,
     Matching,
     MatchingError,
+    PrefComparison,
     check_assignment,
     check_matching,
+    compare,
     iter_bits,
 )
 from .matching import (
@@ -47,6 +50,33 @@ class EnumerationCaps:
 DEFAULT_CAPS = EnumerationCaps()
 
 
+_VOTE = {
+    PrefComparison.PREFERS: 1,
+    PrefComparison.DISPREFERRED: -1,
+    PrefComparison.INDIFFERENT: 0,
+}
+
+
+def _vote(
+    instance: Instance, agent: str, new: str | None, old: str | None, kappa: int = 1
+) -> int:
+    """``agent``'s vote for partner ``new`` over partner ``old`` (None for
+    unmatched): the :func:`compare` verdict between two partners, +-``kappa``
+    when exactly one side is unmatched, 0 when both sides agree."""
+    if new == old:
+        return 0
+    if new is None:
+        return -kappa
+    if old is None:
+        return kappa
+    return _VOTE[compare(instance, agent, new, old)]
+
+
+def _check_kappa(kappa: int) -> None:
+    if kappa < 1:
+        raise ValueError("kappa must be at least 1")
+
+
 def edge_weight(instance: Instance, matching: Matching, edge: tuple[str, str]) -> int:
     """The vote of ``edge``'s agent on the object of ``edge`` versus her
     current partner: +1 if she prefers the object, -1 if she prefers her
@@ -57,13 +87,7 @@ def edge_weight(instance: Instance, matching: Matching, edge: tuple[str, str]) -
     partner = matching.object_for(a)
     if partner is None:
         raise MatchingError(f"agent {a!r} is unmatched; edge weights are undefined")
-    if b == partner:
-        return 0
-    if instance.prefers(a, b, partner):
-        return 1
-    if instance.prefers(a, partner, b):
-        return -1
-    return 0
+    return _vote(instance, a, b, partner)
 
 
 def vote_with_penalty(
@@ -72,34 +96,15 @@ def vote_with_penalty(
     """One agent's vote comparing matchings ``new`` and ``old`` with penalty
     ``kappa``: +-1 between two partners, +-``kappa`` when exactly one side
     leaves the agent unmatched, 0 otherwise."""
-    if kappa < 1:
-        raise ValueError("kappa must be at least 1")
-    bn = new.object_for(agent)
-    bo = old.object_for(agent)
-    if bn is not None and bo is not None:
-        if bn == bo:
-            return 0
-        if instance.prefers(agent, bn, bo):
-            return 1
-        if instance.prefers(agent, bo, bn):
-            return -1
-        return 0
-    if bn is not None:
-        return kappa
-    if bo is not None:
-        return -kappa
-    return 0
+    _check_kappa(kappa)
+    return _vote(instance, agent, new.object_for(agent), old.object_for(agent), kappa)
 
 
 def delta(instance: Instance, new: Matching, old: Matching) -> int:
     """The head-to-head tally between two matchings: agents preferring
     ``new`` minus agents preferring ``old``, where being matched beats being
     unmatched by one vote."""
-    check_matching(instance, new)
-    check_matching(instance, old)
-    return sum(
-        vote_with_penalty(instance, a, new, old, 1) for a in instance.agents
-    )
+    return total_vote_with_penalty(instance, new, old, 1)
 
 
 def total_vote_with_penalty(
@@ -108,8 +113,10 @@ def total_vote_with_penalty(
     """Sum of all agents' penalty-``kappa`` votes for ``new`` over ``old``."""
     check_matching(instance, new)
     check_matching(instance, old)
+    _check_kappa(kappa)
     return sum(
-        vote_with_penalty(instance, a, new, old, kappa) for a in instance.agents
+        _vote(instance, a, new.object_for(a), old.object_for(a), kappa)
+        for a in instance.agents
     )
 
 
@@ -126,20 +133,20 @@ def unpopularity_margin(instance: Instance, matching: Matching) -> MarginReport:
     tally any rival assignment achieves against it.  Zero means popular.
 
     Computed as a maximum-weight perfect matching under per-edge vote
-    weights; no enumeration and no level loop involved.
+    weights; no enumeration and no level loop involved.  Raises
+    :class:`MatchingError` first unless ``matching`` is an assignment.
     """
     check_assignment(instance, matching)
-    n = instance.n_agents
     rows = []
-    for ai in range(n):
-        a = instance.agents[ai]
+    for ai, a in enumerate(instance.agents):
+        partner = matching.object_for(a)
         rows.append(
             {
-                bj: edge_weight(instance, matching, (a, instance.objects[bj]))
+                bj: _vote(instance, a, instance.objects[bj], partner)
                 for bj in instance.adj_indices(ai)
             }
         )
-    graph = WeightedBipartiteGraph(n, instance.n_objects, rows)
+    graph = WeightedBipartiteGraph(instance.n_agents, instance.n_objects, rows)
     match, total = max_weight_perfect_matching(graph)
     witness = Matching(
         (instance.agents[ai], instance.objects[bj]) for ai, bj in enumerate(match)
@@ -240,17 +247,12 @@ def is_popular_with_penalty(
     """Does ``matching`` beat or tie every rival *matching* (not just every
     assignment) under penalty-``kappa`` voting?  Exhaustive; small instances
     only."""
-    if kappa < 1:
-        raise ValueError("kappa must be at least 1")
+    _check_kappa(kappa)
     check_matching(instance, matching)
-    for rival in enumerate_matchings(instance, caps):
-        tally = sum(
-            vote_with_penalty(instance, a, rival, matching, kappa)
-            for a in instance.agents
-        )
-        if tally > 0:
-            return False
-    return True
+    return all(
+        total_vote_with_penalty(instance, rival, matching, kappa) <= 0
+        for rival in enumerate_matchings(instance, caps)
+    )
 
 
 def verify_certificate(
@@ -305,7 +307,7 @@ def verify_certificate(
         return False, tuple(failures)
 
     for a, b in instance.edges:
-        need = edge_weight(instance, matching, (a, b))
+        need = _vote(instance, a, b, matching.object_for(a))
         have = certificate.alpha_agents[a] + certificate.alpha_objects[b]
         if have < need:
             failures.append(
@@ -330,27 +332,20 @@ def verify_certificate(
 
 @dataclass(frozen=True)
 class CharacterizationSets:
-    """First-choice edges (undominated in their agent's list) and
+    """First-choice edges (undominated in their agent's list),
     second-choice edges (undominated among the *critical* edges, those whose
-    addition grows the maximum matching on first-choice edges)."""
+    addition grows the maximum matching on first-choice edges), and the size
+    of that maximum matching."""
 
     first_choice: frozenset[tuple[str, str]]
     second_choice: frozenset[tuple[str, str]]
+    first_choice_size: int
 
 
 def _max_matching_size(instance: Instance, rows: list[list[int]]) -> int:
     graph = BipartiteGraph(instance.n_agents, instance.n_objects, rows)
     match_l, _ = maximum_matching(graph)
     return sum(1 for j in match_l if j >= 0)
-
-
-def _first_choice_rows(instance: Instance) -> list[list[int]]:
-    """Each agent's first-choice objects: the neighbors no neighbor beats."""
-    rows = []
-    for ai in range(instance.n_agents):
-        nbr = instance.neighbor_mask(ai)
-        rows.append(list(iter_bits(nbr & ~instance.dominated(ai, nbr))))
-    return rows
 
 
 def characterize_weak_rankings(instance: Instance) -> CharacterizationSets:
@@ -361,7 +356,10 @@ def characterize_weak_rankings(instance: Instance) -> CharacterizationSets:
     "same agent, strictly better object"), but they characterize popularity
     only under weak rankings -- see :func:`is_popular_weak`.
     """
-    first_rows = _first_choice_rows(instance)
+    first_rows = []  # each agent's first choices: the neighbors no neighbor beats
+    for ai in range(instance.n_agents):
+        nbr = instance.neighbor_mask(ai)
+        first_rows.append(list(iter_bits(nbr & ~instance.dominated(ai, nbr))))
     first = {
         (instance.agents[ai], instance.objects[bj])
         for ai, row in enumerate(first_rows)
@@ -382,7 +380,7 @@ def characterize_weak_rankings(instance: Instance) -> CharacterizationSets:
                 critical |= 1 << bj
         undominated = iter_bits(critical & ~instance.dominated(ai, critical))
         second.update((instance.agents[ai], instance.objects[bj]) for bj in undominated)
-    return CharacterizationSets(frozenset(first), frozenset(second))
+    return CharacterizationSets(frozenset(first), frozenset(second), nu1)
 
 
 def satisfies_weak_characterization(instance: Instance, matching: Matching) -> bool:
@@ -400,9 +398,8 @@ def satisfies_weak_characterization(instance: Instance, matching: Matching) -> b
         b = matching.object_for(a)
         if b is None or (a, b) not in allowed:
             return False
-    nu1 = _max_matching_size(instance, _first_choice_rows(instance))
     in_first = sum(1 for a, b in matching if (a, b) in sets.first_choice)
-    return in_first == nu1
+    return in_first == sets.first_choice_size
 
 
 def is_popular_weak(instance: Instance, matching: Matching) -> bool:

@@ -4,7 +4,13 @@ import json
 
 import pytest
 
-from popassign import solve_penalty_matching, validate
+from popassign import (
+    Matching,
+    delta,
+    enumerate_matchings,
+    solve_penalty_matching,
+    validate,
+)
 from popassign.cli import main
 from popassign.generate import random_instance_document
 
@@ -66,6 +72,19 @@ STUCK_MARKET = {
 }
 
 IDENTITY = [["a1", "b1"], ["a2", "b2"], ["a3", "b3"]]
+
+# the unanimous triple plus a fourth object only a3 accepts: margin 1, and
+# the padding adds one dummy agent
+UNANIMOUS_WIDE = {
+    "agents": ["a1", "a2", "a3"],
+    "objects": ["b1", "b2", "b3", "b4"],
+    "edges": [[a, b] for a in ["a1", "a2", "a3"] for b in ["b1", "b2", "b3"]]
+    + [["a3", "b4"]],
+    "preferences": {
+        **{a: {"tiers": [["b1"], ["b2"], ["b3"]]} for a in ["a1", "a2"]},
+        "a3": {"tiers": [["b1"], ["b2"], ["b3"], ["b4"]]},
+    },
+}
 
 
 @pytest.fixture
@@ -196,6 +215,23 @@ def test_margin_search_and_verify(write, capsys):
 
     code, report, _ = run(capsys, "margin", path, "--k", "-1")
     assert code == 2 and "error" in report
+
+
+def test_margin_search_pads_unbalanced_instances(write, capsys):
+    path = write("unanimous-wide.json", UNANIMOUS_WIDE)
+    code, report, _ = run(capsys, "margin", path, "--k", "0")
+    assert code == 1
+    code, report, _ = run(capsys, "margin", path, "--k", "1")
+    assert code == 0
+    aug = report["augmentation"]
+    assert len(aug["dummy_agents"]) == 1 and aug["artificial_objects"] == []
+    restricted = Matching(map(tuple, report["assignment"]))
+    assert set(restricted.pairs) == {
+        (a, b) for a, b in aug["full_assignment"] if a not in aug["dummy_agents"]
+    }
+    instance = inst(UNANIMOUS_WIDE)
+    rivals = [m for m in enumerate_matchings(instance) if len(m) == instance.n_agents]
+    assert max(delta(instance, rival, restricted) for rival in rivals) <= 1
 
 
 def test_margin_evaluate(write, capsys):

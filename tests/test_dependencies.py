@@ -1,4 +1,6 @@
-"""The runtime package imports nothing outside the standard library."""
+"""Import and call boundaries: the runtime package imports nothing outside
+the standard library, the oracles share no solver internals, and one
+function compares two objects."""
 
 import ast
 import pathlib
@@ -6,13 +8,18 @@ import sys
 
 import popassign
 
+PACKAGE = pathlib.Path(popassign.__file__).parent
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
 
 def test_package_imports_only_the_standard_library():
-    package = pathlib.Path(popassign.__file__).parent
-    files = sorted(package.glob("*.py"))
+    files = sorted(PACKAGE.glob("*.py"))
     assert files
     for path in files:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        for node in ast.walk(_tree(path)):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -22,3 +29,47 @@ def test_package_imports_only_the_standard_library():
             for name in names:
                 top = name.partition(".")[0]
                 assert top in sys.stdlib_module_names, f"{path.name} imports {name}"
+
+
+def test_oracles_are_independent_of_the_solvers():
+    """From the level solver the oracles take only the certificate type and
+    its error; nothing from the constrained, k-margin or reduction solvers,
+    and no private name of any package module."""
+    imported: dict[str, set[str]] = {}
+    for node in ast.walk(_tree(PACKAGE / "oracle.py")):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                assert not alias.name.startswith("popassign"), alias.name
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                assert not module.startswith("popassign"), module
+                continue
+            for alias in node.names:
+                if module:
+                    imported.setdefault(module, set()).add(alias.name)
+                else:  # from . import module
+                    imported.setdefault(alias.name, set()).add("*")
+    assert imported["popular"] == {"DualCertificate", "NoPerfectMatchingError"}
+    assert not {"variants", "reductions"} & imported.keys()
+    private = [n for names in imported.values() for n in names if n.startswith("_")]
+    assert not private
+
+
+def test_compare_is_the_only_caller_of_prefers():
+    def prefers_calls(tree):
+        return sum(
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "prefers"
+            for node in ast.walk(tree)
+        )
+
+    total = inside = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _tree(path)
+        total += prefers_calls(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "compare":
+                inside += prefers_calls(node)
+    assert inside > 0 and total == inside

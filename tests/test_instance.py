@@ -252,6 +252,16 @@ def test_validate_reports_the_parsers_error_first(doc):
     assert report.problems[0] == str(err.value)
 
 
+def test_duplicate_identifiers_are_named():
+    report = validate({"agents": ["a", "b", "a", "b"], "objects": ["x"], "edges": []})
+    assert report.problems == (
+        "duplicate agent identifier 'a'",
+        "duplicate agent identifier 'b'",
+    )
+    with pytest.raises(InstanceError, match="duplicate object identifier 'y'"):
+        Instance(["a"], ["x", "y", "y"], [])
+
+
 def _parses(doc):
     try:
         instance_from_document(doc)

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from popassign import (
     CapExceededError,
     EnumerationCaps,
+    Instance,
     InstanceError,
     Matching,
     MatchingError,
@@ -27,7 +28,9 @@ from popassign import (
     verify_certificate,
     vote_with_penalty,
 )
+from popassign import oracle
 from popassign.generate import random_instance_document
+from popassign.matching import maximum_matching
 
 from helpers import brute_margin_of, complete_doc, corpus, inst
 
@@ -230,6 +233,11 @@ def test_total_vote_at_penalty_one_is_delta(seed):
     assert total_vote_with_penalty(instance, n, m, 1) == delta(instance, n, m)
 
 
+def test_total_vote_refuses_a_penalty_below_one_without_agents():
+    with pytest.raises(ValueError, match="kappa"):
+        total_vote_with_penalty(Instance([], ["x"], []), Matching(), Matching(), 0)
+
+
 # -- enumeration -----------------------------------------------------------------
 
 
@@ -283,6 +291,25 @@ def test_characterization_sets_on_partial_orders(partial_order_triple):
         {("a", "x"), ("a", "y"), ("b", "x"), ("b", "y"), ("c", "y")}
     )
     assert sets.second_choice == frozenset({("a", "z"), ("b", "z"), ("c", "z")})
+    assert sets.first_choice_size == 2
+
+
+def test_weak_check_matches_first_choices_once(monkeypatch, partial_order_triple):
+    """The check reads the first-choice matching size from the sets instead
+    of matching the first-choice graph again."""
+    calls = []
+
+    def counting(graph):
+        calls.append(graph)
+        return maximum_matching(graph)
+
+    monkeypatch.setattr(oracle, "maximum_matching", counting)
+    characterize_weak_rankings(partial_order_triple)
+    expected = len(calls)
+    calls.clear()
+    m = Matching([("a", "x"), ("b", "y"), ("c", "z")])
+    assert satisfies_weak_characterization(partial_order_triple, m)
+    assert len(calls) == expected
 
 
 def test_divergence_for_partial_orders(partial_order_triple):

@@ -28,6 +28,7 @@ from popassign import (
     verify_certificate,
 )
 
+from popassign import variants
 from popassign.generate import random_instance_document
 from popassign.variants import _run_margin_branch, _twin_classes
 
@@ -514,6 +515,28 @@ def test_orbit_skipping_keeps_every_outcome_of_the_full_search():
             fewer += out.branches < branches
             hits_after_skips += out.found and out.branches < branches
     assert searches > 500 and fewer > 40 and hits_after_skips > 15
+
+
+def test_unmatchable_guesses_are_pruned(monkeypatch):
+    """A guess whose loaded edges leave no perfect matching is pruned before
+    its level loop, and the search still finds the brute-force minimum."""
+    instance = inst(random_instance_document(6, 6, 0.5, "strict", 2767))
+    run_branch = variants._run_margin_branch
+    pruned = []
+
+    def recording(*args):
+        outcome = run_branch(*args)
+        pruned.append(outcome is None)
+        return outcome
+
+    monkeypatch.setattr(variants, "_run_margin_branch", recording)
+    best = brute_min_margin(instance)
+    for k in range(3):
+        out = solve_k_margin(instance, k)
+        assert out.found == (best <= k)
+        if out.found:
+            assert out.certified_bound == best
+    assert any(pruned)
 
 
 def _classes(edges, preferences):
