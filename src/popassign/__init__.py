@@ -36,10 +36,8 @@ from .matching import (
     maximum_matching,
 )
 from .oracle import (
-    DEFAULT_CAPS,
     CapExceededError,
     CharacterizationSets,
-    EnumerationCaps,
     MarginReport,
     brute_force_margin,
     characterize_weak_rankings,
@@ -101,10 +99,8 @@ __all__ = [
     "BipartiteGraph",
     "CapExceededError",
     "CharacterizationSets",
-    "DEFAULT_CAPS",
     "DualCertificate",
     "EdgeConstraints",
-    "EnumerationCaps",
     "HousingMarket",
     "InfeasibleMatchingError",
     "Instance",

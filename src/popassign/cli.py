@@ -4,9 +4,9 @@ Subcommands::
 
     solve     find a popular assignment (optionally truncated / constrained)
     matching  find a popular matching, or one popular with a penalty
-    margin    bound the unpopularity margin, or evaluate a given assignment
+    margin    find an assignment within an unpopularity-margin budget
     housing   find a popular trading-cycle allocation in a housing market
-    verify    check a user-supplied assignment against a margin threshold
+    verify    compute an assignment's exact margin and check it against a bound
     gen       emit a seeded random instance
 
 Machine-readable JSON reports go to standard output, one-line human summaries
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from collections.abc import Sequence
@@ -37,7 +38,7 @@ from .instance import (
     parse_instance,
 )
 from .oracle import (
-    DEFAULT_CAPS,
+    PERFECT_SIDE_CAP,
     brute_force_margin,
     unpopularity_margin,
     verify_certificate,
@@ -56,13 +57,13 @@ from .variants import EdgeConstraints, solve_k_margin, solve_with_constraints
 
 
 def _emit(report: dict, summary: str) -> None:
-    print(json.dumps(report, indent=2))
+    # flushed here, so a closed stdout fails inside main rather than at exit
+    print(json.dumps(report, indent=2), flush=True)
     print(summary, file=sys.stderr)
 
 
 def _fail(command: str, message: str) -> int:
-    print(json.dumps({"command": command, "error": message}, indent=2))
-    print(f"error: {message}", file=sys.stderr)
+    _emit({"command": command, "error": message}, f"error: {message}")
     return 2
 
 
@@ -136,7 +137,7 @@ def _verification(
     oracle = unpopularity_margin(instance, matching)
     checks["oracle_margin"] = oracle.margin
     margins_ok = oracle.margin <= k
-    if instance.n_agents <= DEFAULT_CAPS.perfect_side:
+    if instance.n_agents <= PERFECT_SIDE_CAP:
         brute = brute_force_margin(instance, matching)
         checks["brute_force_margin"] = brute.margin
         margins_ok = margins_ok and brute.margin <= k
@@ -241,20 +242,6 @@ def cmd_matching(args: argparse.Namespace) -> int:
 def cmd_margin(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     instance = _load_instance(args.instance)
-    if args.evaluate is not None:
-        matching = _load_matching(args.evaluate)
-        result = unpopularity_margin(instance, matching)
-        elapsed = (time.perf_counter() - started) * 1000.0
-        report = {
-            "command": "margin",
-            "mode": "evaluate",
-            "margin": result.margin,
-            "popular": result.margin == 0,
-            "witness": _pairs(result.witness),
-            "timing_ms": round(elapsed, 3),
-        }
-        _emit(report, f"unpopularity margin {result.margin}")
-        return 0
     k = args.k
     if k < 0:
         return _fail("margin", "--k must be non-negative")
@@ -365,11 +352,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         return _fail("gen", str(exc))
-    print(json.dumps(doc, indent=2))
-    print(
+    _emit(
+        doc,
         f"generated {args.agents}x{n_objects} {args.pref_style} instance "
         f"(density {args.density}, seed {args.seed})",
-        file=sys.stderr,
     )
     return 0
 
@@ -425,18 +411,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_matching)
 
-    p = sub.add_parser(
-        "margin", help="search under a margin budget, or evaluate an assignment"
-    )
+    p = sub.add_parser("margin", help="find an assignment within a margin budget")
     p.add_argument("instance", help="instance JSON file")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument(
-        "--k", type=int, metavar="K", help="find an assignment with margin <= K"
-    )
-    group.add_argument(
-        "--evaluate",
-        metavar="MATCHING",
-        help="compute the exact margin of the assignment in this file",
+    p.add_argument(
+        "--k",
+        type=int,
+        required=True,
+        metavar="K",
+        help="find an assignment with margin <= K",
     )
     p.add_argument(
         "--verify",
@@ -481,14 +463,23 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args)
-    except OSError as exc:
-        return _fail(args.command, f"cannot read input: {exc}")
-    except ValueError as exc:  # InstanceError, MatchingError, NoPerfectMatchingError
-        return _fail(args.command, str(exc))
-    except Exception as exc:  # a crash must not read as "no solution" (exit 1)
-        detail = " ".join(str(exc).split())
-        return _fail(args.command, f"internal: {type(exc).__name__}: {detail}")
+        try:
+            return args.func(args)
+        except BrokenPipeError:
+            raise  # handled below, as is one raised while reporting an error
+        except OSError as exc:
+            return _fail(args.command, f"cannot read input: {exc}")
+        except ValueError as exc:  # InstanceError, MatchingError and their kin
+            return _fail(args.command, str(exc))
+        except Exception as exc:  # a crash must not read as "no solution" (exit 1)
+            detail = " ".join(str(exc).split())
+            return _fail(args.command, f"internal: {type(exc).__name__}: {detail}")
+    except BrokenPipeError:  # the reader closed stdout: flush the rest to null
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: standard output closed", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -113,19 +113,19 @@ class Instance:
         edges: Iterable[tuple[str, str]],
         preferences: Mapping[str, Iterable[tuple[str, str]]] | None = None,
     ) -> None:
-        self._build(agents, objects, edges, preferences or {}, _raise)
+        self._build(agents, objects, edges, _raise)
+        self._order(preferences or {}, _raise)
 
     def _build(
         self,
         agents: Iterable[str],
         objects: Iterable[str],
         edges: Iterable[tuple[str, str]],
-        preferences: Mapping[str, Iterable[tuple[str, str]]],
         report: Report,
     ) -> None:
-        # Every check of the instance format below the document level; a
-        # problem that ``report`` does not raise skips its name, edge,
-        # preference pair or (for a cycle) the agent's whole order.
+        # Every check of the instance format below the document level, with
+        # _order's; a problem that ``report`` does not raise skips its name,
+        # edge, preference pair or (for a cycle) the agent's whole order.
         agent_names = _valid_names(agents, "agent", report)
         object_names = _valid_names(objects, "object", report)
         self._agent_index = _index_names(agent_names, "agent", report)
@@ -163,6 +163,9 @@ class Instance:
             (ai, bj) for ai in range(len(self._agents)) for bj in self._adj[ai]
         )
 
+    def _order(
+        self, preferences: Mapping[str, Iterable[tuple[str, str]]], report: Report
+    ) -> None:
         succ_by_agent: dict[int, dict[int, set[int]]] = {}
         for agent_name, pairs in preferences.items():
             ai = self._agent_index.get(agent_name)
@@ -170,6 +173,7 @@ class Instance:
                 report(f"preferences reference unknown agent {agent_name!r}")
                 continue
             succ: dict[int, set[int]] = {}
+            adj = set(self._adj[ai])
             for pair in pairs:
                 try:
                     b, b2 = pair
@@ -185,7 +189,7 @@ class Instance:
                         f"preference pair ({b!r}, {b2!r}) for agent {agent_name!r} "
                         "references an unknown object"
                     )
-                elif bj not in adj_sets[ai] or cj not in adj_sets[ai]:
+                elif bj not in adj or cj not in adj:
                     report(
                         f"preference pair ({b!r}, {b2!r}) for agent {agent_name!r} "
                         "compares objects that are not both adjacent to the agent"
@@ -532,26 +536,42 @@ def compare(instance: Instance, agent: str, obj: str, other: str) -> PrefCompari
 # -- documents ---------------------------------------------------------------
 
 
-def _tier_pairs(agent: str, tiers: list, report: Report) -> list[tuple[str, str]] | None:
-    """Expand a tier list into strict pairs between consecutive tiers (the
-    transitive closure recovers the rest); None after a reported problem."""
+def _tiers_shaped(agent: str, tiers: list, report: Report) -> bool:
+    """Are the tiers non-empty lists of distinct strings?  Reports why not."""
     seen: set[str] = set()
     for tier in tiers:
         if not isinstance(tier, list) or not tier:
             report(f"tiers for agent {agent!r} must be non-empty lists")
-            return None
+            return False
         for b in tier:
             if not isinstance(b, str):
                 report(f"tier entry {b!r} for agent {agent!r} is not a string")
-                return None
+                return False
             if b in seen:
                 report(f"object {b!r} appears twice in tiers of agent {agent!r}")
-                return None
+                return False
             seen.add(b)
-    pairs = []
-    for hi, lo in zip(tiers, tiers[1:]):
-        pairs.extend((b, c) for b in hi for c in lo)
-    return pairs
+    return True
+
+
+def _tier_pairs(instance: Instance, agent: str, tiers: list, report: Report) -> list:
+    """Expand a tier list into strict pairs between consecutive tiers (the
+    transitive closure recovers the rest), leaving out each entry that is not
+    an object adjacent to the agent, which must be known."""
+    adjacent = set(instance.neighbors(agent))
+    kept = []
+    for tier in tiers:
+        entries = []
+        for b in tier:
+            if b in adjacent:
+                entries.append(b)
+            elif instance.has_object(b):
+                report(f"tier entry {b!r} for agent {agent!r} is not adjacent to the agent")
+            else:
+                report(f"tier entry {b!r} for agent {agent!r} references an unknown object")
+        if entries:
+            kept.append(entries)
+    return [(b, c) for hi, lo in zip(kept, kept[1:]) for b in hi for c in lo]
 
 
 def _from_document(doc: Any, report: Report) -> Instance | None:
@@ -581,9 +601,8 @@ def _from_document(doc: Any, report: Report) -> Instance | None:
             edges.append((e[0], e[1]))
         else:
             report(f"edge {e!r} must be a two-element list")
-    preferences: dict[str, list[tuple[str, str]]] = {}
-    # a single tier expands to no pairs, so its entries are checked after the build
-    lone_tiers: dict[str, list[str]] = {}
+    preferences: dict[str, list] = {}
+    tiered = []  # agents whose tiers are expanded once the graph is built
     raw_prefs = doc.get("preferences", {})
     if not isinstance(raw_prefs, dict):
         report("'preferences' must be an object keyed by agent")
@@ -601,11 +620,10 @@ def _from_document(doc: Any, report: Report) -> Instance | None:
             report(f"{kind!r} for agent {agent!r} must be a list")
             continue
         if kind == "tiers":
-            pairs = _tier_pairs(agent, body, report)
-            if pairs is None:
+            if not _tiers_shaped(agent, body, report):
                 continue
-            if len(body) == 1:
-                lone_tiers[agent] = body[0]
+            tiered.append(agent)
+            pairs = body
         else:
             pairs = []
             for p in body:
@@ -618,15 +636,11 @@ def _from_document(doc: Any, report: Report) -> Instance | None:
                     )
         preferences[agent] = pairs
     instance = Instance.__new__(Instance)
-    instance._build(doc["agents"], doc["objects"], edges, preferences, report)
-    for agent, tier in lone_tiers.items():
-        if not instance.has_agent(agent):
-            continue  # reported by the build
-        for b in tier:
-            if not instance.has_object(b):
-                report(f"tier entry {b!r} for agent {agent!r} references an unknown object")
-            elif not instance.has_edge(agent, b):
-                report(f"tier entry {b!r} for agent {agent!r} is not adjacent to the agent")
+    instance._build(doc["agents"], doc["objects"], edges, report)
+    for agent in tiered:
+        if instance.has_agent(agent):  # _order reports an unknown one, reading no pair
+            preferences[agent] = _tier_pairs(instance, agent, preferences[agent], report)
+    instance._order(preferences, report)
     return instance
 
 

@@ -31,23 +31,17 @@ from .matching import (
     max_weight_perfect_matching,
     maximum_matching,
 )
-from .popular import DualCertificate, NoPerfectMatchingError
+from .popular import DualCertificate
 
 
 class CapExceededError(RuntimeError):
     """An enumeration oracle was asked to run beyond its instance-size cap."""
 
 
-@dataclass(frozen=True)
-class EnumerationCaps:
-    """Size caps for the exhaustive oracles (numbers of agents/objects per
-    side).  Beyond these, enumeration is refused rather than attempted."""
-
-    perfect_side: int = 8
-    all_matchings_side: int = 6
-
-
-DEFAULT_CAPS = EnumerationCaps()
+#: Size caps of the exhaustive oracles, in agents or objects per side: larger
+#: instances are refused rather than enumerated.
+PERFECT_SIDE_CAP = 8
+ALL_MATCHINGS_SIDE_CAP = 6
 
 
 _VOTE = {
@@ -154,62 +148,21 @@ def unpopularity_margin(instance: Instance, matching: Matching) -> MarginReport:
     return MarginReport(total, witness)
 
 
-def enumerate_perfect_matchings(
-    instance: Instance, caps: EnumerationCaps = DEFAULT_CAPS
-) -> Iterator[Matching]:
-    """Yield every assignment (perfect matching) of the instance, in
-    lexicographic agent-by-agent order.  Refuses instances beyond the cap."""
-    n = instance.n_agents
-    if n != instance.n_objects:
-        return
-    if n > caps.perfect_side:
-        raise CapExceededError(
-            f"{n} agents exceeds the perfect-matching enumeration cap "
-            f"({caps.perfect_side})"
-        )
-    chosen: list[int] = []
-    used = [False] * n
-
-    def rec(ai: int) -> Iterator[Matching]:
-        if ai == n:
-            yield Matching(
-                (instance.agents[i], instance.objects[bj])
-                for i, bj in enumerate(chosen)
-            )
-            return
-        for bj in instance.adj_indices(ai):
-            if not used[bj]:
-                used[bj] = True
-                chosen.append(bj)
-                yield from rec(ai + 1)
-                chosen.pop()
-                used[bj] = False
-
-    yield from rec(0)
-
-
-def enumerate_matchings(
-    instance: Instance, caps: EnumerationCaps = DEFAULT_CAPS
-) -> Iterator[Matching]:
-    """Yield every matching of the instance, including partial ones and the
-    empty one.  Refuses instances beyond the (stricter) all-matchings cap."""
-    side = max(instance.n_agents, instance.n_objects)
-    if side > caps.all_matchings_side:
-        raise CapExceededError(
-            f"{side} nodes per side exceeds the all-matchings enumeration cap "
-            f"({caps.all_matchings_side})"
-        )
-    n = instance.n_agents
+def _matchings(instance: Instance, may_skip: bool) -> Iterator[Matching]:
+    """Yield matchings by depth-first search, agent by agent: each agent first
+    stays unmatched (only if ``may_skip``), then takes each free neighbour in
+    object order."""
     chosen: list[tuple[int, int]] = []
     used = [False] * instance.n_objects
 
     def rec(ai: int) -> Iterator[Matching]:
-        if ai == n:
+        if ai == instance.n_agents:
             yield Matching(
                 (instance.agents[i], instance.objects[bj]) for i, bj in chosen
             )
             return
-        yield from rec(ai + 1)  # leave agent ai unmatched
+        if may_skip:
+            yield from rec(ai + 1)
         for bj in instance.adj_indices(ai):
             if not used[bj]:
                 used[bj] = True
@@ -221,29 +174,43 @@ def enumerate_matchings(
     yield from rec(0)
 
 
-def brute_force_margin(
-    instance: Instance, matching: Matching, caps: EnumerationCaps = DEFAULT_CAPS
-) -> MarginReport:
+def enumerate_perfect_matchings(instance: Instance) -> Iterator[Matching]:
+    """Yield every assignment (perfect matching) of the instance, in
+    lexicographic agent-by-agent order.  Refuses instances beyond the cap."""
+    n = instance.n_agents
+    if n != instance.n_objects:
+        return
+    if n > PERFECT_SIDE_CAP:
+        raise CapExceededError(
+            f"{n} agents exceeds the perfect-matching enumeration cap "
+            f"({PERFECT_SIDE_CAP})"
+        )
+    yield from _matchings(instance, may_skip=False)
+
+
+def enumerate_matchings(instance: Instance) -> Iterator[Matching]:
+    """Yield every matching of the instance, including partial ones and the
+    empty one.  Refuses instances beyond the (stricter) all-matchings cap."""
+    side = max(instance.n_agents, instance.n_objects)
+    if side > ALL_MATCHINGS_SIDE_CAP:
+        raise CapExceededError(
+            f"{side} nodes per side exceeds the all-matchings enumeration cap "
+            f"({ALL_MATCHINGS_SIDE_CAP})"
+        )
+    yield from _matchings(instance, may_skip=True)
+
+
+def brute_force_margin(instance: Instance, matching: Matching) -> MarginReport:
     """The unpopularity margin by exhaustive enumeration of all rival
     assignments.  The first rival attaining the maximum (in enumeration
-    order) is returned as witness."""
+    order) is returned as witness; ``matching`` itself is one rival."""
     check_assignment(instance, matching)
-    best: MarginReport | None = None
-    for rival in enumerate_perfect_matchings(instance, caps):
-        value = delta(instance, rival, matching)
-        if best is None or value > best.margin:
-            best = MarginReport(value, rival)
-    if best is None:
-        raise NoPerfectMatchingError("instance admits no perfect matching")
-    return best
+    rivals = enumerate_perfect_matchings(instance)
+    reports = (MarginReport(delta(instance, r, matching), r) for r in rivals)
+    return max(reports, key=lambda report: report.margin)
 
 
-def is_popular_with_penalty(
-    instance: Instance,
-    matching: Matching,
-    kappa: int,
-    caps: EnumerationCaps = DEFAULT_CAPS,
-) -> bool:
+def is_popular_with_penalty(instance: Instance, matching: Matching, kappa: int) -> bool:
     """Does ``matching`` beat or tie every rival *matching* (not just every
     assignment) under penalty-``kappa`` voting?  Exhaustive; small instances
     only."""
@@ -251,7 +218,7 @@ def is_popular_with_penalty(
     check_matching(instance, matching)
     return all(
         total_vote_with_penalty(instance, rival, matching, kappa) <= 0
-        for rival in enumerate_matchings(instance, caps)
+        for rival in enumerate_matchings(instance)
     )
 
 

@@ -1,16 +1,25 @@
 """Command-line behavior: exit codes, JSON reports, verification fragments."""
 
+import argparse
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import popassign
 from popassign import (
     Matching,
+    MarginReport,
     delta,
     enumerate_matchings,
     solve_penalty_matching,
     validate,
 )
+from popassign import cli
 from popassign.cli import main
 from popassign.generate import random_instance_document
 
@@ -234,30 +243,6 @@ def test_margin_search_pads_unbalanced_instances(write, capsys):
     assert max(delta(instance, rival, restricted) for rival in rivals) <= 1
 
 
-def test_margin_evaluate(write, capsys):
-    chain = write("chain.json", CHAIN)
-    ident = write("ident.json", IDENTITY)
-    code, report, _ = run(capsys, "margin", chain, "--evaluate", ident)
-    assert code == 0
-    assert report["mode"] == "evaluate"
-    assert report["margin"] == 0 and report["popular"] is True
-
-    code, report, _ = run(capsys, "margin", write("k33.json", K33), "--evaluate", ident)
-    assert code == 0
-    assert report["margin"] == 1 and report["popular"] is False
-    assert len(report["witness"]) == 3
-
-
-def test_margin_evaluate_rejects_non_assignments(write, capsys):
-    chain = write("chain.json", CHAIN)
-    partial = write("partial.json", [["a1", "b1"]])
-    code, report, _ = run(capsys, "margin", chain, "--evaluate", partial)
-    assert code == 2 and "error" in report
-    bad = write("bad.json", "{nope")
-    code, report, _ = run(capsys, "margin", chain, "--evaluate", bad)
-    assert code == 2 and "invalid matching JSON" in report["error"]
-
-
 def test_margin_zero_agrees_with_solve(write, capsys):
     for seed in range(6):
         doc = random_instance_document(4, 4, 0.7, "weak", seed)
@@ -318,6 +303,112 @@ def test_verify_thresholds(write, capsys):
     chain = write("chain.json", CHAIN)
     code, report, _ = run(capsys, "verify", chain, ident)
     assert code == 0 and report["margin"] == 0
+
+
+def test_verify_margin_and_witness(write, capsys):
+    chain = write("chain.json", CHAIN)
+    ident = write("ident.json", IDENTITY)
+    code, report, _ = run(capsys, "verify", chain, ident)
+    assert code == 0
+    assert report["margin"] == 0 and report["within"] is True
+
+    code, report, _ = run(capsys, "verify", write("k33.json", K33), ident, "--k", "3")
+    assert code == 0
+    assert report["margin"] == 1 and report["within"] is True
+    assert len(report["witness"]) == 3
+
+
+def test_verify_rejects_non_assignments(write, capsys):
+    chain = write("chain.json", CHAIN)
+    partial = write("partial.json", [["a1", "b1"]])
+    code, report, _ = run(capsys, "verify", chain, partial)
+    assert code == 2 and "error" in report
+    bad = write("bad.json", "{nope")
+    code, report, _ = run(capsys, "verify", chain, bad)
+    assert code == 2 and "invalid matching JSON" in report["error"]
+
+
+# -- failed self-checks, closed output, synopsis ------------------------------------
+
+
+def test_failed_margin_self_checks_exit_2(write, capsys, monkeypatch):
+    exact = cli.unpopularity_margin
+    monkeypatch.setattr(
+        cli, "unpopularity_margin", lambda i, m: MarginReport(5, exact(i, m).witness)
+    )
+    for argv in (
+        ("solve", write("chain.json", CHAIN), "--verify"),
+        ("margin", write("k33.json", K33), "--k", "1", "--verify"),
+    ):
+        code, report, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert report["verification"]["status"] == "failed"
+        assert report["verification"]["oracle_margin"] == 5
+        assert "verification FAILED" in err
+
+
+def test_failed_certificate_check_exits_2(write, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "verify_certificate", lambda *args: (False, ("forged",)))
+    code, report, _ = run(capsys, "solve", write("chain.json", CHAIN), "--verify")
+    assert code == 2
+    assert report["verification"]["certificate"] == {"ok": False, "problems": ["forged"]}
+
+
+def _run_with_closed_stdout(*argv):
+    env = dict(os.environ)
+    src = str(Path(popassign.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader: every write to the child's stdout fails
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "popassign.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+
+
+def test_closed_stdout_exits_2(write):
+    k33 = write("k33.json", K33)
+    partial = write("partial.json", [["a1", "b1"]])
+    for argv in (
+        ("solve", write("chain.json", CHAIN)),
+        ("margin", k33, "--k", "1"),
+        ("verify", k33, partial),  # an input error reported to the closed stdout
+    ):
+        proc = _run_with_closed_stdout(*argv)
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == ["error: standard output closed"]
+
+
+def test_readme_synopsis_matches_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    synopsis = {
+        line.split()[1]: set(re.findall(r"--[a-z][a-z-]*", line))
+        for line in block.splitlines()
+        if line.startswith("popassign ")
+    }
+    commands = next(
+        action.choices
+        for action in cli._build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert synopsis.keys() == commands.keys()
+    for name, sub in commands.items():
+        flags = {
+            option
+            for action in sub._actions
+            for option in action.option_strings
+            if option.startswith("--")
+        }
+        assert synopsis[name] == flags - {"--help"}, name
 
 
 # -- gen --------------------------------------------------------------------------
@@ -413,7 +504,8 @@ def test_crash_exits_two_not_one(write, capsys, monkeypatch):
 
 def test_usage_errors_exit_two(capsys):
     assert main([]) == 2
-    assert main(["margin", "x.json"]) == 2  # neither --k nor --evaluate
+    assert main(["margin", "x.json"]) == 2  # no --k
+    assert main(["margin", "x.json", "--evaluate", "m.json"]) == 2  # no such flag
     capsys.readouterr()
 
 

@@ -32,8 +32,8 @@ def test_package_imports_only_the_standard_library():
 
 
 def test_oracles_are_independent_of_the_solvers():
-    """From the level solver the oracles take only the certificate type and
-    its error; nothing from the constrained, k-margin or reduction solvers,
+    """From the level solver the oracles take only the certificate type;
+    nothing from the constrained, k-margin or reduction solvers,
     and no private name of any package module."""
     imported: dict[str, set[str]] = {}
     for node in ast.walk(_tree(PACKAGE / "oracle.py")):
@@ -50,7 +50,7 @@ def test_oracles_are_independent_of_the_solvers():
                     imported.setdefault(module, set()).add(alias.name)
                 else:  # from . import module
                     imported.setdefault(alias.name, set()).add("*")
-    assert imported["popular"] == {"DualCertificate", "NoPerfectMatchingError"}
+    assert imported["popular"] == {"DualCertificate"}
     assert not {"variants", "reductions"} & imported.keys()
     private = [n for names in imported.values() for n in names if n.startswith("_")]
     assert not private

@@ -237,6 +237,8 @@ SINGLE_FAULT_DOCUMENTS = {
     "self-pair": _with(preferences={"a": {"pairs": [["x", "x"]]}}),
     "one-tier-unknown-object": _with(preferences={"a": {"tiers": [["x", "nope"]]}}),
     "one-tier-non-adjacent-object": _with(preferences={"a": {"tiers": [["x", "z"]]}}),
+    "tiers-unknown-object": _with(preferences={"a": {"tiers": [["x", "y"], ["nope"]]}}),
+    "tiers-non-adjacent-object": _with(preferences={"a": {"tiers": [["x"], ["y", "z"]]}}),
     "cycle": _with(preferences={"a": {"pairs": [["x", "y"], ["y", "x"]]}}),
 }
 
@@ -250,6 +252,19 @@ def test_validate_reports_the_parsers_error_first(doc):
     report = validate(doc)
     assert not report.ok
     assert report.problems[0] == str(err.value)
+
+
+def test_each_faulty_tier_entry_is_reported_once():
+    for tiers, entry, problem in (
+        ([["x", "y"], ["nope"]], "nope", "references an unknown object"),
+        ([["nope"], ["x"], ["y"]], "nope", "references an unknown object"),
+        ([["x"], ["y", "z"]], "z", "is not adjacent to the agent"),
+    ):
+        report = validate(_with(preferences={"a": {"tiers": tiers}}))
+        assert report.problems == (f"tier entry {entry!r} for agent 'a' {problem}",)
+    # an unknown agent is reported once, and its entries are not checked
+    report = validate(_with(preferences={"ghost": {"tiers": [["x"], ["nope"]]}}))
+    assert report.problems == ("preferences reference unknown agent 'ghost'",)
 
 
 def test_duplicate_identifiers_are_named():
