@@ -123,6 +123,49 @@ def maximum_matching(graph: BipartiteGraph) -> Tuple[List[int], List[int]]:
     return match_l, match_r
 
 
+def alternating_reach(
+    graph: BipartiteGraph, match_l: Sequence[int], match_r: Sequence[int]
+) -> Tuple[List[bool], List[bool]]:
+    """The even vertices of a maximum matching's alternating structure.
+
+    Returns ``(left, right)``: ``left[i]`` tells whether left vertex ``i``
+    is reachable from a free left vertex by an alternating path (free
+    vertices reach themselves), and ``right[r]`` the same for right vertex
+    ``r`` and the free right vertices.  ``match_l`` and ``match_r`` must
+    describe a maximum matching of ``graph``, as :func:`maximum_matching`
+    returns it.  Then a vertex is reached exactly when some maximum
+    matching leaves it free, so the answer does not depend on which maximum
+    matching is passed in (the even set of the Gallai--Edmonds, or
+    Dulmage--Mendelsohn, decomposition).
+
+    Two breadth-first searches, O(n + m) in all, without recursion.
+    """
+    columns: List[List[int]] = [[] for _ in range(graph.n_right)]
+    for i, row in enumerate(graph.adjacency):
+        for r in row:
+            columns[r].append(i)
+    return (
+        _even_reach(graph.adjacency, match_l, match_r),
+        _even_reach(columns, match_r, match_l),
+    )
+
+
+def _even_reach(
+    adjacency: Sequence[Sequence[int]], match_own: Sequence[int], match_other: Sequence[int]
+) -> List[bool]:
+    """One side's vertices reached from that side's free vertices: leave a
+    reached vertex by any edge, come back along the far end's matched edge."""
+    reached = [m == -1 for m in match_own]
+    queue = deque(i for i, free in enumerate(reached) if free)
+    while queue:
+        for r in adjacency[queue.popleft()]:
+            i = match_other[r]
+            if i != -1 and not reached[i]:
+                reached[i] = True
+                queue.append(i)
+    return reached
+
+
 def max_weight_perfect_matching(graph: WeightedBipartiteGraph) -> Tuple[List[int], int]:
     """Maximum-weight perfect matching via the Hungarian method with
     potentials (successive shortest paths).

@@ -28,6 +28,7 @@ from .instance import (
 from .matching import (
     BipartiteGraph,
     WeightedBipartiteGraph,
+    alternating_reach,
     max_weight_perfect_matching,
     maximum_matching,
 )
@@ -309,12 +310,6 @@ class CharacterizationSets:
     first_choice_size: int
 
 
-def _max_matching_size(instance: Instance, rows: list[list[int]]) -> int:
-    graph = BipartiteGraph(instance.n_agents, instance.n_objects, rows)
-    match_l, _ = maximum_matching(graph)
-    return sum(1 for j in match_l if j >= 0)
-
-
 def characterize_weak_rankings(instance: Instance) -> CharacterizationSets:
     """Compute the first/second-choice edge sets of the classical popular-
     matching characterization.
@@ -322,29 +317,44 @@ def characterize_weak_rankings(instance: Instance) -> CharacterizationSets:
     The sets are well defined for any partial order (dominance just means
     "same agent, strictly better object"), but they characterize popularity
     only under weak rankings -- see :func:`is_popular_weak`.
+
+    One maximum matching ``M`` of the first-choice graph ``G1`` finds every
+    critical edge (Abraham, Irving, Kavitha & Mehlhorn, "Popular matchings",
+    SIAM J. Comput. 2007).  An edge ``(a, b)`` outside ``G1`` grows the
+    maximum matching exactly when ``a`` is reachable from a free agent and
+    ``b`` from a free object by ``M``-alternating paths
+    (:func:`alternating_reach`).  If both hold, the two paths share no
+    vertex: in a maximum matching no agent reachable from a free agent is
+    also reachable at odd distance from a free object, and likewise for
+    objects (Gallai--Edmonds / Dulmage--Mendelsohn).  So the paths join
+    through ``(a, b)`` into an augmenting path.  Conversely, every
+    augmenting path of ``G1 + (a, b)`` uses ``(a, b)``, and its two halves
+    are such alternating paths.
     """
-    first_rows = []  # each agent's first choices: the neighbors no neighbor beats
+    first_masks = []  # each agent's first choices: the neighbors no neighbor beats
     for ai in range(instance.n_agents):
         nbr = instance.neighbor_mask(ai)
-        first_rows.append(list(iter_bits(nbr & ~instance.dominated(ai, nbr))))
+        first_masks.append(nbr & ~instance.dominated(ai, nbr))
+    graph = BipartiteGraph(
+        instance.n_agents,
+        instance.n_objects,
+        [list(iter_bits(mask)) for mask in first_masks],
+    )
     first = {
         (instance.agents[ai], instance.objects[bj])
-        for ai, row in enumerate(first_rows)
+        for ai, row in enumerate(graph.adjacency)
         for bj in row
     }
-    nu1 = _max_matching_size(instance, first_rows)
+    match_l, match_r = maximum_matching(graph)
+    nu1 = sum(1 for j in match_l if j >= 0)
+    even_agents, even_objects = alternating_reach(graph, match_l, match_r)
+    even_mask = sum(1 << bj for bj, even in enumerate(even_objects) if even)
 
     second: set[tuple[str, str]] = set()
-    for ai in range(instance.n_agents):
-        first_set = set(first_rows[ai])
-        critical = 0
-        for bj in instance.adj_indices(ai):
-            if bj in first_set:
-                continue
-            rows = [list(r) for r in first_rows]
-            rows[ai].append(bj)
-            if _max_matching_size(instance, rows) > nu1:
-                critical |= 1 << bj
+    for ai, first_mask in enumerate(first_masks):
+        if not even_agents[ai]:
+            continue
+        critical = instance.neighbor_mask(ai) & ~first_mask & even_mask
         undominated = iter_bits(critical & ~instance.dominated(ai, critical))
         second.update((instance.agents[ai], instance.objects[bj]) for bj in undominated)
     return CharacterizationSets(frozenset(first), frozenset(second), nu1)
@@ -371,9 +381,11 @@ def satisfies_weak_characterization(instance: Instance, matching: Matching) -> b
 
 def is_popular_weak(instance: Instance, matching: Matching) -> bool:
     """Decide popularity of a matching that matches every agent, using the
-    first/second-choice characterization.  Requires weak rankings; raises on
-    instances with non-transitive indifference, where the characterization
-    breaks down."""
+    first/second-choice characterization.  Rivals are all matchings, also
+    ones that leave agents unmatched; on a complete instance with as many
+    objects as agents that is unpopularity margin 0.  Requires weak
+    rankings; raises on instances with non-transitive indifference, where
+    the characterization breaks down."""
     if not instance.has_weak_rankings():
         raise InstanceError(
             "the first/second-choice characterization requires weak rankings"

@@ -11,12 +11,15 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import lil_matrix
 
 from popassign import (
+    BipartiteGraph,
+    CharacterizationSets,
     HousingMarket,
     Instance,
     Matching,
     delta,
     enumerate_perfect_matchings,
     instance_from_document,
+    maximum_matching,
     unpopularity_margin,
 )
 from popassign.generate import random_instance_document, random_market_document
@@ -62,6 +65,50 @@ def brute_min_margin(instance: Instance) -> int | None:
 
 def brute_popular_exists(instance: Instance) -> bool:
     return brute_min_margin(instance) == 0
+
+
+# -- the weak-rankings characterization, straight from its definition -------------
+
+
+def _max_matching_size(instance: Instance, rows: list[list[int]]) -> int:
+    graph = BipartiteGraph(instance.n_agents, instance.n_objects, rows)
+    match_l, _ = maximum_matching(graph)
+    return sum(1 for j in match_l if j >= 0)
+
+
+def per_edge_characterization(instance: Instance) -> CharacterizationSets:
+    """The first/second-choice edge sets by the definition of a critical
+    edge: add each edge that is not a first choice to the first-choice graph
+    and match it again; the edge is critical when the matching grows."""
+    agents, objects = instance.agents, instance.objects
+    first_rows = []
+    for ai in range(instance.n_agents):
+        row = instance.adj_indices(ai)
+        first_rows.append(
+            [
+                bj
+                for bj in row
+                if not any(instance.prefers(agents[ai], objects[b2], objects[bj]) for b2 in row)
+            ]
+        )
+    nu1 = _max_matching_size(instance, first_rows)
+    first = {(agents[ai], objects[bj]) for ai, row in enumerate(first_rows) for bj in row}
+    second = set()
+    for ai in range(instance.n_agents):
+        critical = []
+        for bj in instance.adj_indices(ai):
+            if bj in first_rows[ai]:
+                continue
+            rows = [list(r) for r in first_rows]
+            rows[ai].append(bj)
+            if _max_matching_size(instance, rows) > nu1:
+                critical.append(bj)
+        second.update(
+            (agents[ai], objects[bj])
+            for bj in critical
+            if not any(instance.prefers(agents[ai], objects[b2], objects[bj]) for b2 in critical)
+        )
+    return CharacterizationSets(frozenset(first), frozenset(second), nu1)
 
 
 # -- corpus builders -------------------------------------------------------------

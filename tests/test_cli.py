@@ -351,7 +351,15 @@ def test_failed_certificate_check_exits_2(write, capsys, monkeypatch):
     monkeypatch.setattr(cli, "verify_certificate", lambda *args: (False, ("forged",)))
     code, report, _ = run(capsys, "solve", write("chain.json", CHAIN), "--verify")
     assert code == 2
-    assert report["verification"]["certificate"] == {"ok": False, "problems": ["forged"]}
+    checks = report["verification"]
+    assert checks["certificate"] == {"ok": False, "problems": ["forged"]}
+    assert checks["status"] == "failed"
+    assert "note" not in checks
+    # a budget of 1 or more leaves the verdict to the margin re-checks
+    code, report, _ = run(capsys, "margin", write("k33.json", K33), "--k", "1", "--verify")
+    assert code == 0
+    assert report["verification"]["status"] == "passed"
+    assert "margin bound verified" in report["verification"]["note"]
 
 
 def _run_with_closed_stdout(*argv):

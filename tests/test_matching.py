@@ -10,6 +10,7 @@ from popassign import (
     max_weight_perfect_matching,
     maximum_matching,
 )
+from popassign.matching import alternating_reach
 
 
 def brute_max_matching_size(adjacency: list[list[int]], n_right: int) -> int:
@@ -46,9 +47,9 @@ def brute_best_perfect(edges: list[dict[int, int]], n: int):
 
 
 @st.composite
-def adjacency_lists(draw):
-    n_left = draw(st.integers(0, 5))
-    n_right = draw(st.integers(1, 5))
+def adjacency_lists(draw, max_side=5):
+    n_left = draw(st.integers(0, max_side))
+    n_right = draw(st.integers(1, max_side))
     adj = [
         sorted(
             draw(
@@ -72,6 +73,44 @@ def test_maximum_matching_size_matches_brute_force(data):
         if j != -1:
             assert match_r[j] == i
             assert j in adj[i]
+
+
+def all_matchings(adjacency: list[list[int]]):
+    """Every matching as a left-to-right partner list, -1 for unmatched."""
+    partner: list[int] = []
+
+    def rec(i: int, used: int):
+        if i == len(adjacency):
+            yield list(partner)
+            return
+        partner.append(-1)
+        yield from rec(i + 1, used)
+        partner.pop()
+        for r in adjacency[i]:
+            if not used >> r & 1:
+                partner.append(r)
+                yield from rec(i + 1, used | 1 << r)
+                partner.pop()
+
+    yield from rec(0, 0)
+
+
+@given(adjacency_lists(max_side=6))
+def test_alternating_reach_marks_what_some_maximum_matching_leaves_free(data):
+    adj, n_right = data
+    graph = BipartiteGraph(len(adj), n_right, adj)
+    matchings = list(all_matchings(adj))
+    nu = max(sum(1 for r in m if r != -1) for m in matchings)
+    maxima = [m for m in matchings if sum(1 for r in m if r != -1) == nu]
+    left = [any(m[i] == -1 for m in maxima) for i in range(len(adj))]
+    right = [any(r not in m for m in maxima) for r in range(n_right)]
+    # the answer is the same whichever maximum matching is passed in
+    for match_l in maxima:
+        match_r = [-1] * n_right
+        for i, r in enumerate(match_l):
+            if r != -1:
+                match_r[r] = i
+        assert alternating_reach(graph, match_l, match_r) == (left, right)
 
 
 def test_maximum_matching_deterministic():

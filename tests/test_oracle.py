@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -31,7 +32,14 @@ from popassign import oracle
 from popassign.generate import random_instance_document
 from popassign.matching import maximum_matching
 
-from helpers import brute_margin_of, complete_doc, corpus, inst
+from helpers import (
+    STYLES,
+    brute_margin_of,
+    complete_doc,
+    corpus,
+    inst,
+    per_edge_characterization,
+)
 
 
 IDENTITY3 = Matching([("a1", "b1"), ("a2", "b2"), ("a3", "b3")])
@@ -291,9 +299,13 @@ def test_characterization_sets_on_partial_orders(partial_order_triple):
     assert sets.first_choice_size == 2
 
 
-def test_weak_check_matches_first_choices_once(monkeypatch, partial_order_triple):
-    """The check reads the first-choice matching size from the sets instead
-    of matching the first-choice graph again."""
+def test_weak_check_matches_first_choices_once(monkeypatch):
+    """One weak check runs one maximum matching, on the first-choice graph,
+    however many edges are not first choices (eight here)."""
+    tiers = {"tiers": [["b1", "b2"], ["b3"], ["b4"]]}
+    instance = inst(complete_doc(4, {f"a{i}": tiers for i in range(1, 5)}))
+    identity = Matching((f"a{i}", f"b{i}") for i in range(1, 5))
+    expected = unpopularity_margin(instance, identity).margin == 0
     calls = []
 
     def counting(graph):
@@ -301,12 +313,62 @@ def test_weak_check_matches_first_choices_once(monkeypatch, partial_order_triple
         return maximum_matching(graph)
 
     monkeypatch.setattr(oracle, "maximum_matching", counting)
-    characterize_weak_rankings(partial_order_triple)
-    expected = len(calls)
-    calls.clear()
-    m = Matching([("a", "x"), ("b", "y"), ("c", "z")])
-    assert satisfies_weak_characterization(partial_order_triple, m)
-    assert len(calls) == expected
+    assert is_popular_weak(instance, identity) == expected
+    assert [graph.adjacency for graph in calls] == [((0, 1),) * 4]
+
+
+def test_characterization_matches_the_per_edge_definition():
+    """One first-choice matching and alternating reachability give the same
+    sets as matching the first-choice graph again with each other edge."""
+    second_edges = 0
+    for i in range(1080):
+        n = 1 + i % 9
+        m = n if i % 4 else max(1, n - 1 + (i // 4) % 3)
+        style = STYLES[(i // 9) % 3]
+        density = (0.3, 0.6, 0.9)[(i // 27) % 3]
+        instance = instance_from_document(
+            random_instance_document(n, m, density, style, 7000 + i)
+        )
+        sets = characterize_weak_rankings(instance)
+        assert sets == per_edge_characterization(instance), i
+        second_edges += len(sets.second_choice)
+    assert second_edges > 1000
+
+
+def test_weak_check_agrees_with_the_exact_margin_on_complete_instances():
+    """A rival that leaves agents unmatched closes, on a complete instance,
+    into an assignment that no agent likes less, so popularity is margin 0."""
+    rng = random.Random(8)
+    verdicts = []
+    for n in range(1, 9):
+        for seed in range(10):
+            doc = random_instance_document(n, n, 1.0, "weak", 100 * n + seed)
+            instance = instance_from_document(doc)
+            candidates = [solve_popular_assignment(instance).assignment]
+            for _ in range(2):
+                objects = list(instance.objects)
+                rng.shuffle(objects)
+                candidates.append(Matching(zip(instance.agents, objects)))
+            for m in filter(None, candidates):
+                verdict = is_popular_weak(instance, m)
+                assert verdict == (unpopularity_margin(instance, m).margin == 0)
+                verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_weak_check_agrees_with_brute_force_elections(n):
+    """On sparse instances rivals may leave agents unmatched, so the check
+    is compared with the election over every matching."""
+    verdicts = []
+    for seed in range(15):
+        doc = random_instance_document(n, n, 0.5, "weak", 900 + 20 * n + seed)
+        instance = instance_from_document(doc)
+        for m in itertools.islice(enumerate_perfect_matchings(instance), 4):
+            verdict = is_popular_weak(instance, m)
+            assert verdict == is_popular_with_penalty(instance, m, 1)
+            verdicts.append(verdict)
+    assert True in verdicts
 
 
 def test_divergence_for_partial_orders(partial_order_triple):
