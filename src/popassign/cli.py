@@ -14,6 +14,10 @@ to standard error.  Exit codes are uniform: 0 = found / check passed,
 1 = not found / check failed, 2 = bad input, internal inconsistency or crash.
 A crash (any other exception, such as a ``RecursionError``) is reported as
 ``error: internal: <Type>: <message>``, so it never reads as "not found".
+``solve --verify`` (budget 0) and ``margin --k K --verify`` (budget K) exit
+2 unless every re-check of the found assignment passes: its certificate
+under :func:`popassign.oracle.verify_certificate`, and its exact (and, on
+small instances, brute-force) margin against the budget.
 
 Instances that do not admit a perfect matching are padded transparently
 (see :func:`popassign.reductions.augment_to_perfect`); reports then carry
@@ -114,40 +118,20 @@ def _parse_edge_flags(values: Sequence[str] | None) -> list[tuple[str, str]]:
 
 
 def _verification(
-    instance: Instance,
-    matching: Matching,
-    certificate: DualCertificate | None,
-    k: int,
+    instance: Instance, matching: Matching, certificate: DualCertificate, k: int
 ) -> tuple[dict, bool]:
-    """Re-check a found solution: certificate validity, the exact margin via
-    the weighted-matching oracle, and (on instances small enough to
-    enumerate) the brute-force margin.  Returns the report fragment and
-    whether the checks passed.
-
-    At k = 0 every check must pass.  For k >= 1 the margin re-checks alone
-    decide, and a failed certificate check is reported with a note, because
-    for budgets k >= 2 the solver's certificate can exceed the documented
-    agent range while still witnessing the margin bound (see
-    verify_certificate).
-    """
-    checks: dict = {}
-    cert_ok = None
-    if certificate is not None:
-        cert_ok, problems = verify_certificate(instance, matching, certificate, k)
-        checks["certificate"] = {"ok": cert_ok, "problems": list(problems)}
-    oracle = unpopularity_margin(instance, matching)
-    checks["oracle_margin"] = oracle.margin
-    margins_ok = oracle.margin <= k
+    """Re-check a solution found within budget ``k``: its certificate (see
+    verify_certificate), the exact margin via the weighted-matching oracle,
+    and (on instances small enough to enumerate) the brute-force margin.
+    Returns the report fragment and whether every check passed."""
+    cert_ok, problems = verify_certificate(instance, matching, certificate, k)
+    checks: dict = {"certificate": {"ok": cert_ok, "problems": list(problems)}}
+    checks["oracle_margin"] = unpopularity_margin(instance, matching).margin
+    ok = cert_ok and checks["oracle_margin"] <= k
     if instance.n_agents <= PERFECT_SIDE_CAP:
-        brute = brute_force_margin(instance, matching)
-        checks["brute_force_margin"] = brute.margin
-        margins_ok = margins_ok and brute.margin <= k
-    ok = margins_ok and (k > 0 or cert_ok is not False)
+        checks["brute_force_margin"] = brute_force_margin(instance, matching).margin
+        ok = ok and checks["brute_force_margin"] <= k
     checks["status"] = "passed" if ok else "failed"
-    if cert_ok is False and ok:
-        checks["note"] = (
-            "certificate outside documented ranges but margin bound verified"
-        )
     return checks, ok
 
 
@@ -241,11 +225,11 @@ def cmd_matching(args: argparse.Namespace) -> int:
 
 
 def cmd_margin(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    instance = _load_instance(args.instance)
     k = args.k
     if k < 0:
         return _fail("margin", "--k must be non-negative")
+    started = time.perf_counter()
+    instance = _load_instance(args.instance)
     target, rmap = augment_to_perfect(instance)
     outcome = solve_k_margin(target, k)
     elapsed = (time.perf_counter() - started) * 1000.0

@@ -229,14 +229,16 @@ def verify_certificate(
     certificate: DualCertificate,
     k: int = 0,
 ) -> tuple[bool, tuple[str, ...]]:
-    """Check a dual certificate directly against its defining constraints.
+    """Check that a dual certificate witnesses unpopularity margin at most
+    ``k`` (popularity at ``k = 0``), by one rule set at every budget.
 
-    For ``k = 0`` this certifies popularity of the assignment; for ``k > 0``
-    it certifies unpopularity margin at most ``k``.  Returns ``(ok,
-    failures)`` with one human-readable line per violated constraint:
-    completeness and integer ranges of the node values, per-edge feasibility
-    against the vote weights, the total bound, and non-negative (zero, when
-    ``k = 0``) load on every matched edge.
+    With ``n`` objects, agent values are integers in ``0..n - 1 + k`` (a
+    level plus a load), object values integers in ``-(n - 1)..0``; every
+    edge is covered by its vote weight, the total is at most ``k`` and no
+    matched edge carries a negative load.  An assignment's matched loads sum
+    to the total and coverage keeps each non-negative, so at ``k = 0`` the
+    total and every load are 0.  Returns ``(ok, failures)``, one line per
+    violation.
     """
     failures: list[str] = []
     try:
@@ -246,7 +248,7 @@ def verify_certificate(
     if k < 0:
         return False, ("k must be non-negative",)
     n = instance.n_objects
-    agent_hi = n - 1 if k == 0 else n
+    agent_hi = n - 1 + k
     for a in instance.agents:
         if a not in certificate.alpha_agents:
             failures.append(f"agent {a!r} has no certificate value")
@@ -282,13 +284,11 @@ def verify_certificate(
                 f"edge ({a!r}, {b!r}) is uncovered: alpha sum {have} < weight {need}"
             )
     total = certificate.total()
-    if k == 0 and total != 0:
-        failures.append(f"certificate total {total} is not 0")
-    elif total > k:
+    if total > k:
         failures.append(f"certificate total {total} exceeds k = {k}")
     for a, b in matching:
         load = certificate.alpha_agents[a] + certificate.alpha_objects[b]
-        if load < 0 or (k == 0 and load != 0):
+        if load < 0:
             failures.append(
                 f"matched edge ({a!r}, {b!r}) carries invalid load {load}"
             )

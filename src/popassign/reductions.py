@@ -11,7 +11,6 @@ collides with an existing identifier.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -20,6 +19,10 @@ from .instance import (
     InstanceError,
     Matching,
     MatchingError,
+    _decode,
+    _index_names,
+    _raise,
+    _valid_names,
     check_assignment,
     check_matching,
 )
@@ -398,13 +401,7 @@ def market_from_document(doc: Any) -> HousingMarket:
     if unknown:
         raise InstanceError(f"unknown top-level keys: {sorted(unknown)}")
     agents = tuple(doc["agents"])
-    seen: set[str] = set()
-    for a in agents:
-        if not isinstance(a, str) or not a:
-            raise InstanceError(f"agent identifier {a!r} must be a non-empty string")
-        if a in seen:
-            raise InstanceError(f"duplicate agent identifier {a!r}")
-        seen.add(a)
+    seen = _index_names(_valid_names(agents, "agent", _raise), "agent", _raise)
     arc_index: dict[tuple[str, str], int] = {}
     for arc in doc["arcs"]:
         if not isinstance(arc, list) or len(arc) != 2:
@@ -466,11 +463,7 @@ def market_from_document(doc: Any) -> HousingMarket:
 
 def parse_market(source: str) -> HousingMarket:
     """Parse a JSON housing-market document (see README for the schema)."""
-    try:
-        doc = json.loads(source)
-    except json.JSONDecodeError as exc:
-        raise InstanceError(f"invalid JSON: {exc}") from exc
-    return market_from_document(doc)
+    return market_from_document(_decode(source))
 
 
 @dataclass(frozen=True)

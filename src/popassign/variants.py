@@ -146,9 +146,12 @@ class LoadCapacity:
 class KMarginOutcome:
     """Result of the bounded-margin search.
 
-    When found, ``certified_bound`` is the sum of all certificate values --
-    the total load on matched edges -- and no rival assignment can beat the
-    returned one by more than that in a head-to-head vote.  ``branches``
+    When found, ``certificate`` gives each agent the level of her object
+    plus her load and each object minus its level, and ``certified_bound``
+    is its total -- the total load on matched edges, at most ``k``: no rival
+    assignment beats the returned one by more than that in a head-to-head
+    vote, and :func:`popassign.oracle.verify_certificate` accepts the
+    certificate at every budget from ``certified_bound`` up.  ``branches``
     counts the guesses the search ran: the orbit representatives -- the
     first guess of each twin-swap orbit, in enumeration order -- among the
     load guesses whose loaded edges form a matching, up to and including the

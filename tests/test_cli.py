@@ -355,11 +355,11 @@ def test_failed_certificate_check_exits_2(write, capsys, monkeypatch):
     assert checks["certificate"] == {"ok": False, "problems": ["forged"]}
     assert checks["status"] == "failed"
     assert "note" not in checks
-    # a budget of 1 or more leaves the verdict to the margin re-checks
+    # the certificate verdict counts at every budget
     code, report, _ = run(capsys, "margin", write("k33.json", K33), "--k", "1", "--verify")
-    assert code == 0
-    assert report["verification"]["status"] == "passed"
-    assert "margin bound verified" in report["verification"]["note"]
+    assert code == 2
+    assert report["verification"]["status"] == "failed"
+    assert "note" not in report["verification"]
 
 
 def _run_with_closed_stdout(*argv):
@@ -475,6 +475,18 @@ def test_missing_files_exit_two(capsys, tmp_path):
         code, report, err = run(capsys, *argv)
         assert code == 2
         assert "cannot read input" in report["error"]
+
+
+def test_bad_arguments_are_reported_before_reading_input(capsys, tmp_path):
+    ghost = str(tmp_path / "ghost.json")
+    for argv, flag in (
+        (["matching", ghost, "--penalty", "0"], "--penalty"),
+        (["margin", ghost, "--k", "-1"], "--k"),
+        (["verify", ghost, ghost, "--k", "-1"], "--k"),
+    ):
+        code, report, _ = run(capsys, *argv)
+        assert code == 2
+        assert report["error"].startswith(flag), report["error"]
 
 
 def test_bad_instance_json_exits_two(write, capsys):

@@ -213,6 +213,20 @@ def test_verify_certificate_margin_budget(unanimous_k33):
     assert not ok  # total is 1, not 0
 
 
+def test_verify_certificate_admits_a_level_plus_a_load(unanimous_k33):
+    from popassign import DualCertificate
+
+    # a3 carries level 2 plus load 2: value 4 = n + 1, inside 0..n - 1 + k at k = 2
+    cert = DualCertificate(
+        {"a1": 1, "a2": 2, "a3": 4}, {"b1": -1, "b2": -2, "b3": -2}
+    )
+    ok, problems = verify_certificate(unanimous_k33, IDENTITY3, cert, 2)
+    assert ok, problems
+    ok, problems = verify_certificate(unanimous_k33, IDENTITY3, cert, 1)
+    assert not ok
+    assert any("outside 0..3" in p for p in problems)
+
+
 # -- penalty votes ---------------------------------------------------------------
 
 
