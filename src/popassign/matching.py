@@ -41,6 +41,19 @@ class BipartiteGraph:
         self.n_right = n_right
         self.adjacency = tuple(tuple(row) for row in adjacency)
 
+    @classmethod
+    def unchecked(
+        cls, n_left: int, n_right: int, adjacency: Tuple[Tuple[int, ...], ...]
+    ) -> "BipartiteGraph":
+        """A graph whose rows are already tuples of in-range right indices,
+        as a caller that builds them from index bitmasks knows they are; they
+        are kept as given, with no check and no copy."""
+        graph = cls.__new__(cls)
+        graph.n_left = n_left
+        graph.n_right = n_right
+        graph.adjacency = adjacency
+        return graph
+
 
 class WeightedBipartiteGraph:
     """A bipartite graph with integer edge weights.
@@ -69,6 +82,11 @@ class WeightedBipartiteGraph:
         self.edges = rows
 
 
+#: Deepest Hopcroft--Karp layer searched by recursion; deeper phases use an
+#: explicit stack, so no graph's shape can hit the interpreter's recursion limit.
+RECURSION_DEPTH = 500
+
+
 def maximum_matching(graph: BipartiteGraph) -> Tuple[List[int], List[int]]:
     """Hopcroft--Karp maximum matching.
 
@@ -78,7 +96,10 @@ def maximum_matching(graph: BipartiteGraph) -> Tuple[List[int], List[int]]:
 
     The search is deterministic: breadth-first layers grow from free left
     vertices in index order and the augmenting depth-first search scans
-    adjacency lists in their stored order, so lower indices win ties.
+    adjacency lists in their stored order, so lower indices win ties.  The
+    layers bound the depth of that search: a phase whose deepest layer is
+    below :data:`RECURSION_DEPTH` recurses, a deeper one walks an explicit
+    stack in the same scan order, so both return the same matching.
     """
     n_left, n_right = graph.n_left, graph.n_right
     adjacency = graph.adjacency
@@ -86,7 +107,9 @@ def maximum_matching(graph: BipartiteGraph) -> Tuple[List[int], List[int]]:
     match_r: List[int] = [-1] * n_right
     dist: List[float] = [INF] * n_left
 
-    def bfs() -> bool:
+    def bfs() -> float:
+        """Lay out the phase's layers; returns the deepest one, or INF when
+        no free right vertex is reachable."""
         queue = deque()
         for i in range(n_left):
             if match_l[i] == -1:
@@ -95,6 +118,7 @@ def maximum_matching(graph: BipartiteGraph) -> Tuple[List[int], List[int]]:
             else:
                 dist[i] = INF
         reachable_free = False
+        i = 0  # ends as the last vertex dequeued, one of the deepest layer
         while queue:
             i = queue.popleft()
             for r in adjacency[i]:
@@ -104,7 +128,7 @@ def maximum_matching(graph: BipartiteGraph) -> Tuple[List[int], List[int]]:
                 elif dist[i2] == INF:
                     dist[i2] = dist[i] + 1
                     queue.append(i2)
-        return reachable_free
+        return dist[i] if reachable_free else INF
 
     def dfs(i: int) -> bool:
         for r in adjacency[i]:
@@ -116,11 +140,54 @@ def maximum_matching(graph: BipartiteGraph) -> Tuple[List[int], List[int]]:
         dist[i] = INF
         return False
 
-    while bfs():
+    while True:
+        depth = bfs()
+        if depth == INF:
+            break
         for i in range(n_left):
             if match_l[i] == -1:
-                dfs(i)
+                if depth < RECURSION_DEPTH:
+                    dfs(i)
+                else:
+                    _augment_by_stack(i, adjacency, match_l, match_r, dist)
     return match_l, match_r
+
+
+def _augment_by_stack(
+    root: int,
+    adjacency: Sequence[Sequence[int]],
+    match_l: List[int],
+    match_r: List[int],
+    dist: List[float],
+) -> bool:
+    """Hopcroft--Karp's depth-first search from free left vertex ``root``,
+    on an explicit stack with one adjacency iterator per frame: the same
+    scan, and the same augmentation, as the recursive search."""
+    path = [root]  # left vertices from the root down
+    via: List[int] = []  # via[k]: the edge from path[k] to path[k + 1]
+    scans = [iter(adjacency[root])]
+    while path:
+        i = path[-1]
+        for r in scans[-1]:
+            i2 = match_r[r]
+            if i2 == -1:
+                via.append(r)
+                for i, r in zip(path, via):
+                    match_l[i] = r
+                    match_r[r] = i
+                return True
+            if dist[i2] == dist[i] + 1:
+                path.append(i2)
+                via.append(r)
+                scans.append(iter(adjacency[i2]))
+                break
+        else:
+            dist[i] = INF
+            path.pop()
+            scans.pop()
+            if via:
+                via.pop()
+    return False
 
 
 def alternating_reach(
@@ -145,16 +212,21 @@ def alternating_reach(
         for r in row:
             columns[r].append(i)
     return (
-        _even_reach(graph.adjacency, match_l, match_r),
-        _even_reach(columns, match_r, match_l),
+        even_reach(graph.adjacency, match_l, match_r),
+        even_reach(columns, match_r, match_l),
     )
 
 
-def _even_reach(
+def even_reach(
     adjacency: Sequence[Sequence[int]], match_own: Sequence[int], match_other: Sequence[int]
 ) -> List[bool]:
     """One side's vertices reached from that side's free vertices: leave a
-    reached vertex by any edge, come back along the far end's matched edge."""
+    reached vertex by any edge, come back along the far end's matched edge.
+
+    ``adjacency[i]`` lists the far-side neighbours of own-side vertex ``i``,
+    ``match_own`` and ``match_other`` are a maximum matching seen from the
+    two sides.  This is one side of :func:`alternating_reach`; the level
+    loop calls it on the object side alone."""
     reached = [m == -1 for m in match_own]
     queue = deque(i for i, free in enumerate(reached) if free)
     while queue:

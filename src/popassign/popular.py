@@ -3,7 +3,9 @@
 The solver keeps a non-negative integer *level* per object, starting at zero.
 Each round it builds the subgraph of edges admissible at the current levels
 (see :func:`induced_subgraph`), computes a maximum matching, and -- if the
-matching is not perfect -- raises the level of every unmatched object by one.
+matching is not perfect -- raises the level of every *even* object by one:
+every object that some maximum matching of the level graph leaves free, found
+as the objects reachable from the round's free objects by alternating paths.
 A perfect matching of the level graph is a popular assignment, and the final
 levels translate directly into a dual certificate of its popularity:
 ``alpha[object] = -level`` and ``alpha[agent] = level of the matched object``.
@@ -38,7 +40,7 @@ from .instance import (
     Matching,
     check_assignment,
 )
-from .matching import BipartiteGraph, maximum_matching
+from .matching import BipartiteGraph, even_reach, maximum_matching
 
 
 class NoPerfectMatchingError(ValueError):
@@ -163,30 +165,34 @@ def _admissible_mask(
 
 def _build_level_graph(
     instance: Instance,
-    levels: Sequence[int],
+    masks: Mapping[int, int],
     tops: Sequence[int],
     allowed: Sequence[int] | None = None,
     allowance: Mapping[int, int] | None = None,
-) -> BipartiteGraph:
-    """Build the level graph.  ``tops`` carries each agent's maximum
-    neighbor level.  ``allowed``, if given, is each agent's mask of usable
-    objects (default: every neighbor); ``allowance`` maps an agent to the
-    positive load allowance of her row.  Rows list objects in index order,
-    which is the instance's adjacency order."""
-    masks = _level_masks(levels)
+) -> tuple[BipartiteGraph, int]:
+    """Build the level graph, and the mask of objects it has an edge to.
+    ``masks`` maps each level to the mask of its objects (as
+    :func:`_level_masks` gives it), and ``tops`` carries each agent's
+    maximum neighbor level.  ``allowed``, if given, is each agent's mask of
+    usable objects (default: every neighbor); ``allowance`` maps an agent to
+    the positive load allowance of her row.  Rows list objects in index
+    order, which is the instance's adjacency order."""
     rows = []
+    covered = 0
     for ai in range(instance.n_agents):
         lam = allowance.get(ai, 0) if allowance else 0
         admissible = _admissible_mask(instance, masks, ai, tops[ai], lam)
         if allowed is not None:
             admissible &= allowed[ai]
+        covered |= admissible
         row = []
         while admissible:
             bit = admissible & -admissible
             admissible ^= bit
             row.append(bit.bit_length() - 1)
-        rows.append(row)
-    return BipartiteGraph(instance.n_agents, instance.n_objects, rows)
+        rows.append(tuple(row))
+    graph = BipartiteGraph.unchecked(instance.n_agents, instance.n_objects, tuple(rows))
+    return graph, covered
 
 
 def induced_subgraph(
@@ -197,9 +203,31 @@ def induced_subgraph(
     per-object level sequence."""
     if not isinstance(level_function, LevelFunction):
         level_function = make_level_function(instance, level_function)
-    return _build_level_graph(
-        instance, level_function.levels, level_function.max_neighbor_level
+    graph, _ = _build_level_graph(
+        instance, _level_masks(level_function.levels), level_function.max_neighbor_level
     )
+    return graph
+
+
+def _even_objects(
+    graph: BipartiteGraph, covered: int, match_l: Sequence[int], match_r: Sequence[int]
+) -> list[int]:
+    """The objects that some maximum matching of ``graph`` leaves free,
+    given one such matching: its free objects and every object an
+    alternating path reaches from them.  A free object with no edge starts
+    no path, so when no free object is ``covered`` by an edge the free
+    objects are the whole answer and no search runs."""
+    free = [bj for bj, ai in enumerate(match_r) if ai == -1]
+    for bj in free:
+        if covered >> bj & 1:
+            break
+    else:
+        return free
+    columns: list[list[int]] = [[] for _ in match_r]
+    for ai, row in enumerate(graph.adjacency):
+        for bj in row:
+            columns[bj].append(ai)
+    return [bj for bj, even in enumerate(even_reach(columns, match_r, match_l)) if even]
 
 
 def certificate_from_levels(
@@ -268,23 +296,51 @@ def _run_level_loop(
     or some object's level reaches ``cap``.  ``allowed`` and ``allowance``
     restrict and widen each agent's row as in :func:`_build_level_graph`; a
     found assignment matches each agent with an allowance along the single
-    object she is allowed, which carries that allowance as its load."""
+    object she is allowed, which carries that allowance as its load.
+
+    Each round raises the even objects of the level graph (see
+    :func:`_even_objects`).  This is exact.  The loop keeps the invariant
+    that its levels lie below every feasible level function (one whose level
+    graph has a perfect matching): an object that a maximum matching of the
+    level graph leaves free sits strictly higher under every feasible level
+    function at or above the current levels.  That reason holds for whichever
+    maximum matching is taken -- the loop that raised only Hopcroft--Karp's
+    free objects relied on it for every tie-break -- so it holds for each
+    object that *some* maximum matching leaves free, and raising all of them
+    at once keeps the invariant.  So the loop stops at the least feasible
+    level function, the same levels as when raising one matching's free
+    objects; the found level graph, and Hopcroft--Karp's matching on it, are
+    the same too.  Only the number of rounds falls, and since the even set
+    does not depend on which maximum matching was found, the whole level
+    trajectory -- rounds and not-found levels included -- is fixed by the
+    instance, whatever its labelling."""
     n_objects = instance.n_objects
     levels = [0] * n_objects
-    # levels only ever rise, so each agent's maximum neighbor level can be
-    # maintained by bumped object rather than recomputed per iteration
+    # levels only ever rise, so the objects at each level, each agent's
+    # maximum neighbor level and the highest level can be maintained by
+    # bumped object rather than recomputed per iteration
+    masks = _level_masks(levels)
     tops = [0] * instance.n_agents
+    highest = max(levels, default=-1)
     iterations = 0
-    while not any(level >= cap for level in levels):
-        graph = _build_level_graph(instance, levels, tops, allowed, allowance)
+    while highest < cap:
+        graph, covered = _build_level_graph(instance, masks, tops, allowed, allowance)
         match_l, match_r = maximum_matching(graph)
         iterations += 1
         if -1 not in match_l:
             break
-        for bj in range(n_objects):
-            if match_r[bj] == -1:
-                levels[bj] += 1
-                new_level = levels[bj]
+        # no agent's top is below ``floor``, so a raise to at most ``floor``
+        # moves none of them
+        floor = min(tops)
+        for bj in _even_objects(graph, covered, match_l, match_r):
+            bit = 1 << bj
+            masks[levels[bj]] ^= bit
+            levels[bj] += 1
+            new_level = levels[bj]
+            masks[new_level] = masks.get(new_level, 0) | bit
+            if new_level > highest:
+                highest = new_level
+            if new_level > floor:
                 for ai in instance.object_adj_indices(bj):
                     if tops[ai] < new_level:
                         tops[ai] = new_level

@@ -407,7 +407,8 @@ def market_from_document(doc: Any) -> HousingMarket:
         if not isinstance(arc, list) or len(arc) != 2:
             raise InstanceError(f"arc {arc!r} must be a two-element list")
         x, y = arc
-        if x not in seen or y not in seen:
+        # test the type first: a list endpoint is reported, not hashed
+        if not all(isinstance(z, str) and z in seen for z in arc):
             raise InstanceError(f"arc {arc!r} references an unknown agent")
         if x == y:
             raise InstanceError(f"self-arc {arc!r} is not allowed")
@@ -440,7 +441,7 @@ def market_from_document(doc: Any) -> HousingMarket:
             hi = (p[0][0], p[0][1])
             lo = (p[1][0], p[1][1])
             for arc in (hi, lo):
-                if arc not in arc_index:
+                if not all(isinstance(z, str) for z in arc) or arc not in arc_index:
                     raise InstanceError(
                         f"preference of agent {agent!r} references missing arc {list(arc)!r}"
                     )

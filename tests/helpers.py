@@ -1,5 +1,6 @@
 """Shared test oracles: exhaustive searches and an integer-programming margin
-solver, all independent of the level-function machinery under test."""
+solver, all independent of the level-function machinery under test, and the
+free-object level loop, the reference the solver's loop is tested against."""
 
 from __future__ import annotations
 
@@ -23,6 +24,13 @@ from popassign import (
     unpopularity_margin,
 )
 from popassign.generate import random_instance_document, random_market_document
+from popassign.popular import (
+    LevelFunction,
+    SolveOutcome,
+    _build_level_graph,
+    _level_masks,
+    certificate_from_levels,
+)
 
 
 def inst(doc: dict) -> Instance:
@@ -109,6 +117,43 @@ def per_edge_characterization(instance: Instance) -> CharacterizationSets:
             if not any(instance.prefers(agents[ai], objects[b2], objects[bj]) for b2 in critical)
         )
     return CharacterizationSets(frozenset(first), frozenset(second), nu1)
+
+
+# -- the free-object level loop ---------------------------------------------------
+
+
+def free_object_level_loop(instance, cap, allowed=None, allowance=None):
+    """``popular._run_level_loop`` as it was before it raised even objects:
+    each round raises only the objects Hopcroft--Karp's matching leaves
+    free.  Same signature and outcome type."""
+    levels = [0] * instance.n_objects
+    tops = [0] * instance.n_agents
+    iterations = 0
+    while not any(level >= cap for level in levels):
+        graph, _ = _build_level_graph(instance, _level_masks(levels), tops, allowed, allowance)
+        match_l, match_r = maximum_matching(graph)
+        iterations += 1
+        if -1 not in match_l:
+            break
+        for bj in range(instance.n_objects):
+            if match_r[bj] == -1:
+                levels[bj] += 1
+                new_level = levels[bj]
+                for ai in instance.object_adj_indices(bj):
+                    if tops[ai] < new_level:
+                        tops[ai] = new_level
+    else:
+        reason = "level-overflow" if cap >= instance.n_objects else "truncation-cap"
+        level_function = LevelFunction(tuple(levels), tuple(tops))
+        return SolveOutcome(False, None, level_function, None, reason, iterations)
+    level_function = LevelFunction(tuple(levels), tuple(tops))
+    agents, objects = instance.agents, instance.objects
+    assignment = Matching((agents[ai], objects[bj]) for ai, bj in enumerate(match_l))
+    loads = {
+        (agents[ai], objects[match_l[ai]]): lam for ai, lam in (allowance or {}).items()
+    }
+    certificate = certificate_from_levels(instance, assignment, level_function, loads)
+    return SolveOutcome(True, assignment, level_function, certificate, None, iterations)
 
 
 # -- corpus builders -------------------------------------------------------------

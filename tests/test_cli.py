@@ -286,6 +286,26 @@ def test_housing_rejects_bad_market(write, capsys):
     assert code == 2 and "self-arc" in report["error"]
 
 
+@pytest.mark.parametrize(
+    "market, message",
+    [
+        ({"agents": ["a", "b"], "arcs": [[["a"], "b"]]}, "references an unknown agent"),
+        (
+            {
+                "agents": ["a", "b"],
+                "arcs": [["a", "b"], ["b", "a"]],
+                "preferences": {"a": {"pairs": [[[["a"], "b"], ["a", "b"]]]}},
+            },
+            "missing arc",
+        ),
+    ],
+)
+def test_housing_reports_list_endpoints_as_input_errors(write, capsys, market, message):
+    code, report, _ = run(capsys, "housing", write("listy.json", market))
+    assert code == 2 and message in report["error"]
+    assert not report["error"].startswith("internal")
+
+
 # -- verify -----------------------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +11,7 @@ from popassign import (
     max_weight_perfect_matching,
     maximum_matching,
 )
+from popassign import matching
 from popassign.matching import alternating_reach
 
 
@@ -111,6 +113,25 @@ def test_alternating_reach_marks_what_some_maximum_matching_leaves_free(data):
             if r != -1:
                 match_r[r] = i
         assert alternating_reach(graph, match_l, match_r) == (left, right)
+
+
+def test_stack_search_returns_the_recursive_matching(monkeypatch):
+    """With every phase forced onto the explicit stack, Hopcroft--Karp
+    returns the same matching as with the recursive search."""
+    rng = random.Random(5)
+    for _ in range(400):
+        n_left, n_right = rng.randint(1, 40), rng.randint(1, 40)
+        density = rng.choice((0.05, 0.1, 0.3, 0.7))
+        adj = []
+        for _ in range(n_left):
+            row = [r for r in range(n_right) if rng.random() < density]
+            rng.shuffle(row)
+            adj.append(row)
+        graph = BipartiteGraph(n_left, n_right, adj)
+        recursive = maximum_matching(graph)
+        with monkeypatch.context() as patch:
+            patch.setattr(matching, "RECURSION_DEPTH", 0)
+            assert maximum_matching(graph) == recursive
 
 
 def test_maximum_matching_deterministic():

@@ -126,15 +126,15 @@ def test_constrained_solver_agrees_with_brute_force():
 # iterations)
 PINNED_CONSTRAINED_SOLVES = [
     ("partial_order_triple", [("a", "x")], [("a", "x")],
-     [(False, (1, 1, 3), 4), (False, (0, 0, 2), 2)]),
+     [(False, (2, 2, 3), 3), (False, (1, 1, 2), 2)]),
     ("partial_order_triple", [("a", "x")], [("b", "z")],
-     [(False, (1, 1, 3), 4), (False, (0, 0, 2), 2)]),
+     [(False, (1, 2, 3), 3), (False, (0, 1, 2), 2)]),
     ("partial_order_triple", [("b", "x")], [("c", "z")],
      [(True, (0, 0, 1), 2), (True, (0, 0, 1), 2)]),
     ("partial_order_triple", [("b", "x"), ("c", "y")], [("c", "y")],
-     [(False, (1, 1, 3), 4), (False, (0, 0, 2), 2)]),
+     [(False, (1, 2, 3), 3), (False, (0, 1, 2), 2)]),
     ("unanimous_k33", [("a1", "b2"), ("a2", "b1")], [("a1", "b2")],
-     [(False, (1, 1, 3), 3), (False, (0, 1, 2), 2)]),
+     [(False, (1, 2, 3), 3), (False, (0, 1, 2), 2)]),
 ]
 
 
