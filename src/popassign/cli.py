@@ -107,12 +107,12 @@ def _load_matching(path: str) -> Matching:
     return Matching((a, b) for a, b in doc)
 
 
-def _parse_edge_flags(values: Sequence[str] | None) -> list[tuple[str, str]]:
+def _parse_edge_flags(flag: str, values: Sequence[str] | None) -> list[tuple[str, str]]:
     edges = []
     for value in values or ():
         parts = [p.strip() for p in value.split(",")]
         if len(parts) != 2 or not all(parts):
-            raise InstanceError(f"edge flag {value!r} must look like 'agent,object'")
+            raise InstanceError(f"{flag} edge flag {value!r} must look like 'agent,object'")
         edges.append((parts[0], parts[1]))
     return edges
 
@@ -149,11 +149,13 @@ def _augmentation_fragment(rmap, full: Matching) -> dict | None:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    if args.truncate is not None and args.truncate < 0:
+        return _fail("solve", "--truncate must be non-negative")
+    forced = _parse_edge_flags("--forced", args.forced)
+    forbidden = _parse_edge_flags("--forbidden", args.forbidden)
     started = time.perf_counter()
     instance = _load_instance(args.instance)
-    constraints = EdgeConstraints.of(
-        _parse_edge_flags(args.forced), _parse_edge_flags(args.forbidden)
-    )
+    constraints = EdgeConstraints.of(forced, forbidden)
     target, rmap = augment_to_perfect(instance)
     outcome = solve_with_constraints(target, constraints, max_level=args.truncate)
     elapsed = (time.perf_counter() - started) * 1000.0

@@ -9,6 +9,7 @@ return the same matching, with ties broken towards lower vertex indices.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappop, heappush
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 INF = float("inf")
@@ -239,76 +240,62 @@ def even_reach(
 
 
 def max_weight_perfect_matching(graph: WeightedBipartiteGraph) -> Tuple[List[int], int]:
-    """Maximum-weight perfect matching via the Hungarian method with
-    potentials (successive shortest paths).
+    """Maximum-weight perfect matching by successive shortest paths over the
+    real edges (Edmonds & Karp 1972).
 
     Returns ``(match_left, total_weight)`` with ``match_left[i]`` the right
-    vertex assigned to left vertex ``i``.  Only real edges are relaxed --
-    the sparse edge maps are honored as-is -- and if at any point no
-    remaining column is reachable the graph has no perfect matching, which
-    raises :class:`InfeasibleMatchingError`.
-
-    Deterministic: among columns at equal reduced cost the lowest index is
-    chosen (strict-less scan).
+    vertex assigned to left vertex ``i``.  Integer prices keep
+    ``w(i, j) <= row[i] + col[j]`` on every edge, tight on matched ones;
+    ``row[i]`` starts at the largest weight of row ``i`` and ``col`` at 0.
+    Each left vertex in index order roots one Dijkstra search over the
+    slacks, O(m log n) on a binary heap, until the first free column is
+    popped; columns at equal distance pop lower index first, so the result
+    is deterministic.  Every settled vertex's price then moves by the final
+    distance less its own, which keeps the prices feasible and the path
+    tight, and the path is flipped.  A search that runs out of columns
+    proves that no perfect matching exists and raises
+    :class:`InfeasibleMatchingError`, as does a graph that is not square.
     """
     n = graph.n_left
     if graph.n_right != n:
         raise InfeasibleMatchingError(
             f"perfect matching impossible: {n} left vertices, {graph.n_right} right"
         )
-    if n == 0:
-        return [], 0
-    # Internally this minimizes cost = -weight.
-    cost: List[Dict[int, int]] = [
-        {j: -w for j, w in graph.edges[i].items()} for i in range(n)
-    ]
-    u = [0] * n  # left potentials
-    v = [0] * (n + 1)  # right potentials; column n is the virtual start column
-    p = [-1] * (n + 1)  # p[j] = row currently assigned to column j
-    way = [n] * (n + 1)
-
-    for i in range(n):
-        p[n] = i
-        j0 = n
-        minv: List[float] = [INF] * (n + 1)
-        used = [False] * (n + 1)
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            row = cost[i0]
-            ui0 = u[i0]
-            for j, c in row.items():
-                if not used[j]:
-                    cur = c - ui0 - v[j]
-                    if cur < minv[j]:
-                        minv[j] = cur
-                        way[j] = j0
-            delta = INF
-            j1 = -1
-            for j in range(n):
-                if not used[j] and minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            if j1 < 0:
-                raise InfeasibleMatchingError("graph admits no perfect matching")
-            for j in range(n + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == -1:
-                break
-        while j0 != n:
-            j_prev = way[j0]
-            p[j0] = p[j_prev]
-            j0 = j_prev
-
-    match = [-1] * n
-    total = 0
-    for j in range(n):
-        i = p[j]
-        match[i] = j
-        total += graph.edges[i][j]
-    return match, total
+    edges = graph.edges
+    row = [max(r.values(), default=0) for r in edges]
+    col = [0] * n
+    match_l = [-1] * n
+    match_r = [-1] * n
+    for root in range(n):
+        reached: Dict[int, int] = {}  # column -> its best distance so far
+        parent: Dict[int, int] = {}  # column -> the row it was reached from
+        settled: Dict[int, int] = {}  # column -> its final distance
+        rows: List[Tuple[int, int]] = []  # (row, distance) of every settled row
+        heap: List[Tuple[int, int]] = []
+        i, d = root, 0
+        while i != -1:
+            rows.append((i, d))
+            base = d + row[i]
+            for j, w in edges[i].items():
+                dj = base + col[j] - w
+                if j not in settled and (j not in reached or dj < reached[j]):
+                    reached[j] = dj
+                    parent[j] = i
+                    heappush(heap, (dj, j))
+            while True:
+                if not heap:
+                    raise InfeasibleMatchingError("graph admits no perfect matching")
+                d, j = heappop(heap)
+                if j not in settled:
+                    break
+            settled[j] = d
+            i = match_r[j]
+        for i, di in rows:
+            row[i] -= d - di
+        for k, dk in settled.items():
+            col[k] += d - dk
+        while j != -1:
+            i = parent[j]
+            match_r[j] = i
+            match_l[i], j = j, match_l[i]
+    return match_l, sum(edges[i][j] for i, j in enumerate(match_l))

@@ -1,6 +1,8 @@
 """Shared test oracles: exhaustive searches and an integer-programming margin
-solver, all independent of the level-function machinery under test, and the
-free-object level loop, the reference the solver's loop is tested against."""
+solver, all independent of the level-function machinery under test, the
+free-object level loop, the reference the solver's loop is tested against,
+and the dense Hungarian method, the reference of the weighted-matching
+kernel."""
 
 from __future__ import annotations
 
@@ -15,8 +17,10 @@ from popassign import (
     BipartiteGraph,
     CharacterizationSets,
     HousingMarket,
+    InfeasibleMatchingError,
     Instance,
     Matching,
+    WeightedBipartiteGraph,
     delta,
     enumerate_perfect_matchings,
     instance_from_document,
@@ -117,6 +121,73 @@ def per_edge_characterization(instance: Instance) -> CharacterizationSets:
             if not any(instance.prefers(agents[ai], objects[b2], objects[bj]) for b2 in critical)
         )
     return CharacterizationSets(frozenset(first), frozenset(second), nu1)
+
+
+# -- the dense Hungarian method ---------------------------------------------------
+
+
+def dense_max_weight_perfect_matching(
+    graph: WeightedBipartiteGraph,
+) -> tuple[list[int], int]:
+    """``matching.max_weight_perfect_matching`` as it was before it searched
+    the real edges only: the Hungarian method with potentials, which scans
+    all n columns twice per step, O(n^3) whatever the density.  Same
+    signature, result and exceptions."""
+    n = graph.n_left
+    if graph.n_right != n:
+        raise InfeasibleMatchingError(
+            f"perfect matching impossible: {n} left vertices, {graph.n_right} right"
+        )
+    if n == 0:
+        return [], 0
+    inf = float("inf")
+    # Internally this minimizes cost = -weight.
+    cost = [{j: -w for j, w in graph.edges[i].items()} for i in range(n)]
+    u = [0] * n  # left potentials
+    v = [0] * (n + 1)  # right potentials; column n is the virtual start column
+    p = [-1] * (n + 1)  # p[j] = row currently assigned to column j
+    way = [n] * (n + 1)
+    for i in range(n):
+        p[n] = i
+        j0 = n
+        minv = [inf] * (n + 1)
+        used = [False] * (n + 1)
+        while True:
+            used[j0] = True
+            i0 = p[j0]
+            for j, c in cost[i0].items():
+                if not used[j]:
+                    cur = c - u[i0] - v[j]
+                    if cur < minv[j]:
+                        minv[j] = cur
+                        way[j] = j0
+            delta = inf
+            j1 = -1
+            for j in range(n):
+                if not used[j] and minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            if j1 < 0:
+                raise InfeasibleMatchingError("graph admits no perfect matching")
+            for j in range(n + 1):
+                if used[j]:
+                    u[p[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if p[j0] == -1:
+                break
+        while j0 != n:
+            j_prev = way[j0]
+            p[j0] = p[j_prev]
+            j0 = j_prev
+    match = [-1] * n
+    total = 0
+    for j in range(n):
+        match[p[j]] = j
+        total += graph.edges[p[j]][j]
+    return match, total
 
 
 # -- the free-object level loop ---------------------------------------------------

@@ -163,7 +163,7 @@ def test_04_existence_oracle_sweep():
 
 
 def test_05_margin_oracle_sweep():
-    with check(5, "Hungarian margin vs enumeration, 3 matchings each") as d:
+    with check(5, "weighted-matching margin vs enumeration, 3 matchings each") as d:
         compared = 0
         for instance in corpus(500, min_n=2, max_n=6, seed0=200):
             matchings = list(

@@ -503,6 +503,8 @@ def test_bad_arguments_are_reported_before_reading_input(capsys, tmp_path):
         (["matching", ghost, "--penalty", "0"], "--penalty"),
         (["margin", ghost, "--k", "-1"], "--k"),
         (["verify", ghost, ghost, "--k", "-1"], "--k"),
+        (["solve", ghost, "--truncate", "-1"], "--truncate"),
+        (["solve", ghost, "--forced", "abc"], "--forced"),
     ):
         code, report, _ = run(capsys, *argv)
         assert code == 2

@@ -14,6 +14,8 @@ from popassign import (
 from popassign import matching
 from popassign.matching import alternating_reach
 
+from helpers import dense_max_weight_perfect_matching
+
 
 def brute_max_matching_size(adjacency: list[list[int]], n_right: int) -> int:
     best = 0
@@ -183,3 +185,59 @@ def test_max_weight_prefers_heavier():
     rows = [{0: 1, 1: 5}, {0: 2, 1: 4}]
     match, total = max_weight_perfect_matching(WeightedBipartiteGraph(2, 2, rows))
     assert total == 7 and match == [1, 0]
+
+
+def test_max_weight_perfect_matching_agrees_with_the_dense_method():
+    """Differential test against the dense Hungarian method it replaced:
+    equal totals and equal infeasibility verdicts on seeded random graphs,
+    sparse to complete, infeasible ones included."""
+    rng = random.Random(13)
+    feasible = 0
+    for _ in range(2000):
+        n = rng.randint(1, 40)
+        density = rng.choice((0.05, 0.1, 0.2, 0.4, 0.7, 1.0))
+        weights = rng.choice(((-1, 0, 1), tuple(range(-3, 4))))
+        rows = [
+            {j: rng.choice(weights) for j in range(n) if rng.random() < density}
+            for _ in range(n)
+        ]
+        graph = WeightedBipartiteGraph(n, n, rows)
+        try:
+            expected = dense_max_weight_perfect_matching(graph)[1]
+        except InfeasibleMatchingError:
+            with pytest.raises(InfeasibleMatchingError):
+                max_weight_perfect_matching(graph)
+            continue
+        feasible += 1
+        match, total = max_weight_perfect_matching(graph)
+        assert total == expected
+        assert sorted(match) == list(range(n))
+        assert sum(rows[i][j] for i, j in enumerate(match)) == total
+    assert 500 < feasible < 1500  # both verdicts are well represented
+
+
+def test_max_weight_of_the_empty_graph():
+    assert max_weight_perfect_matching(WeightedBipartiteGraph(0, 0, [])) == ([], 0)
+
+
+def test_max_weight_infeasible_shapes():
+    # a lone empty row, alone and among full ones
+    for rows in ([{}], [{0: 1, 1: 1}, {}, {0: 0, 2: 0}]):
+        with pytest.raises(InfeasibleMatchingError):
+            max_weight_perfect_matching(WeightedBipartiteGraph(len(rows), len(rows), rows))
+    # a Hall violation that only the last row exposes: rows 1 to 3 share
+    # columns 0 and 1, and every earlier row still finds a column
+    rows = [{0: 1, 1: 0, 2: 0, 3: 0}, {0: 1, 1: 0}, {0: 0, 1: 1}, {0: 1, 1: 1}]
+    with pytest.raises(InfeasibleMatchingError):
+        max_weight_perfect_matching(WeightedBipartiteGraph(4, 4, rows))
+    # with the last row moved to column 3 alone, the same rows match
+    fixed = rows[:3] + [{3: 0}]
+    assert max_weight_perfect_matching(WeightedBipartiteGraph(4, 4, fixed))[1] == 2
+
+
+def test_max_weight_ties_give_the_same_matching_on_repeated_calls():
+    rows = [{j: 0 for j in range(5)} for _ in range(5)]
+    graph = WeightedBipartiteGraph(5, 5, rows)
+    first = max_weight_perfect_matching(graph)
+    assert first == ([0, 1, 2, 3, 4], 0)  # ties go to the lower column
+    assert all(max_weight_perfect_matching(graph) == first for _ in range(3))
