@@ -23,9 +23,7 @@ from popassign import (
     solve_k_margin,
     solve_popular_assignment,
 )
-from popassign.generate import random_instance_document
-
-STYLES = ("strict", "weak", "partial")
+from popassign.generate import PREF_STYLES, random_instance_document
 
 
 @dataclass(frozen=True)
@@ -52,7 +50,7 @@ def survey_cell(config: SurveyConfig, n: int, style: str) -> Counter:
     tally: Counter = Counter()
     for i in range(config.per_cell):
         density = config.densities[i % len(config.densities)]
-        seed = config.seed + 7919 * n + 104729 * STYLES.index(style) + i
+        seed = config.seed + 7919 * n + 104729 * PREF_STYLES.index(style) + i
         doc = random_instance_document(n, n, density, style, seed)
         instance = instance_from_document(doc)
         try:
@@ -99,8 +97,8 @@ def main() -> None:
         seed=args.seed,
     )
     for style in config.styles:
-        if style not in STYLES:
-            parser.error(f"unknown style {style!r}; choose from {STYLES}")
+        if style not in PREF_STYLES:
+            parser.error(f"unknown style {style!r}; choose from {PREF_STYLES}")
 
     labels = (
         ["unmatchable"]

@@ -97,14 +97,9 @@ def _load_matching(path: str) -> Matching:
         doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise MatchingError(f"invalid matching JSON: {exc}") from exc
-    if not isinstance(doc, list) or any(
-        not isinstance(p, list) or len(p) != 2 or any(not isinstance(x, str) for x in p)
-        for p in doc
-    ):
-        raise MatchingError(
-            "matching file must be a JSON list of [agent, object] pairs"
-        )
-    return Matching((a, b) for a, b in doc)
+    if not isinstance(doc, list):
+        raise MatchingError("matching file must be a JSON list of [agent, object] pairs")
+    return Matching(doc)
 
 
 def _parse_edge_flags(flag: str, values: Sequence[str] | None) -> list[tuple[str, str]]:

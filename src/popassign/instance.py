@@ -56,6 +56,11 @@ def _raise(problem: str) -> None:
     raise InstanceError(problem)
 
 
+def _is_pair(x: Any) -> bool:
+    """The one shape rule for edges, preference pairs and matching pairs."""
+    return isinstance(x, (list, tuple)) and len(x) == 2
+
+
 def _valid_names(names: Iterable[Any], what: str, report: Report) -> list[str]:
     kept = []
     for name in names:
@@ -88,7 +93,8 @@ class Instance:
         Acceptable ``(agent, object)`` pairs; duplicates are rejected.
     preferences:
         Optional mapping from agent id to an iterable of ``(better, worse)``
-        object pairs.  Pairs may only compare objects adjacent to that agent,
+        object pairs.  Each edge and each preference pair is a list or tuple
+        of two names.  Pairs may only compare objects adjacent to that agent,
         and their transitive closure must be irreflexive (no preference
         cycles).  Agents absent from the mapping are indifferent among all
         their neighbors.
@@ -136,19 +142,18 @@ class Instance:
         adj_sets: list[set[int]] = [set() for _ in self._agents]
         object_adj_sets: list[set[int]] = [set() for _ in self._objects]
         for edge in edges:
-            try:
-                a, b = edge
-            except (TypeError, ValueError):
+            if not _is_pair(edge):
                 report(f"edge {edge!r} is not an (agent, object) pair")
                 continue
+            a, b = edge
             # names are strings; any other value, even an unhashable one such
             # as a list, is an unknown name
             ai = self._agent_index.get(a) if isinstance(a, str) else None
             bj = self._object_index.get(b) if isinstance(b, str) else None
             if ai is None:
-                report(f"edge {edge!r} references unknown agent {a!r}")
+                report(f"edge ({a!r}, {b!r}) references unknown agent {a!r}")
             if bj is None:
-                report(f"edge {edge!r} references unknown object {b!r}")
+                report(f"edge ({a!r}, {b!r}) references unknown object {b!r}")
             if ai is None or bj is None:
                 continue
             if bj in adj_sets[ai]:
@@ -175,13 +180,10 @@ class Instance:
             succ: dict[int, set[int]] = {}
             adj = set(self._adj[ai])
             for pair in pairs:
-                try:
-                    b, b2 = pair
-                except (TypeError, ValueError):
-                    report(
-                        f"preference pair {pair!r} for agent {agent_name!r} is not a pair"
-                    )
+                if not _is_pair(pair):
+                    report(f"preference pair {pair!r} for agent {agent_name!r} is not a pair")
                     continue
+                b, b2 = pair
                 bj = self._object_index.get(b) if isinstance(b, str) else None
                 cj = self._object_index.get(b2) if isinstance(b2, str) else None
                 if bj is None or cj is None:
@@ -450,10 +452,9 @@ class Matching:
         by_agent: dict[str, str] = {}
         by_object: dict[str, str] = {}
         for pair in pairs:
-            try:
-                a, b = pair
-            except (TypeError, ValueError):
-                raise MatchingError(f"{pair!r} is not an (agent, object) pair") from None
+            if not _is_pair(pair):
+                raise MatchingError(f"matching pair {pair!r} is not an (agent, object) pair")
+            a, b = pair
             if not isinstance(a, str) or not isinstance(b, str):
                 raise MatchingError(f"matching pair {pair!r} must contain strings")
             if a in by_agent:
@@ -480,10 +481,6 @@ class Matching:
     def matched_agents(self) -> frozenset[str]:
         return frozenset(self._by_agent)
 
-    @property
-    def matched_objects(self) -> frozenset[str]:
-        return frozenset(self._by_object)
-
     def __iter__(self) -> Iterator[tuple[str, str]]:
         return iter(self._pairs)
 
@@ -491,7 +488,7 @@ class Matching:
         return len(self._pairs)
 
     def __contains__(self, pair: object) -> bool:
-        return isinstance(pair, tuple) and len(pair) == 2 and \
+        return _is_pair(pair) and isinstance(pair[0], str) and \
             self._by_agent.get(pair[0]) == pair[1]
 
     def __eq__(self, other: object) -> bool:
@@ -536,33 +533,27 @@ def compare(instance: Instance, agent: str, obj: str, other: str) -> PrefCompari
 # -- documents ---------------------------------------------------------------
 
 
-def _tiers_shaped(agent: str, tiers: list, report: Report) -> bool:
-    """Are the tiers non-empty lists of distinct strings?  Reports why not."""
-    seen: set[str] = set()
-    for tier in tiers:
-        if not isinstance(tier, list) or not tier:
-            report(f"tiers for agent {agent!r} must be non-empty lists")
-            return False
-        for b in tier:
-            if not isinstance(b, str):
-                report(f"tier entry {b!r} for agent {agent!r} is not a string")
-                return False
-            if b in seen:
-                report(f"object {b!r} appears twice in tiers of agent {agent!r}")
-                return False
-            seen.add(b)
-    return True
-
-
 def _tier_pairs(instance: Instance, agent: str, tiers: list, report: Report) -> list:
     """Expand a tier list into strict pairs between consecutive tiers (the
     transitive closure recovers the rest), leaving out each entry that is not
-    an object adjacent to the agent, which must be known."""
+    an object adjacent to the agent, which must be known.  Tiers that are not
+    non-empty lists of distinct strings give one report and no pairs."""
     adjacent = set(instance.neighbors(agent))
+    seen: set[str] = set()
     kept = []
     for tier in tiers:
+        if not isinstance(tier, list) or not tier:
+            report(f"tiers for agent {agent!r} must be non-empty lists")
+            return []
         entries = []
         for b in tier:
+            if not isinstance(b, str):
+                report(f"tier entry {b!r} for agent {agent!r} is not a string")
+                return []
+            if b in seen:
+                report(f"object {b!r} appears twice in tiers of agent {agent!r}")
+                return []
+            seen.add(b)
             if b in adjacent:
                 entries.append(b)
             elif instance.has_object(b):
@@ -595,12 +586,6 @@ def _from_document(doc: Any, report: Report) -> Instance | None:
         report(f"unknown top-level keys: {sorted(unknown)}")
     if not shaped:
         return None
-    edges = []
-    for e in doc["edges"]:
-        if isinstance(e, list) and len(e) == 2:
-            edges.append((e[0], e[1]))
-        else:
-            report(f"edge {e!r} must be a two-element list")
     preferences: dict[str, list] = {}
     tiered = []  # agents whose tiers are expanded once the graph is built
     raw_prefs = doc.get("preferences", {})
@@ -620,23 +605,10 @@ def _from_document(doc: Any, report: Report) -> Instance | None:
             report(f"{kind!r} for agent {agent!r} must be a list")
             continue
         if kind == "tiers":
-            if not _tiers_shaped(agent, body, report):
-                continue
             tiered.append(agent)
-            pairs = body
-        else:
-            pairs = []
-            for p in body:
-                if isinstance(p, list) and len(p) == 2:
-                    pairs.append((p[0], p[1]))
-                else:
-                    report(
-                        f"preference pair {p!r} for agent {agent!r} must be a "
-                        "two-element list"
-                    )
-        preferences[agent] = pairs
+        preferences[agent] = body
     instance = Instance.__new__(Instance)
-    instance._build(doc["agents"], doc["objects"], edges, report)
+    instance._build(doc["agents"], doc["objects"], doc["edges"], report)
     for agent in tiered:
         if instance.has_agent(agent):  # _order reports an unknown one, reading no pair
             preferences[agent] = _tier_pairs(instance, agent, preferences[agent], report)
@@ -687,9 +659,11 @@ def validate(source: str | dict | Instance) -> ValidationReport:
 
     The checks and their messages are the parser's own: the first problem is
     exactly the error :func:`instance_from_document` (or, for JSON text,
-    :func:`parse_instance`) raises.  Each later one is found after skipping
-    the name, edge, preference pair or agent order at fault; a document
-    missing one of its three lists is checked no further.
+    :func:`parse_instance`) raises.  Problems come in build order: the
+    document's shape and its preference specs, then names, edges, tiers,
+    preference pairs and cycles.  Each later one is found after skipping the
+    name, edge, preference pair or agent order at fault; a document missing
+    one of its three lists is checked no further.
 
     Accepts raw JSON text, a parsed document, or an already-built
     :class:`Instance` (which is valid by construction).

@@ -426,6 +426,8 @@ def market_from_document(doc: Any) -> HousingMarket:
             raise InstanceError(
                 f"market preferences for agent {agent!r} must be {{'pairs': [...]}}"
             )
+        if not isinstance(spec["pairs"], list):
+            raise InstanceError(f"'pairs' for agent {agent!r} must be a list")
         pairs = []
         succ: dict[int, set[int]] = {}
         for p in spec["pairs"]:

@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .instance import Instance, InstanceError, Matching, iter_bits
+from .instance import Instance, InstanceError, Matching, _is_pair, iter_bits
 from .matching import BipartiteGraph, maximum_matching
 from .popular import (
     DualCertificate,
@@ -56,7 +56,11 @@ class EdgeConstraints:
         forced: Iterable[tuple[str, str]] = (),
         forbidden: Iterable[tuple[str, str]] = (),
     ) -> "EdgeConstraints":
-        return cls(frozenset(tuple(e) for e in forced), frozenset(tuple(e) for e in forbidden))
+        forced, forbidden = list(forced), list(forbidden)
+        for e in forced + forbidden:
+            if not _is_pair(e):
+                raise InstanceError(f"constraint edge {e!r} is not an (agent, object) pair")
+        return cls(frozenset(map(tuple, forced)), frozenset(map(tuple, forbidden)))
 
 
 def _check_constraints(instance: Instance, constraints: EdgeConstraints) -> None:

@@ -346,6 +346,13 @@ def test_verify_rejects_non_assignments(write, capsys):
     bad = write("bad.json", "{nope")
     code, report, _ = run(capsys, "verify", chain, bad)
     assert code == 2 and "invalid matching JSON" in report["error"]
+    for doc, message in (
+        ({"a1": "b1"}, "JSON list of [agent, object] pairs"),
+        (["a1b1"], "is not an (agent, object) pair"),
+        ([["a1", 1]], "must contain strings"),
+    ):
+        code, report, _ = run(capsys, "verify", chain, write("odd.json", doc))
+        assert code == 2 and message in report["error"]
 
 
 # -- failed self-checks, closed output, synopsis ------------------------------------

@@ -218,6 +218,7 @@ SINGLE_FAULT_DOCUMENTS = {
     "duplicate-object": _with(objects=["x", "y", "z", "y"]),
     "short-edge": _with(edges=[["a", "x"], ["a", "y"], ["c"]]),
     "edge-not-a-list": _with(edges=[["a", "x"], ["a", "y"], "c-z"]),
+    "two-character-edge": _with(edges=[["a", "x"], ["a", "y"], "cz"]),
     "unknown-edge-agent": _with(edges=[["a", "x"], ["a", "y"], ["ghost", "z"]]),
     "unknown-edge-object": _with(edges=[["a", "x"], ["a", "y"], ["c", "nowhere"]]),
     "unhashable-edge-agent": _with(edges=[["a", "x"], ["a", "y"], [["c"], "z"]]),
@@ -228,6 +229,8 @@ SINGLE_FAULT_DOCUMENTS = {
     "two-specs": _with(preferences={"a": {"pairs": [], "tiers": []}}),
     "spec-not-a-list": _with(preferences={"a": {"pairs": "x>y"}}),
     "long-pair": _with(preferences={"a": {"pairs": [["x", "y", "z"]]}}),
+    "two-character-pair": _with(preferences={"a": {"pairs": ["xy"]}}),
+    "tiers-not-lists": _with(preferences={"a": {"tiers": ["xy"]}}),
     "empty-tier": _with(preferences={"a": {"tiers": [["x"], []]}}),
     "non-string-tier-entry": _with(preferences={"a": {"tiers": [["x"], [7]]}}),
     "repeated-tier-entry": _with(preferences={"a": {"tiers": [["x"], ["y", "x"]]}}),
@@ -252,6 +255,42 @@ def test_validate_reports_the_parsers_error_first(doc):
     report = validate(doc)
     assert not report.ok
     assert report.problems[0] == str(err.value)
+
+
+def test_pairs_are_lists_or_tuples_of_two():
+    with pytest.raises(InstanceError, match="not an \\(agent, object\\) pair"):
+        Instance(["a"], ["x"], ["ax"])
+    with pytest.raises(InstanceError, match="preference pair 'xy' for agent 'a' is not a pair"):
+        Instance(["a"], ["x", "y"], [("a", "x"), ("a", "y")], {"a": ["xy"]})
+    with pytest.raises(MatchingError, match="not an \\(agent, object\\) pair"):
+        Matching(["ab"])
+    # either sequence type is a pair
+    inst = Instance(["a"], ["x", "y"], [["a", "x"], ("a", "y")], {"a": [["x", "y"]]})
+    assert inst.edges == (("a", "x"), ("a", "y")) and inst.prefers("a", "x", "y")
+    m = Matching([["a", "x"]])
+    assert m.pairs == (("a", "x"),) and ["a", "x"] in m and ("a", "x") in m
+    assert "ax" not in m and [["a"], "x"] not in m
+
+
+@pytest.mark.parametrize(
+    "edges, preferences",
+    [
+        ([["a", "x"], ["a", "y"], ["c"]], {}),
+        ([["a", "x"], ["a", "y"], "cz"], {}),
+        ([["a", "x"], ["a", "y"], ["c", "z", "x"]], {}),
+        ([["a", "x"], ["a", "y"], ["c", "z"]], {"a": [["x", "y", "z"]]}),
+        ([["a", "x"], ["a", "y"], ["c", "z"]], {"a": ["xy"]}),
+        ([["a", "x"], ["a", "y"], ["c", "z"]], {"a": [7]}),
+    ],
+)
+def test_malformed_pairs_get_one_message(edges, preferences):
+    doc = _with(edges=edges, preferences={a: {"pairs": p} for a, p in preferences.items()})
+    with pytest.raises(InstanceError) as from_document:
+        instance_from_document(doc)
+    with pytest.raises(InstanceError) as from_constructor:
+        Instance(doc["agents"], doc["objects"], edges, preferences)
+    assert str(from_document.value) == str(from_constructor.value)
+    assert "pair" in str(from_document.value)
 
 
 def test_each_faulty_tier_entry_is_reported_once():

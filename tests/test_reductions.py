@@ -383,6 +383,8 @@ TRIANGLE = {
         (lambda d: dict(d, preferences=[1]), "keyed by agent"),
         (lambda d: dict(d, preferences={"z": {"pairs": []}}), "unknown agent"),
         (lambda d: dict(d, preferences={"x": {"order": []}}), "pairs"),
+        (lambda d: dict(d, preferences={"x": {"pairs": 5}}), "'pairs' for agent 'x' must be a list"),
+        (lambda d: dict(d, preferences={"x": {"pairs": None}}), "must be a list"),
         (lambda d: dict(d, preferences={"x": {"pairs": [[["x", "y"]]]}}), "pair of arcs"),
         (
             lambda d: dict(d, preferences={"x": {"pairs": [[["x", "y"], ["x", "z"]]]}}),

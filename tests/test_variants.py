@@ -46,6 +46,14 @@ def test_constraints_reject_unknown_edges():
         solve_with_constraints(inst, EdgeConstraints.of(forbidden=[("a1", "nope")]))
 
 
+def test_constraint_edges_must_be_pairs():
+    with pytest.raises(InstanceError, match="constraint edge 'ax' is not an"):
+        EdgeConstraints.of(forced=["ax"])
+    with pytest.raises(InstanceError, match="is not an \\(agent, object\\) pair"):
+        EdgeConstraints.of(forbidden=[("a", "x", "y")])
+    assert EdgeConstraints.of(forced=[["a", "x"]]).forced == frozenset({("a", "x")})
+
+
 def test_forced_edges_sharing_an_endpoint_are_rejected(unanimous_k33):
     with pytest.raises(InstanceError, match="share agent"):
         solve_with_constraints(
