@@ -275,7 +275,7 @@ def cmd_margin(args: argparse.Namespace) -> int:
 def cmd_housing(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     market = parse_market(_read_text(args.market))
-    target, rmap = housing_to_assignment(market)
+    target = housing_to_assignment(market)
     outcome = solve_popular_assignment(target)
     elapsed = (time.perf_counter() - started) * 1000.0
     report: dict = {
@@ -289,7 +289,7 @@ def cmd_housing(args: argparse.Namespace) -> int:
         _emit(report, "no popular allocation")
         return 1
     assert outcome.assignment is not None
-    allocation = assignment_to_allocation(rmap, outcome.assignment)
+    allocation = assignment_to_allocation(market, outcome.assignment)
     cycles = [list(c) for c in allocation.cycles()]
     report["allocation"] = [list(arc) for arc in allocation.arcs]
     report["cycles"] = cycles

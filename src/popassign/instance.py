@@ -57,8 +57,14 @@ def _raise(problem: str) -> None:
 
 
 def _is_pair(x: Any) -> bool:
-    """The one shape rule for edges, preference pairs and matching pairs."""
+    """The one shape rule for edges, arcs and every kind of pair."""
     return isinstance(x, (list, tuple)) and len(x) == 2
+
+
+def _find(index: Mapping[str, int], name: Any) -> int | None:
+    """The index of ``name``, or None if it is unknown.  Names are strings;
+    any other value, even an unhashable one such as a list, is unknown."""
+    return index.get(name) if isinstance(name, str) else None
 
 
 def _valid_names(names: Iterable[Any], what: str, report: Report) -> list[str]:
@@ -146,10 +152,8 @@ class Instance:
                 report(f"edge {edge!r} is not an (agent, object) pair")
                 continue
             a, b = edge
-            # names are strings; any other value, even an unhashable one such
-            # as a list, is an unknown name
-            ai = self._agent_index.get(a) if isinstance(a, str) else None
-            bj = self._object_index.get(b) if isinstance(b, str) else None
+            ai = _find(self._agent_index, a)
+            bj = _find(self._object_index, b)
             if ai is None:
                 report(f"edge ({a!r}, {b!r}) references unknown agent {a!r}")
             if bj is None:
@@ -173,7 +177,7 @@ class Instance:
     ) -> None:
         succ_by_agent: dict[int, dict[int, set[int]]] = {}
         for agent_name, pairs in preferences.items():
-            ai = self._agent_index.get(agent_name)
+            ai = _find(self._agent_index, agent_name)
             if ai is None:
                 report(f"preferences reference unknown agent {agent_name!r}")
                 continue
@@ -184,8 +188,8 @@ class Instance:
                     report(f"preference pair {pair!r} for agent {agent_name!r} is not a pair")
                     continue
                 b, b2 = pair
-                bj = self._object_index.get(b) if isinstance(b, str) else None
-                cj = self._object_index.get(b2) if isinstance(b2, str) else None
+                bj = _find(self._object_index, b)
+                cj = _find(self._object_index, b2)
                 if bj is None or cj is None:
                     report(
                         f"preference pair ({b!r}, {b2!r}) for agent {agent_name!r} "
@@ -275,26 +279,26 @@ class Instance:
         return self._edges
 
     def agent_index(self, agent: str) -> int:
-        try:
-            return self._agent_index[agent]
-        except KeyError:
-            raise InstanceError(f"unknown agent {agent!r}") from None
+        ai = _find(self._agent_index, agent)
+        if ai is None:
+            raise InstanceError(f"unknown agent {agent!r}")
+        return ai
 
     def object_index(self, obj: str) -> int:
-        try:
-            return self._object_index[obj]
-        except KeyError:
-            raise InstanceError(f"unknown object {obj!r}") from None
+        bj = _find(self._object_index, obj)
+        if bj is None:
+            raise InstanceError(f"unknown object {obj!r}")
+        return bj
 
     def has_agent(self, agent: str) -> bool:
-        return agent in self._agent_index
+        return _find(self._agent_index, agent) is not None
 
     def has_object(self, obj: str) -> bool:
-        return obj in self._object_index
+        return _find(self._object_index, obj) is not None
 
     def has_edge(self, agent: str, obj: str) -> bool:
-        ai = self._agent_index.get(agent)
-        bj = self._object_index.get(obj)
+        ai = _find(self._agent_index, agent)
+        bj = _find(self._object_index, obj)
         return ai is not None and bj is not None and bool(self._nbr_mask[ai] >> bj & 1)
 
     def neighbors(self, agent: str) -> tuple[str, ...]:
@@ -565,53 +569,66 @@ def _tier_pairs(instance: Instance, agent: str, tiers: list, report: Report) -> 
     return [(b, c) for hi, lo in zip(kept, kept[1:]) for b in hi for c in lo]
 
 
+def _document_shape(doc: Any, what: str, lists: tuple[str, ...], report: Report) -> bool:
+    """Check the top level of an instance or market document: a JSON object
+    with the named ``lists`` and no key but those and ``preferences``.
+    Returns whether every list is there."""
+    if not isinstance(doc, dict):
+        report(f"{what} document must be a JSON object")
+        return False
+    shaped = True
+    for key in lists:
+        if key not in doc:
+            report(f"{what} document is missing the {key!r} list")
+            shaped = False
+        elif not isinstance(doc[key], list):
+            report(f"{key!r} must be a list")
+            shaped = False
+    unknown = set(doc) - {*lists, "preferences"}
+    if unknown:
+        report(f"unknown top-level keys: {sorted(unknown)}")
+    return shaped
+
+
+def _preference_specs(doc: dict, kinds: tuple[str, ...], report: Report) -> dict:
+    """The document's preferences as ``{agent: (kind, body)}``: each spec
+    is an object with one key, one of ``kinds``, whose value is a list.
+    Agents are checked against the names later."""
+    raw = doc.get("preferences", {})
+    if not isinstance(raw, dict):
+        report("'preferences' must be an object keyed by agent")
+        return {}
+    specs = {}
+    for agent, spec in raw.items():
+        if not isinstance(spec, dict) or len(spec) != 1 or next(iter(spec)) not in kinds:
+            shapes = " or ".join(f"{{{kind!r}: [...]}}" for kind in kinds)
+            report(f"preferences for agent {agent!r} must be exactly one of {shapes}")
+            continue
+        ((kind, body),) = spec.items()
+        if not isinstance(body, list):
+            report(f"{kind!r} for agent {agent!r} must be a list")
+            continue
+        specs[agent] = (kind, body)
+    return specs
+
+
 def _from_document(doc: Any, report: Report) -> Instance | None:
     """The one parse-and-validate path: check the document's shape, then
     build the instance, sending every problem to ``report``.  Returns None
     only when ``report`` does not raise and the document lacks one of its
     three lists."""
-    if not isinstance(doc, dict):
-        report("instance document must be a JSON object")
+    if not _document_shape(doc, "instance", ("agents", "objects", "edges"), report):
         return None
-    shaped = True
-    for key in ("agents", "objects", "edges"):
-        if key not in doc:
-            report(f"instance document is missing {key!r}")
-            shaped = False
-        elif not isinstance(doc[key], list):
-            report(f"{key!r} must be a list")
-            shaped = False
-    unknown = set(doc) - {"agents", "objects", "edges", "preferences"}
-    if unknown:
-        report(f"unknown top-level keys: {sorted(unknown)}")
-    if not shaped:
-        return None
-    preferences: dict[str, list] = {}
-    tiered = []  # agents whose tiers are expanded once the graph is built
-    raw_prefs = doc.get("preferences", {})
-    if not isinstance(raw_prefs, dict):
-        report("'preferences' must be an object keyed by agent")
-        raw_prefs = {}
-    for agent, spec in raw_prefs.items():
-        if not isinstance(spec, dict) or len(spec) != 1 or \
-                next(iter(spec)) not in ("pairs", "tiers"):
-            report(
-                f"preferences for agent {agent!r} must be exactly one of "
-                "{'pairs': [...]} or {'tiers': [...]}"
-            )
-            continue
-        kind, body = next(iter(spec.items()))
-        if not isinstance(body, list):
-            report(f"{kind!r} for agent {agent!r} must be a list")
-            continue
-        if kind == "tiers":
-            tiered.append(agent)
-        preferences[agent] = body
+    specs = _preference_specs(doc, ("pairs", "tiers"), report)
     instance = Instance.__new__(Instance)
     instance._build(doc["agents"], doc["objects"], doc["edges"], report)
-    for agent in tiered:
-        if instance.has_agent(agent):  # _order reports an unknown one, reading no pair
-            preferences[agent] = _tier_pairs(instance, agent, preferences[agent], report)
+    # tiers become pairs once the graph is built; _order reports an unknown
+    # agent, reading no pair
+    preferences = {
+        agent: _tier_pairs(instance, agent, body, report)
+        if kind == "tiers" and instance.has_agent(agent) else body
+        for agent, (kind, body) in specs.items()
+    }
     instance._order(preferences, report)
     return instance
 

@@ -1,8 +1,11 @@
 """Instance transformations.
 
-Each ``reduce_*`` / ``*_to_*`` function, and :func:`augment_to_perfect`,
-builds a new instance plus a :class:`ReductionMap` that can lift solutions
-back to the source problem.  The padding reductions share one construction,
+Each ``reduce_*`` function, :func:`add_last_resorts`,
+:func:`augment_to_perfect` and :func:`weak_to_strict` builds a new instance
+plus a :class:`ReductionMap` that can lift solutions back to the source
+instance.  :func:`housing_to_assignment` returns the instance alone; the
+allocation conversions take the market itself.  The padding reductions share
+one construction,
 :func:`_pad`: it appends indifferent dummy agents and objects that source
 agents rank tied worst.  Node names introduced here live in a reserved
 ``__``-prefixed namespace and every transformation raises if a generated name
@@ -20,7 +23,11 @@ from .instance import (
     Matching,
     MatchingError,
     _decode,
+    _document_shape,
+    _find,
     _index_names,
+    _is_pair,
+    _preference_specs,
     _raise,
     _valid_names,
     check_assignment,
@@ -31,29 +38,23 @@ from .popular import SolveOutcome, solve_truncated
 
 @dataclass(frozen=True)
 class ReductionMap:
-    """Connects a source problem to its reduced instance.
+    """Connects a source instance to its reduced instance.
 
-    ``lift_back`` maps a matching of the target to a matching of the source;
-    for the housing kind use :func:`assignment_to_allocation` instead.
+    ``lift_back`` maps a matching of the target to a matching of the source.
     ``data`` holds kind-specific naming tables.
     """
 
     kind: str
-    source: Instance | None
+    source: Instance
     target: Instance
     added_agents: tuple[str, ...]
     added_objects: tuple[str, ...]
     data: Mapping[str, Any]
 
     def lift_back(self, matching: Matching) -> Matching:
-        if self.kind == "housing":
-            raise InstanceError(
-                "housing solutions are allocations; use assignment_to_allocation"
-            )
         check_matching(self.target, matching)
         if self.kind == "weak-to-strict":
             return _lift_weak_to_strict(self, matching)
-        assert self.source is not None
         agents = set(self.source.agents)
         objects = set(self.source.objects)
         return Matching(
@@ -271,8 +272,6 @@ def extend_to_assignment(rmap: ReductionMap, matching: Matching) -> Matching:
     agents line up along their paths, and dummy agents sweep up whatever
     objects remain (they are indifferent, so lowest-index leftovers are fine).
     """
-    if rmap.source is None:
-        raise InstanceError(f"reduction kind {rmap.kind!r} has no source instance")
     check_matching(rmap.source, matching)
     source, target = rmap.source, rmap.target
     if rmap.kind == "last-resorts":
@@ -390,25 +389,25 @@ class HousingMarket:
     arcs: tuple[tuple[str, str], ...]
     preferences: Mapping[str, tuple[tuple[tuple[str, str], tuple[str, str]], ...]]
 
+    @staticmethod
+    def house(agent: str) -> str:
+        """The object that stands for ``agent``'s house in
+        :func:`housing_to_assignment`'s instance."""
+        return f"__house:{agent}"
+
 
 def market_from_document(doc: Any) -> HousingMarket:
-    if not isinstance(doc, dict):
-        raise InstanceError("market document must be a JSON object")
-    for key in ("agents", "arcs"):
-        if key not in doc or not isinstance(doc[key], list):
-            raise InstanceError(f"market document needs a {key!r} list")
-    unknown = set(doc) - {"agents", "arcs", "preferences"}
-    if unknown:
-        raise InstanceError(f"unknown top-level keys: {sorted(unknown)}")
+    """Build a :class:`HousingMarket` from a parsed JSON document, with the
+    instance parser's document, preference-spec and pair checks."""
+    _document_shape(doc, "market", ("agents", "arcs"), _raise)
     agents = tuple(doc["agents"])
     seen = _index_names(_valid_names(agents, "agent", _raise), "agent", _raise)
     arc_index: dict[tuple[str, str], int] = {}
     for arc in doc["arcs"]:
-        if not isinstance(arc, list) or len(arc) != 2:
-            raise InstanceError(f"arc {arc!r} must be a two-element list")
+        if not _is_pair(arc):
+            raise InstanceError(f"arc {arc!r} must be a two-element list or tuple")
         x, y = arc
-        # test the type first: a list endpoint is reported, not hashed
-        if not all(isinstance(z, str) and z in seen for z in arc):
+        if _find(seen, x) is None or _find(seen, y) is None:
             raise InstanceError(f"arc {arc!r} references an unknown agent")
         if x == y:
             raise InstanceError(f"self-arc {arc!r} is not allowed")
@@ -416,33 +415,20 @@ def market_from_document(doc: Any) -> HousingMarket:
             raise InstanceError(f"duplicate arc {arc!r}")
         arc_index[(x, y)] = len(arc_index)
     preferences: dict[str, tuple] = {}
-    raw_prefs = doc.get("preferences", {})
-    if not isinstance(raw_prefs, dict):
-        raise InstanceError("'preferences' must be an object keyed by agent")
-    for agent, spec in raw_prefs.items():
-        if agent not in seen:
+    for agent, (_, body) in _preference_specs(doc, ("pairs",), _raise).items():
+        if _find(seen, agent) is None:
             raise InstanceError(f"preferences reference unknown agent {agent!r}")
-        if not isinstance(spec, dict) or list(spec) != ["pairs"]:
-            raise InstanceError(
-                f"market preferences for agent {agent!r} must be {{'pairs': [...]}}"
-            )
-        if not isinstance(spec["pairs"], list):
-            raise InstanceError(f"'pairs' for agent {agent!r} must be a list")
         pairs = []
         succ: dict[int, set[int]] = {}
-        for p in spec["pairs"]:
-            if (
-                not isinstance(p, list)
-                or len(p) != 2
-                or any(not isinstance(x, list) or len(x) != 2 for x in p)
-            ):
+        for p in body:
+            if not _is_pair(p) or not all(map(_is_pair, p)):
                 raise InstanceError(
                     f"market preference pair {p!r} for agent {agent!r} must be a "
                     "pair of arcs"
                 )
-            hi = (p[0][0], p[0][1])
-            lo = (p[1][0], p[1][1])
+            hi, lo = (tuple(arc) for arc in p)
             for arc in (hi, lo):
+                # test the type first: a list endpoint is reported, not hashed
                 if not all(isinstance(z, str) for z in arc) or arc not in arc_index:
                     raise InstanceError(
                         f"preference of agent {agent!r} references missing arc {list(arc)!r}"
@@ -471,9 +457,27 @@ def parse_market(source: str) -> HousingMarket:
 
 @dataclass(frozen=True)
 class Allocation:
-    """A set of trade arcs forming agent-disjoint cycles."""
+    """A set of trade arcs forming agent-disjoint closed cycles; it checks
+    that they do when it is built."""
 
     arcs: tuple[tuple[str, str], ...]
+
+    def __post_init__(self) -> None:
+        succ: dict[str, str] = {}
+        for arc in self.arcs:
+            if not _is_pair(arc) or not all(isinstance(z, str) for z in arc):
+                raise MatchingError(f"allocation arc {arc!r} is not a pair of agents")
+            x, y = arc
+            if x == y:
+                raise MatchingError(f"self-arc {arc!r} is not a trade")
+            if x in succ:
+                raise MatchingError(f"agent {x!r} trades along two arcs")
+            succ[x] = y
+        targets = set(succ.values())
+        if len(targets) != len(succ):
+            raise MatchingError("two trade arcs point at the same agent")
+        if targets != set(succ):
+            raise MatchingError("trade arcs do not decompose into closed cycles")
 
     def cycles(self) -> tuple[tuple[str, ...], ...]:
         """Cycle decomposition; each cycle starts at its smallest agent and
@@ -499,20 +503,7 @@ class Allocation:
         return frozenset(a for a, _ in self.arcs)
 
 
-def _check_allocation_arcs(arcs: Sequence[tuple[str, str]]) -> None:
-    succ: dict[str, str] = {}
-    for x, y in arcs:
-        if x in succ:
-            raise MatchingError(f"agent {x!r} trades along two arcs")
-        succ[x] = y
-    targets = list(succ.values())
-    if len(set(targets)) != len(targets):
-        raise MatchingError("two trade arcs point at the same agent")
-    if set(targets) != set(succ):
-        raise MatchingError("trade arcs do not decompose into closed cycles")
-
-
-def housing_to_assignment(market: HousingMarket) -> tuple[Instance, ReductionMap]:
+def housing_to_assignment(market: HousingMarket) -> Instance:
     """Model a housing market as an assignment instance: one object per
     house, an edge from each agent to her own house (her unique worst choice)
     and to the house at the end of each outgoing arc, with arc preferences
@@ -520,67 +511,49 @@ def housing_to_assignment(market: HousingMarket) -> tuple[Instance, ReductionMap
     their own house are exactly those not trading -- and popular allocations
     to popular assignments.
     """
-    house = {a: f"__house:{a}" for a in market.agents}
-    owner = {h: a for a, h in house.items()}
+    house = market.house
     outgoing: dict[str, list[str]] = {a: [] for a in market.agents}
     for x, y in market.arcs:
         outgoing[x].append(y)
     edges: list[tuple[str, str]] = []
     preferences: dict[str, list[tuple[str, str]]] = {}
     for a in market.agents:
-        edges.append((a, house[a]))
-        edges.extend((a, house[y]) for y in outgoing[a])
+        edges.append((a, house(a)))
+        edges.extend((a, house(y)) for y in outgoing[a])
         pairs = [
-            (house[hi[1]], house[lo[1]])
+            (house(hi[1]), house(lo[1]))
             for hi, lo in market.preferences.get(a, ())
         ]
-        pairs.extend((house[y], house[a]) for y in outgoing[a])
+        pairs.extend((house(y), house(a)) for y in outgoing[a])
         if pairs:
             preferences[a] = pairs
-    target = Instance(
-        market.agents, tuple(house[a] for a in market.agents), edges, preferences
-    )
-    rmap = ReductionMap(
-        "housing",
-        None,
-        target,
-        (),
-        tuple(house[a] for a in market.agents),
-        {"market": market, "house_of": house, "owner_of": owner},
-    )
-    return target, rmap
+    return Instance(market.agents, tuple(map(house, market.agents)), edges, preferences)
 
 
-def assignment_to_allocation(rmap: ReductionMap, matching: Matching) -> Allocation:
-    """Read the trading cycles off an assignment of the housing instance,
-    validating that they are agent-disjoint closed cycles."""
-    if rmap.kind != "housing":
-        raise InstanceError("assignment_to_allocation needs a housing reduction map")
-    check_assignment(rmap.target, matching)
-    owner = rmap.data["owner_of"]
-    arcs = []
-    for a in rmap.data["market"].agents:
-        target_owner = owner[matching.object_for(a)]
-        if target_owner != a:
-            arcs.append((a, target_owner))
-    _check_allocation_arcs(arcs)
-    return Allocation(tuple(sorted(arcs)))
+def _check_market_arcs(market: HousingMarket, arcs: Iterable[tuple[str, str]]) -> None:
+    arc_set = set(market.arcs)
+    for arc in arcs:
+        if tuple(arc) not in arc_set:
+            raise MatchingError(f"allocation arc {arc!r} is not a market arc")
 
 
-def allocation_to_assignment(rmap: ReductionMap, allocation: Allocation) -> Matching:
+def assignment_to_allocation(market: HousingMarket, matching: Matching) -> Allocation:
+    """Read the trading cycles off an assignment of the housing instance."""
+    owner = {market.house(a): a for a in market.agents}
+    held = {a: owner.get(matching.object_for(a)) for a in market.agents}
+    if len(matching) != len(held) or None in held.values():
+        raise MatchingError("matching does not give each market agent one house")
+    arcs = sorted((a, y) for a, y in held.items() if y != a)
+    _check_market_arcs(market, arcs)
+    return Allocation(tuple(arcs))
+
+
+def allocation_to_assignment(market: HousingMarket, allocation: Allocation) -> Matching:
     """The assignment corresponding to an allocation: trading agents take the
     house their arc points at, everyone else keeps their own."""
-    if rmap.kind != "housing":
-        raise InstanceError("allocation_to_assignment needs a housing reduction map")
-    market: HousingMarket = rmap.data["market"]
-    arc_set = set(market.arcs)
-    for arc in allocation.arcs:
-        if arc not in arc_set:
-            raise MatchingError(f"allocation arc {arc!r} is not a market arc")
-    _check_allocation_arcs(allocation.arcs)
-    house = rmap.data["house_of"]
+    _check_market_arcs(market, allocation.arcs)
     succ = dict(allocation.arcs)
-    return Matching((a, house[succ.get(a, a)]) for a in market.agents)
+    return Matching((a, market.house(succ.get(a, a))) for a in market.agents)
 
 
 # -- de-indifferencing ---------------------------------------------------------
@@ -671,7 +644,6 @@ def weak_to_strict(instance: Instance) -> tuple[Instance, int, ReductionMap]:
 def _lift_weak_to_strict(rmap: ReductionMap, matching: Matching) -> Matching:
     check_assignment(rmap.target, matching)
     source = rmap.source
-    assert source is not None
     transformed = rmap.data["transformed"]
     clones = rmap.data["clones"]
     pairs: list[tuple[str, str]] = []

@@ -58,7 +58,8 @@ class EdgeConstraints:
     ) -> "EdgeConstraints":
         forced, forbidden = list(forced), list(forbidden)
         for e in forced + forbidden:
-            if not _is_pair(e):
+            # names are strings, so that the sets below can hash every edge
+            if not _is_pair(e) or not all(isinstance(x, str) for x in e):
                 raise InstanceError(f"constraint edge {e!r} is not an (agent, object) pair")
         return cls(frozenset(map(tuple, forced)), frozenset(map(tuple, forbidden)))
 

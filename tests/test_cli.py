@@ -16,6 +16,8 @@ from popassign import (
     MarginReport,
     delta,
     enumerate_matchings,
+    parse_instance,
+    parse_market,
     solve_penalty_matching,
     validate,
 )
@@ -444,6 +446,26 @@ def test_readme_synopsis_matches_the_parser():
             if option.startswith("--")
         }
         assert synopsis[name] == flags - {"--help"}, name
+
+
+def test_readme_json_examples_parse(write, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+    kinds = []
+    for text in blocks:
+        doc = json.loads(text)
+        if isinstance(doc, list):
+            kinds.append("matching")
+            Matching(doc)
+        elif "arcs" in doc:
+            kinds.append("market")
+            parse_market(text)
+            code, report, _ = run(capsys, "housing", write("market.json", text))
+            assert code in (0, 1) and report["command"] == "housing"
+        else:
+            kinds.append("instance")
+            parse_instance(text)
+    assert sorted(kinds) == ["instance", "market", "matching"]
 
 
 # -- gen --------------------------------------------------------------------------

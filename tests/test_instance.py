@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from popassign import (
+    EdgeConstraints,
     Instance,
     InstanceError,
     Matching,
@@ -14,10 +15,13 @@ from popassign import (
     check_matching,
     compare,
     delta,
+    edge_weight,
     enumerate_perfect_matchings,
     instance_from_document,
+    lambda_feasible,
     parse_instance,
     serialize_instance,
+    solve_with_constraints,
     validate,
 )
 from popassign.generate import random_instance_document
@@ -270,6 +274,39 @@ def test_pairs_are_lists_or_tuples_of_two():
     m = Matching([["a", "x"]])
     assert m.pairs == (("a", "x"),) and ["a", "x"] in m and ("a", "x") in m
     assert "ax" not in m and [["a"], "x"] not in m
+
+
+LISTY = Instance(["a"], ["b"], [("a", "b")])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: LISTY.agent_index(["a"]),
+        lambda: LISTY.object_index(["b"]),
+        lambda: LISTY.neighbors(["a"]),
+        lambda: solve_with_constraints(LISTY, EdgeConstraints.of(forced=[(["a"], "b")])),
+        lambda: solve_with_constraints(LISTY, EdgeConstraints.of(forbidden=[("a", ["b"])])),
+        lambda: lambda_feasible(LISTY, [0], (["a"], "b"), 0),
+        lambda: lambda_feasible(LISTY, [0], ("a", ["b"]), 0),
+        lambda: edge_weight(LISTY, Matching([("a", "b")]), (["a"], "b")),
+    ],
+    ids=[
+        "agent_index",
+        "object_index",
+        "neighbors",
+        "forced",
+        "forbidden",
+        "lambda_feasible-agent",
+        "lambda_feasible-object",
+        "edge_weight",
+    ],
+)
+def test_a_non_string_name_is_an_unknown_name(call):
+    with pytest.raises(InstanceError):
+        call()
+    assert not LISTY.has_agent(["a"]) and not LISTY.has_object(["b"])
+    assert not LISTY.has_edge(["a"], "b") and not LISTY.has_edge("a", ["b"])
 
 
 @pytest.mark.parametrize(

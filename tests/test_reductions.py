@@ -116,6 +116,12 @@ def test_generated_name_collision_is_rejected(reduce, agents, objects):
         reduce(complete(agents, objects))
 
 
+def test_augment_maps_have_no_canonical_completion():
+    _, rmap = augment_to_perfect(complete(["a1", "a2"], ["b1"]))
+    with pytest.raises(InstanceError, match="no canonical completion"):
+        extend_to_assignment(rmap, Matching([("a1", "b1")]))
+
+
 # -- popular matchings: the penalty gadget at kappa 1 ------------------------------
 
 
@@ -441,78 +447,113 @@ def test_parse_market_bad_json():
         parse_market("{nope")
 
 
+def test_markets_accept_tuple_arcs_and_arc_pairs():
+    doc = {
+        "agents": ["p", "q", "r"],
+        "arcs": [("p", "q"), ("q", "r"), ("r", "p"), ("p", "r")],
+        "preferences": {"p": {"pairs": [(("p", "q"), ("p", "r"))]}},
+    }
+    assert market_from_document(doc) == market_from_document(TRIANGLE)
+
+
+def test_a_markets_own_fields_parse_back_to_the_market():
+    for market in [market_from_document(TRIANGLE), *market_corpus(20, max_n=5, seed0=40)]:
+        doc = {
+            "agents": list(market.agents),
+            "arcs": list(market.arcs),
+            "preferences": {a: {"pairs": list(p)} for a, p in market.preferences.items()},
+        }
+        assert market_from_document(doc) == market
+
+
+@pytest.mark.parametrize(
+    "arcs, message",
+    [
+        ((("p", "q"), ("q", "q")), "self-arc"),
+        ((("q", "q"),), "self-arc"),
+        ((("p", "q"), ("q", "r")), "closed cycles"),
+        ((("p", "q"), ("p", "r"), ("q", "p"), ("r", "p")), "two arcs"),
+        ((("p", "r"), ("q", "r"), ("r", "p")), "same agent"),
+        ((("p", "q", "r"),), "pair of agents"),
+    ],
+)
+def test_allocation_checks_its_arcs_when_built(arcs, message):
+    with pytest.raises(MatchingError, match=message):
+        Allocation(arcs)
+
+
 def test_arcless_market_everyone_stays():
     market = market_from_document({"agents": ["x", "y"], "arcs": []})
-    target, rmap = housing_to_assignment(market)
+    target = housing_to_assignment(market)
     assert all(len(target.neighbors(a)) == 1 for a in target.agents)
     out = solve_popular_assignment(target)
     assert out.found
-    allocation = assignment_to_allocation(rmap, out.assignment)
+    allocation = assignment_to_allocation(market, out.assignment)
     assert allocation.arcs == () and allocation.cycles() == ()
     assert allocation.trading_agents == frozenset()
 
 
 def test_swap_market_trades():
     market = market_from_document(SWAP)
-    target, rmap = housing_to_assignment(market)
+    target = housing_to_assignment(market)
     assert target.n_agents == 2 and target.n_objects == 2
     assert len(target.edges) == 4  # two self edges + two arc edges
     out = solve_popular_assignment(target)
     assert out.found
-    allocation = assignment_to_allocation(rmap, out.assignment)
+    allocation = assignment_to_allocation(market, out.assignment)
     assert allocation.cycles() == (("x", "y"),)
     assert allocation.trading_agents == frozenset({"x", "y"})
 
 
 def test_housing_instance_structure():
     market = market_from_document(TRIANGLE)
-    target, rmap = housing_to_assignment(market)
-    house = rmap.data["house_of"]
+    target = housing_to_assignment(market)
+    house = market.house
     assert target.n_agents == 3 and target.n_objects == 3
     assert len(target.edges) == len(market.arcs) + len(market.agents)
     # staying home is strictly worst; carried-over pair ranks the two arcs
     for agent, targets in (("p", ["q", "r"]), ("q", ["r"]), ("r", ["p"])):
         for other in targets:
-            assert target.prefers(agent, house[other], house[agent])
-    assert target.prefers("p", house["q"], house["r"])
+            assert target.prefers(agent, house(other), house(agent))
+    assert target.prefers("p", house("q"), house("r"))
 
 
 def test_allocation_round_trip_and_validation():
     market = market_from_document(TRIANGLE)
-    _, rmap = housing_to_assignment(market)
     for allocation_arcs in enumerate_allocations(market):
         allocation = Allocation(tuple(sorted(allocation_arcs)))
-        assignment = allocation_to_assignment(rmap, allocation)
-        assert assignment_to_allocation(rmap, assignment) == allocation
+        assignment = allocation_to_assignment(market, allocation)
+        assert assignment_to_allocation(market, assignment) == allocation
     with pytest.raises(MatchingError, match="not a market arc"):
-        allocation_to_assignment(rmap, Allocation((("q", "p"),)))
+        allocation_to_assignment(market, Allocation((("p", "q"), ("q", "p"))))
     with pytest.raises(MatchingError, match="closed cycles"):
-        allocation_to_assignment(rmap, Allocation((("p", "q"),)))
+        allocation_to_assignment(market, Allocation((("p", "q"),)))
     with pytest.raises(MatchingError, match="two arcs"):
         allocation_to_assignment(
-            rmap, Allocation((("p", "q"), ("p", "r")))
+            market, Allocation((("p", "q"), ("p", "r")))
         )
 
 
 def test_housing_solver_matches_the_allocation_election():
     for market in market_corpus(30, max_n=4, seed0=7):
-        target, rmap = housing_to_assignment(market)
+        target = housing_to_assignment(market)
         out = solve_popular_assignment(target)
         popular = brute_popular_allocations(market)
         assert out.found == bool(popular)
         if out.found:
-            allocation = assignment_to_allocation(rmap, out.assignment)
+            allocation = assignment_to_allocation(market, out.assignment)
             assert allocation.arcs in popular
 
 
-def test_lift_back_refuses_housing_maps():
-    market = market_from_document(SWAP)
-    target, rmap = housing_to_assignment(market)
-    out = solve_popular_assignment(target)
-    with pytest.raises(InstanceError, match="allocations"):
-        rmap.lift_back(out.assignment)
-    with pytest.raises(InstanceError):
-        extend_to_assignment(rmap, Matching([]))
+def test_assignment_to_allocation_needs_an_assignment_along_market_arcs():
+    market = market_from_document(TRIANGLE)
+    house = market.house
+    with pytest.raises(MatchingError, match="one house"):
+        assignment_to_allocation(market, Matching([("p", house("p"))]))
+    with pytest.raises(MatchingError, match="not a market arc"):
+        assignment_to_allocation(
+            market, Matching([("p", house("q")), ("q", house("p")), ("r", house("r"))])
+        )
 
 
 # -- de-indifferencing -----------------------------------------------------------------
