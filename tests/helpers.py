@@ -1,13 +1,13 @@
 """Shared test oracles: exhaustive searches and an integer-programming margin
-solver, all independent of the level-function machinery under test, the
-free-object level loop, the reference the solver's loop is tested against,
-and the dense Hungarian method, the reference of the weighted-matching
-kernel."""
+solver, all independent of the level-function machinery under test; the
+free-object level loop and the level loop without period jumps, the
+references the solver's loop is tested against; and the dense Hungarian
+method, the reference of the weighted-matching kernel."""
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
@@ -32,6 +32,7 @@ from popassign.popular import (
     LevelFunction,
     SolveOutcome,
     _build_level_graph,
+    _even_objects,
     _level_masks,
     certificate_from_levels,
 )
@@ -223,6 +224,85 @@ def free_object_level_loop(instance, cap, allowed=None, allowance=None):
     loads = {
         (agents[ai], objects[match_l[ai]]): lam for ai, lam in (allowance or {}).items()
     }
+    certificate = certificate_from_levels(instance, assignment, level_function, loads)
+    return SolveOutcome(True, assignment, level_function, certificate, None, iterations)
+
+
+# -- the level loop without period jumps -------------------------------------------
+#
+# ``popular._run_level_loop`` as it was before it skipped repeating periods,
+# copied verbatim: every round is built and matched, so ``iterations`` is the
+# logical round count the jumping loop reports as ``iterations +
+# rounds_skipped``.
+
+
+def plain_level_loop(
+    instance: Instance,
+    cap: int,
+    allowed: Sequence[int] | None = None,
+    allowance: Mapping[int, int] | None = None,
+) -> SolveOutcome:
+    """The solver core.  Runs until the level graph has a perfect matching,
+    or some object's level reaches ``cap``.  ``allowed`` and ``allowance``
+    restrict and widen each agent's row as in :func:`_build_level_graph`; a
+    found assignment matches each agent with an allowance along the single
+    object she is allowed, which carries that allowance as its load.
+
+    Each round raises the even objects of the level graph (see
+    :func:`_even_objects`).  This is exact.  The loop keeps the invariant
+    that its levels lie below every feasible level function (one whose level
+    graph has a perfect matching): an object that a maximum matching of the
+    level graph leaves free sits strictly higher under every feasible level
+    function at or above the current levels.  That reason holds for whichever
+    maximum matching is taken -- the loop that raised only Hopcroft--Karp's
+    free objects relied on it for every tie-break -- so it holds for each
+    object that *some* maximum matching leaves free, and raising all of them
+    at once keeps the invariant.  So the loop stops at the least feasible
+    level function, the same levels as when raising one matching's free
+    objects; the found level graph, and Hopcroft--Karp's matching on it, are
+    the same too.  Only the number of rounds falls, and since the even set
+    does not depend on which maximum matching was found, the whole level
+    trajectory -- rounds and not-found levels included -- is fixed by the
+    instance, whatever its labelling."""
+    n_objects = instance.n_objects
+    levels = [0] * n_objects
+    # levels only ever rise, so the objects at each level, each agent's
+    # maximum neighbor level and the highest level can be maintained by
+    # bumped object rather than recomputed per iteration
+    masks = _level_masks(levels)
+    tops = [0] * instance.n_agents
+    highest = max(levels, default=-1)
+    iterations = 0
+    while highest < cap:
+        graph, covered = _build_level_graph(instance, masks, tops, allowed, allowance)
+        match_l, match_r = maximum_matching(graph)
+        iterations += 1
+        if -1 not in match_l:
+            break
+        # no agent's top is below ``floor``, so a raise to at most ``floor``
+        # moves none of them
+        floor = min(tops)
+        for bj in _even_objects(graph, covered, match_l, match_r):
+            bit = 1 << bj
+            masks[levels[bj]] ^= bit
+            levels[bj] += 1
+            new_level = levels[bj]
+            masks[new_level] = masks.get(new_level, 0) | bit
+            if new_level > highest:
+                highest = new_level
+            if new_level > floor:
+                for ai in instance.object_adj_indices(bj):
+                    if tops[ai] < new_level:
+                        tops[ai] = new_level
+    else:
+        reason = "level-overflow" if cap >= n_objects else "truncation-cap"
+        level_function = LevelFunction(tuple(levels), tuple(tops))
+        return SolveOutcome(False, None, level_function, None, reason, iterations)
+    level_function = LevelFunction(tuple(levels), tuple(tops))
+    agents, objects = instance.agents, instance.objects
+    assignment = Matching((agents[ai], objects[bj]) for ai, bj in enumerate(match_l))
+    allowance = allowance or {}
+    loads = {(agents[ai], objects[match_l[ai]]): lam for ai, lam in allowance.items()}
     certificate = certificate_from_levels(instance, assignment, level_function, loads)
     return SolveOutcome(True, assignment, level_function, certificate, None, iterations)
 

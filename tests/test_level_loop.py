@@ -1,7 +1,9 @@
-"""The even-object level loop against the free-object loop it replaced, and
-its independence from how agents and objects are named and ordered."""
+"""The even-object level loop against the free-object loop it replaced, its
+period jumps against the loop without them, and its independence from how
+agents and objects are named and ordered."""
 
 import dataclasses
+import hashlib
 import random
 
 from hypothesis import given, strategies as st
@@ -11,6 +13,7 @@ from popassign import (
     InstanceError,
     NoPerfectMatchingError,
     SolveOutcome,
+    augment_to_perfect,
     instance_from_document,
     solve_k_margin,
     solve_popular_assignment,
@@ -19,14 +22,17 @@ from popassign import (
 )
 from popassign import popular, variants
 from popassign.generate import random_instance_document
+from popassign.popular import _require_perfectly_matchable
 
-from helpers import STYLES, corpus, free_object_level_loop
+from helpers import STYLES, corpus, free_object_level_loop, plain_level_loop
+
+_jumping_loop = popular._run_level_loop
 
 
 def _fingerprint(out):
-    """An outcome as text, less the round count of a level loop."""
+    """An outcome as text, less the round counts of a level loop."""
     if isinstance(out, SolveOutcome):
-        out = dataclasses.replace(out, iterations=0)
+        out = dataclasses.replace(out, iterations=0, rounds_skipped=0)
     return repr(out)
 
 
@@ -76,6 +82,102 @@ def test_found_outcomes_match_the_free_object_loop(monkeypatch):
                 assert new.branches == old.branches
                 searched += 1
     assert solved >= 1000 and found > 1000 and searched > 300
+
+
+def _same_run(out, reference):
+    """``out`` ends as the loop without jumps ends, after as many rounds,
+    built or skipped."""
+    assert (out.found, out.reason, out.levels, out.assignment, out.certificate) == (
+        reference.found,
+        reference.reason,
+        reference.levels,
+        reference.assignment,
+        reference.certificate,
+    )
+    assert out.iterations + out.rounds_skipped == reference.iterations
+
+
+def test_period_jumps_match_the_plain_loop(monkeypatch):
+    """On 1200 random instances -- plain, truncated (cap 2 and random caps),
+    constrained and k-margin runs -- every level loop that jumps over
+    periods ends as the loop without jumps does: verdict, reason, levels,
+    tops, assignment and certificate, after as many rounds."""
+    skipped = []
+
+    def checked(instance, cap, allowed=None, allowance=None):
+        out = _jumping_loop(instance, cap, allowed, allowance)
+        _same_run(out, plain_level_loop(instance, cap, allowed, allowance))
+        skipped.append(out.rounds_skipped)
+        return out
+
+    monkeypatch.setattr(popular, "_run_level_loop", checked)
+    monkeypatch.setattr(variants, "_run_level_loop", checked)
+    rng = random.Random(16)
+    solved = searched = 0
+    for i, instance in enumerate(corpus(1200, 2, 20, seed0=90_000)):
+        try:
+            solve_popular_assignment(instance)
+        except NoPerfectMatchingError:
+            continue
+        solved += 1
+        solve_truncated(instance, 2)
+        solve_truncated(instance, rng.randint(1, instance.n_objects))
+        try:
+            solve_with_constraints(instance, _constraints(instance, i))
+        except InstanceError:
+            pass  # the constraint menu's forced edge meets a forbidden one
+        if instance.n_agents <= 5:
+            solve_k_margin(instance, 1 + i % 2)
+            searched += 1
+    assert solved >= 1000 and searched > 100
+    assert sum(1 for s in skipped if s) > 500
+
+
+@given(
+    st.integers(2, 30),
+    st.sampled_from(STYLES),
+    st.sampled_from((0.3, 0.6, 1.0)),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+)
+def test_period_jumps_keep_runs_under_masks_and_allowances(n, style, density, seed, draw):
+    """Random forced and forbidden edges, load allowances and caps."""
+    instance = instance_from_document(random_instance_document(n, n, density, style, seed))
+    try:
+        _require_perfectly_matchable(instance)
+    except NoPerfectMatchingError:
+        return
+    rng = random.Random(draw)
+    allowed = [instance.neighbor_mask(ai) for ai in range(n)]
+    allowance = {}
+    for ai in rng.sample(range(n), rng.randint(0, n)):
+        neighbors = instance.adj_indices(ai)
+        if rng.random() < 0.5:
+            allowed[ai] = 1 << rng.choice(neighbors)  # forced
+            if rng.random() < 0.5:
+                allowance[ai] = rng.randint(1, 3)  # and loaded
+        else:
+            allowed[ai] &= ~(1 << rng.choice(neighbors))  # forbidden
+    cap = rng.choice((n, 2, rng.randint(1, n)))
+    out = _jumping_loop(instance, cap, allowed, allowance)
+    _same_run(out, plain_level_loop(instance, cap, allowed, allowance))
+
+
+def test_a_padded_strict_not_found_solve_at_500_is_pinned():
+    """Reason, final levels and round count as computed once with the loop
+    without jumps, which builds and matches all 2741 rounds; the jumping
+    loop matches a few dozen of them."""
+    document = random_instance_document(500, 500, 0.005, "strict", 58)
+    padded, _ = augment_to_perfect(instance_from_document(document))
+    out = solve_popular_assignment(padded)
+    digest = hashlib.sha256(repr(out.levels.levels).encode()).hexdigest()
+    assert (out.found, out.reason, out.iterations + out.rounds_skipped, digest) == (
+        False,
+        "level-overflow",
+        2741,
+        "8ca49c94e650be2c9d63277f11ccba7cd47b70419411d12015783cfa38437f9f",
+    )
+    assert out.iterations < 100
 
 
 _RELABEL = st.tuples(
