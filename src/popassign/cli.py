@@ -95,7 +95,7 @@ def _load_instance(path: str) -> Instance:
 def _load_matching(path: str) -> Matching:
     try:
         doc = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise MatchingError(f"invalid matching JSON: {exc}") from exc
     if not isinstance(doc, list):
         raise MatchingError("matching file must be a JSON list of [agent, object] pairs")

@@ -16,7 +16,9 @@ per side.
 
 from __future__ import annotations
 
+import gc
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Iterable, Iterator, Mapping
@@ -140,75 +142,94 @@ class Instance:
         # edge, preference pair or (for a cycle) the agent's whole order.
         agent_names = _valid_names(agents, "agent", report)
         object_names = _valid_names(objects, "object", report)
-        self._agent_index = _index_names(agent_names, "agent", report)
-        self._object_index = _index_names(object_names, "object", report)
-        self._agents = tuple(self._agent_index)
-        self._objects = tuple(self._object_index)
+        self._agent_index = agent_index = _index_names(agent_names, "agent", report)
+        self._object_index = object_index = _index_names(object_names, "object", report)
+        self._agents = tuple(agent_index)
+        self._objects = tuple(object_index)
 
+        find_agent, find_object = agent_index.get, object_index.get
         adj_sets: list[set[int]] = [set() for _ in self._agents]
-        object_adj_sets: list[set[int]] = [set() for _ in self._objects]
         for edge in edges:
             if not _is_pair(edge):
                 report(f"edge {edge!r} is not an (agent, object) pair")
                 continue
             a, b = edge
-            ai = _find(self._agent_index, a)
-            bj = _find(self._object_index, b)
+            ai = find_agent(a) if isinstance(a, str) else None
+            bj = find_object(b) if isinstance(b, str) else None
             if ai is None:
                 report(f"edge ({a!r}, {b!r}) references unknown agent {a!r}")
             if bj is None:
                 report(f"edge ({a!r}, {b!r}) references unknown object {b!r}")
             if ai is None or bj is None:
                 continue
-            if bj in adj_sets[ai]:
+            row = adj_sets[ai]
+            if bj in row:
                 report(f"duplicate edge ({a!r}, {b!r})")
                 continue
-            adj_sets[ai].add(bj)
-            object_adj_sets[bj].add(ai)
-        self._adj = tuple(tuple(sorted(s)) for s in adj_sets)
-        self._object_adj = tuple(tuple(sorted(s)) for s in object_adj_sets)
-        self._nbr_mask = tuple(sum(1 << j for j in s) for s in self._adj)
-        self._edges = tuple(
-            (ai, bj) for ai in range(len(self._agents)) for bj in self._adj[ai]
-        )
+            row.add(bj)
+        self._adj = adj = tuple(tuple(sorted(row)) for row in adj_sets)
+        object_adj: list[list[int]] = [[] for _ in self._objects]
+        for ai, row in enumerate(adj):
+            for bj in row:
+                object_adj[bj].append(ai)
+        self._object_adj = tuple(map(tuple, object_adj))
+        self._nbr_mask = tuple(sum(1 << j for j in row) for row in adj)
+        self._edges = tuple((ai, bj) for ai, row in enumerate(adj) for bj in row)
 
     def _order(
-        self, preferences: Mapping[str, Iterable[tuple[str, str]]], report: Report
+        self,
+        preferences: Mapping[str, Iterable[tuple[str, str]]],
+        report: Report,
+        closed: Mapping[int, dict[int, int]] | None = None,
     ) -> None:
-        succ_by_agent: dict[int, dict[int, set[int]]] = {}
+        """Resolve and close every agent's preferences.  Each agent's
+        ``(better, worse)`` pairs are read once, in one pass, through a
+        lookup of its own neighbors' indices, so that one probe per name
+        both finds the object and checks that it is adjacent; they become
+        successor masks, which :meth:`_close` closes.  Agents in ``closed``
+        (index to worse masks, as tiers give them) are taken as they are;
+        their entry in ``preferences`` is only checked to name a known
+        agent."""
+        objects = self._objects
+        succ_by_agent: dict[int, dict[int, int]] = {}
         for agent_name, pairs in preferences.items():
             ai = _find(self._agent_index, agent_name)
             if ai is None:
                 report(f"preferences reference unknown agent {agent_name!r}")
                 continue
-            succ: dict[int, set[int]] = {}
-            adj = set(self._adj[ai])
+            find_neighbor = {objects[j]: j for j in self._adj[ai]}.get
+            succ: dict[int, int] = {}
+            successors = succ.get
             for pair in pairs:
                 if not _is_pair(pair):
                     report(f"preference pair {pair!r} for agent {agent_name!r} is not a pair")
                     continue
                 b, b2 = pair
-                bj = _find(self._object_index, b)
-                cj = _find(self._object_index, b2)
+                bj = find_neighbor(b) if isinstance(b, str) else None
+                cj = find_neighbor(b2) if isinstance(b2, str) else None
                 if bj is None or cj is None:
-                    report(
-                        f"preference pair ({b!r}, {b2!r}) for agent {agent_name!r} "
-                        "references an unknown object"
-                    )
-                elif bj not in adj or cj not in adj:
-                    report(
-                        f"preference pair ({b!r}, {b2!r}) for agent {agent_name!r} "
-                        "compares objects that are not both adjacent to the agent"
-                    )
+                    if not (self.has_object(b) and self.has_object(b2)):
+                        report(
+                            f"preference pair ({b!r}, {b2!r}) for agent {agent_name!r} "
+                            "references an unknown object"
+                        )
+                    else:
+                        report(
+                            f"preference pair ({b!r}, {b2!r}) for agent {agent_name!r} "
+                            "compares objects that are not both adjacent to the agent"
+                        )
                 elif bj == cj:
                     report(f"agent {agent_name!r} declares {b!r} better than itself")
                 else:
-                    succ.setdefault(bj, set()).add(cj)
+                    succ[bj] = successors(bj, 0) | 1 << cj
             succ_by_agent[ai] = succ
 
+        closed = closed or {}
         worse_by_agent: list[dict[int, int]] = []
         for ai, agent_name in enumerate(self._agents):
-            worse = self._close(succ_by_agent.get(ai, {}))
+            worse = closed.get(ai)
+            if worse is None:
+                worse = self._close(succ_by_agent.get(ai, {}))
             if worse is None:
                 report(f"cyclic preferences for agent {agent_name!r}")
                 worse = {}
@@ -216,39 +237,98 @@ class Instance:
         self._worse = tuple(worse_by_agent)
 
     @staticmethod
-    def _close(succ: Mapping[int, set[int]]) -> dict[int, int] | None:
-        """Transitive closure of the "strictly better than" relation ``succ``
-        as a worse-set bitmask per node, or None if it has a cycle.  This is
-        the package's one cycle check; it is iterative, so a long chain
-        cannot exhaust the interpreter's recursion limit."""
-        # Depth-first search in postorder; a back edge is a cycle.
+    def _close(succ: Mapping[int, int]) -> dict[int, int] | None:
+        """Transitive closure of the "strictly better than" relation, given
+        as a successor bitmask per node, as a worse-set bitmask per node (left
+        out where empty), or None if it has a cycle.  This is the package's
+        one cycle check.
+
+        It is a depth-first search in postorder over the inner nodes, those
+        with successors; a leaf has nothing to close and lies on no cycle.
+        It keeps the nodes on its stack and the inner nodes not yet finished
+        as two masks: a node's next successor to visit is the lowest bit of
+        ``succ & pending``, and a successor on the stack is a back edge,
+        hence a cycle.  A finished node's worse mask is its successors and
+        the worse masks of its inner ones, skipping each that an earlier one
+        already covers.  It is iterative, so a long chain cannot exhaust the
+        interpreter's recursion limit."""
+        inner = 0
+        for node, below in succ.items():
+            if below:
+                inner |= 1 << node
         worse: dict[int, int] = {}
-        color: dict[int, int] = {}  # 1 = on stack, 2 = finished
+        pending = inner
         for root in succ:
-            if color.get(root) == 2:
+            if not pending >> root & 1:
                 continue
-            stack = [(root, iter(succ[root]))]
-            color[root] = 1
+            on_stack = 1 << root
+            stack = [root]
             while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    c = color.get(nxt, 0)
-                    if c == 1:
+                node = stack[-1]
+                below = succ[node]
+                todo = below & pending
+                if todo:
+                    if todo & on_stack:
                         return None
-                    if c == 0:
-                        color[nxt] = 1
-                        stack.append((nxt, iter(succ.get(nxt, ()))))
-                        advanced = True
-                        break
-                if not advanced:
-                    stack.pop()
-                    color[node] = 2
-                    mask = 0
-                    for s in succ.get(node, ()):
-                        mask |= (1 << s) | worse.get(s, 0)
-                    if mask:
-                        worse[node] = mask
+                    bit = todo & -todo
+                    on_stack |= bit
+                    stack.append(bit.bit_length() - 1)
+                    continue
+                stack.pop()
+                bit = 1 << node
+                on_stack ^= bit
+                pending ^= bit
+                rest = below & inner
+                while rest:
+                    low = rest & -rest
+                    deeper = worse[low.bit_length() - 1]
+                    below |= deeper
+                    rest &= ~(low | deeper)
+                worse[node] = below
+        return worse
+
+    def _tier_worse(self, ai: int, tiers: list, report: Report) -> dict[int, int]:
+        """Agent ``ai``'s worse masks from a tier list, best tier first: each
+        object's is the union of the tiers below its own, so the order comes
+        out closed.  Each entry that is not an object adjacent to the agent
+        is reported and left out, and so is a tier left empty by that.
+        Tiers that are not non-empty lists of distinct strings give one
+        report and no order."""
+        agent = self._agents[ai]
+        find_object = self._object_index.get
+        nbr = self._nbr_mask[ai]
+        seen: set[str] = set()
+        kept: list[list[int]] = []
+        for tier in tiers:
+            if not isinstance(tier, list) or not tier:
+                report(f"tiers for agent {agent!r} must be non-empty lists")
+                return {}
+            entries = []
+            for b in tier:
+                if not isinstance(b, str):
+                    report(f"tier entry {b!r} for agent {agent!r} is not a string")
+                    return {}
+                if b in seen:
+                    report(f"object {b!r} appears twice in tiers of agent {agent!r}")
+                    return {}
+                seen.add(b)
+                bj = find_object(b)
+                if bj is None:
+                    report(f"tier entry {b!r} for agent {agent!r} references an unknown object")
+                elif nbr >> bj & 1:
+                    entries.append(bj)
+                else:
+                    report(f"tier entry {b!r} for agent {agent!r} is not adjacent to the agent")
+            if entries:
+                kept.append(entries)
+        worse: dict[int, int] = {}
+        below = 0
+        for entries in reversed(kept):
+            if below:
+                for bj in entries:
+                    worse[bj] = below
+            for bj in entries:
+                below |= 1 << bj
         return worse
 
     # -- basic shape -------------------------------------------------------
@@ -537,38 +617,6 @@ def compare(instance: Instance, agent: str, obj: str, other: str) -> PrefCompari
 # -- documents ---------------------------------------------------------------
 
 
-def _tier_pairs(instance: Instance, agent: str, tiers: list, report: Report) -> list:
-    """Expand a tier list into strict pairs between consecutive tiers (the
-    transitive closure recovers the rest), leaving out each entry that is not
-    an object adjacent to the agent, which must be known.  Tiers that are not
-    non-empty lists of distinct strings give one report and no pairs."""
-    adjacent = set(instance.neighbors(agent))
-    seen: set[str] = set()
-    kept = []
-    for tier in tiers:
-        if not isinstance(tier, list) or not tier:
-            report(f"tiers for agent {agent!r} must be non-empty lists")
-            return []
-        entries = []
-        for b in tier:
-            if not isinstance(b, str):
-                report(f"tier entry {b!r} for agent {agent!r} is not a string")
-                return []
-            if b in seen:
-                report(f"object {b!r} appears twice in tiers of agent {agent!r}")
-                return []
-            seen.add(b)
-            if b in adjacent:
-                entries.append(b)
-            elif instance.has_object(b):
-                report(f"tier entry {b!r} for agent {agent!r} is not adjacent to the agent")
-            else:
-                report(f"tier entry {b!r} for agent {agent!r} references an unknown object")
-        if entries:
-            kept.append(entries)
-    return [(b, c) for hi, lo in zip(kept, kept[1:]) for b in hi for c in lo]
-
-
 def _document_shape(doc: Any, what: str, lists: tuple[str, ...], report: Report) -> bool:
     """Check the top level of an instance or market document: a JSON object
     with the named ``lists`` and no key but those and ``preferences``.
@@ -622,14 +670,17 @@ def _from_document(doc: Any, report: Report) -> Instance | None:
     specs = _preference_specs(doc, ("pairs", "tiers"), report)
     instance = Instance.__new__(Instance)
     instance._build(doc["agents"], doc["objects"], doc["edges"], report)
-    # tiers become pairs once the graph is built; _order reports an unknown
-    # agent, reading no pair
-    preferences = {
-        agent: _tier_pairs(instance, agent, body, report)
-        if kind == "tiers" and instance.has_agent(agent) else body
-        for agent, (kind, body) in specs.items()
-    }
-    instance._order(preferences, report)
+    # tiers become worse masks once the graph is built, and their agents
+    # give _order no pairs; _order reports an unknown agent, reading no pair
+    closed: dict[int, dict[int, int]] = {}
+    preferences = {}
+    for agent, (kind, body) in specs.items():
+        ai = _find(instance._agent_index, agent)
+        if kind == "tiers" and ai is not None:
+            closed[ai] = instance._tier_worse(ai, body, report)
+            body = ()
+        preferences[agent] = body
+    instance._order(preferences, report, closed)
     return instance
 
 
@@ -641,13 +692,30 @@ def instance_from_document(doc: Any) -> Instance:
 def _decode(source: str) -> Any:
     try:
         return json.loads(source)
-    except json.JSONDecodeError as exc:
+    # text nested deeper than the recursion limit is bad input, not a crash
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InstanceError(f"invalid JSON: {exc}") from exc
+
+
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Run the body with the cyclic garbage collector off, and turn it back
+    on after only if it was on before.  A decoded document and the instance
+    built from it hold no reference cycles, so the collector's passes over
+    their many young objects would find nothing to free."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def parse_instance(source: str) -> Instance:
     """Parse a JSON instance document (see README for the schema)."""
-    return instance_from_document(_decode(source))
+    with _gc_paused():
+        return instance_from_document(_decode(source))
 
 
 def serialize_instance(instance: Instance) -> str:
@@ -688,11 +756,12 @@ def validate(source: str | dict | Instance) -> ValidationReport:
     if isinstance(source, Instance):
         return ValidationReport(True, ())
     problems: list[str] = []
-    if isinstance(source, str):
-        try:
-            source = _decode(source)
-        except InstanceError as exc:
-            return ValidationReport(False, (str(exc),))
-    _from_document(source, problems.append)
+    with _gc_paused():
+        if isinstance(source, str):
+            try:
+                source = _decode(source)
+            except InstanceError as exc:
+                return ValidationReport(False, (str(exc),))
+        _from_document(source, problems.append)
     return ValidationReport(not problems, tuple(problems))
 

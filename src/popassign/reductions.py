@@ -419,7 +419,9 @@ def market_from_document(doc: Any) -> HousingMarket:
         if _find(seen, agent) is None:
             raise InstanceError(f"preferences reference unknown agent {agent!r}")
         pairs = []
-        succ: dict[int, set[int]] = {}
+        # the agent's own arcs, numbered as they come, keep its masks narrow
+        ranked: dict[tuple[str, str], int] = {}
+        succ: dict[int, int] = {}
         for p in body:
             if not _is_pair(p) or not all(map(_is_pair, p)):
                 raise InstanceError(
@@ -443,7 +445,9 @@ def market_from_document(doc: Any) -> HousingMarket:
                     f"agent {agent!r} declares arc {list(hi)!r} better than itself"
                 )
             pairs.append((hi, lo))
-            succ.setdefault(arc_index[hi], set()).add(arc_index[lo])
+            hj = ranked.setdefault(hi, len(ranked))
+            lj = ranked.setdefault(lo, len(ranked))
+            succ[hj] = succ.get(hj, 0) | 1 << lj
         if Instance._close(succ) is None:
             raise InstanceError(f"cyclic arc preferences for agent {agent!r}")
         preferences[agent] = tuple(pairs)

@@ -1,13 +1,14 @@
 """Shared test oracles: exhaustive searches and an integer-programming margin
 solver, all independent of the level-function machinery under test; the
 free-object level loop and the level loop without period jumps, the
-references the solver's loop is tested against; and the dense Hungarian
-method, the reference of the weighted-matching kernel."""
+references the solver's loop is tested against; the dense Hungarian
+method, the reference of the weighted-matching kernel; and the set-based
+preference parser, the reference of the instance parser."""
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
@@ -28,6 +29,15 @@ from popassign import (
     unpopularity_margin,
 )
 from popassign.generate import random_instance_document, random_market_document
+from popassign.instance import (
+    Report,
+    _document_shape,
+    _find,
+    _index_names,
+    _is_pair,
+    _preference_specs,
+    _valid_names,
+)
 from popassign.popular import (
     LevelFunction,
     SolveOutcome,
@@ -189,6 +199,181 @@ def dense_max_weight_perfect_matching(
         match[p[j]] = j
         total += graph.edges[p[j]][j]
     return match, total
+
+
+# -- the set-based preference parser ----------------------------------------------
+#
+# The instance parser as it was before it resolved preferences in one pass:
+# ``Instance._build``, ``Instance._order`` and ``Instance._close`` keep
+# adjacency and successors as sets and close with an iterator per stack
+# entry, and ``_tier_pairs`` expands tiers into consecutive-tier pairs that
+# ``_order`` then closes.  Copied verbatim but for names and comments.
+
+
+class ReferenceInstance(Instance):
+    """An :class:`Instance` built by the set-based parser."""
+
+    __slots__ = ()
+
+    def _build(
+        self,
+        agents: Iterable[str],
+        objects: Iterable[str],
+        edges: Iterable[tuple[str, str]],
+        report: Report,
+    ) -> None:
+        agent_names = _valid_names(agents, "agent", report)
+        object_names = _valid_names(objects, "object", report)
+        self._agent_index = _index_names(agent_names, "agent", report)
+        self._object_index = _index_names(object_names, "object", report)
+        self._agents = tuple(self._agent_index)
+        self._objects = tuple(self._object_index)
+
+        adj_sets: list[set[int]] = [set() for _ in self._agents]
+        object_adj_sets: list[set[int]] = [set() for _ in self._objects]
+        for edge in edges:
+            if not _is_pair(edge):
+                report(f"edge {edge!r} is not an (agent, object) pair")
+                continue
+            a, b = edge
+            ai = _find(self._agent_index, a)
+            bj = _find(self._object_index, b)
+            if ai is None:
+                report(f"edge ({a!r}, {b!r}) references unknown agent {a!r}")
+            if bj is None:
+                report(f"edge ({a!r}, {b!r}) references unknown object {b!r}")
+            if ai is None or bj is None:
+                continue
+            if bj in adj_sets[ai]:
+                report(f"duplicate edge ({a!r}, {b!r})")
+                continue
+            adj_sets[ai].add(bj)
+            object_adj_sets[bj].add(ai)
+        self._adj = tuple(tuple(sorted(s)) for s in adj_sets)
+        self._object_adj = tuple(tuple(sorted(s)) for s in object_adj_sets)
+        self._nbr_mask = tuple(sum(1 << j for j in s) for s in self._adj)
+        self._edges = tuple(
+            (ai, bj) for ai in range(len(self._agents)) for bj in self._adj[ai]
+        )
+
+    def _order(
+        self, preferences: Mapping[str, Iterable[tuple[str, str]]], report: Report
+    ) -> None:
+        succ_by_agent: dict[int, dict[int, set[int]]] = {}
+        for agent_name, pairs in preferences.items():
+            ai = _find(self._agent_index, agent_name)
+            if ai is None:
+                report(f"preferences reference unknown agent {agent_name!r}")
+                continue
+            succ: dict[int, set[int]] = {}
+            adj = set(self._adj[ai])
+            for pair in pairs:
+                if not _is_pair(pair):
+                    report(f"preference pair {pair!r} for agent {agent_name!r} is not a pair")
+                    continue
+                b, b2 = pair
+                bj = _find(self._object_index, b)
+                cj = _find(self._object_index, b2)
+                if bj is None or cj is None:
+                    report(
+                        f"preference pair ({b!r}, {b2!r}) for agent {agent_name!r} "
+                        "references an unknown object"
+                    )
+                elif bj not in adj or cj not in adj:
+                    report(
+                        f"preference pair ({b!r}, {b2!r}) for agent {agent_name!r} "
+                        "compares objects that are not both adjacent to the agent"
+                    )
+                elif bj == cj:
+                    report(f"agent {agent_name!r} declares {b!r} better than itself")
+                else:
+                    succ.setdefault(bj, set()).add(cj)
+            succ_by_agent[ai] = succ
+
+        worse_by_agent: list[dict[int, int]] = []
+        for ai, agent_name in enumerate(self._agents):
+            worse = self._close(succ_by_agent.get(ai, {}))
+            if worse is None:
+                report(f"cyclic preferences for agent {agent_name!r}")
+                worse = {}
+            worse_by_agent.append(worse)
+        self._worse = tuple(worse_by_agent)
+
+    @staticmethod
+    def _close(succ: Mapping[int, set[int]]) -> dict[int, int] | None:
+        worse: dict[int, int] = {}
+        color: dict[int, int] = {}  # 1 = on stack, 2 = finished
+        for root in succ:
+            if color.get(root) == 2:
+                continue
+            stack = [(root, iter(succ[root]))]
+            color[root] = 1
+            while stack:
+                node, it = stack[-1]
+                advanced = False
+                for nxt in it:
+                    c = color.get(nxt, 0)
+                    if c == 1:
+                        return None
+                    if c == 0:
+                        color[nxt] = 1
+                        stack.append((nxt, iter(succ.get(nxt, ()))))
+                        advanced = True
+                        break
+                if not advanced:
+                    stack.pop()
+                    color[node] = 2
+                    mask = 0
+                    for s in succ.get(node, ()):
+                        mask |= (1 << s) | worse.get(s, 0)
+                    if mask:
+                        worse[node] = mask
+        return worse
+
+
+def _reference_tier_pairs(instance: Instance, agent: str, tiers: list, report: Report) -> list:
+    adjacent = set(instance.neighbors(agent))
+    seen: set[str] = set()
+    kept = []
+    for tier in tiers:
+        if not isinstance(tier, list) or not tier:
+            report(f"tiers for agent {agent!r} must be non-empty lists")
+            return []
+        entries = []
+        for b in tier:
+            if not isinstance(b, str):
+                report(f"tier entry {b!r} for agent {agent!r} is not a string")
+                return []
+            if b in seen:
+                report(f"object {b!r} appears twice in tiers of agent {agent!r}")
+                return []
+            seen.add(b)
+            if b in adjacent:
+                entries.append(b)
+            elif instance.has_object(b):
+                report(f"tier entry {b!r} for agent {agent!r} is not adjacent to the agent")
+            else:
+                report(f"tier entry {b!r} for agent {agent!r} references an unknown object")
+        if entries:
+            kept.append(entries)
+    return [(b, c) for hi, lo in zip(kept, kept[1:]) for b in hi for c in lo]
+
+
+def reference_from_document(doc, report: Report) -> ReferenceInstance | None:
+    """``instance._from_document`` with the set-based parser: same
+    arguments, problems and return."""
+    if not _document_shape(doc, "instance", ("agents", "objects", "edges"), report):
+        return None
+    specs = _preference_specs(doc, ("pairs", "tiers"), report)
+    instance = ReferenceInstance.__new__(ReferenceInstance)
+    instance._build(doc["agents"], doc["objects"], doc["edges"], report)
+    preferences = {
+        agent: _reference_tier_pairs(instance, agent, body, report)
+        if kind == "tiers" and instance.has_agent(agent) else body
+        for agent, (kind, body) in specs.items()
+    }
+    instance._order(preferences, report)
+    return instance
 
 
 # -- the free-object level loop ---------------------------------------------------

@@ -357,6 +357,14 @@ def test_verify_rejects_non_assignments(write, capsys):
         assert code == 2 and message in report["error"]
 
 
+def test_deeply_nested_json_is_bad_input_not_a_crash(write, capsys):
+    nested = write("nested.json", "[" * 200_000 + "]" * 200_000)
+    code, report, _ = run(capsys, "verify", write("chain.json", CHAIN), nested)
+    assert code == 2 and report["error"].startswith("invalid matching JSON")
+    code, report, _ = run(capsys, "solve", nested)
+    assert code == 2 and report["error"].startswith("invalid JSON")
+
+
 # -- failed self-checks, closed output, synopsis ------------------------------------
 
 

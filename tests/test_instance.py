@@ -1,4 +1,6 @@
+import gc
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,13 +22,15 @@ from popassign import (
     instance_from_document,
     lambda_feasible,
     parse_instance,
+    parse_market,
     serialize_instance,
     solve_with_constraints,
     validate,
 )
-from popassign.generate import random_instance_document
+from popassign.generate import PREF_STYLES, random_instance_document
+from popassign.instance import _from_document
 
-from helpers import corpus
+from helpers import ReferenceInstance, corpus, reference_from_document
 
 
 def test_basic_shape():
@@ -528,3 +532,244 @@ def test_corpus_is_deterministic():
     a = [i.edges for i in corpus(10, 2, 4, seed0=5)]
     b = [i.edges for i in corpus(10, 2, 4, seed0=5)]
     assert a == b
+
+
+# -- the one-pass parser against the set-based reference ---------------------------
+
+
+def _faulty(rng, doc):
+    """``doc`` with one to four faults injected: preference cycles, unknown,
+    non-adjacent, self and malformed pairs, every kind of tier fault, unknown
+    agents between the known ones, and some edge and name faults."""
+    doc = json.loads(json.dumps(doc))
+    agents, objects, edges = doc["agents"], doc["objects"], doc["edges"]
+    prefs = doc.setdefault("preferences", {})
+    nbrs = {a: [b for x, b in edges if x == a] for a in agents}
+
+    def insert(items, item):
+        items.insert(rng.randrange(len(items) + 1), item)
+
+    def pairs_of(a):
+        spec = prefs.get(a)
+        if not isinstance(spec, dict) or not isinstance(spec.get("pairs"), list):
+            prefs[a] = spec = {"pairs": []}
+        return spec["pairs"]
+
+    def tiers_of(a):
+        spec = prefs.get(a)
+        if not isinstance(spec, dict) or not isinstance(spec.get("tiers"), list):
+            order = nbrs[a][:]
+            rng.shuffle(order)
+            prefs[a] = spec = {"tiers": [[b] for b in order] or [["nope"]]}
+        return spec["tiers"]
+
+    for _ in range(rng.randint(1, 4)):
+        a = rng.choice(agents)
+        x = rng.choice(nbrs[a]) if nbrs[a] else objects[0]
+        y = rng.choice(nbrs[a]) if nbrs[a] else objects[-1]
+        far = [b for b in objects if b not in nbrs[a]]
+        fault = rng.randrange(12)
+        if fault == 0:  # a cycle through a declared pair, or a fresh 2-cycle
+            pairs = pairs_of(a)
+            good = [p for p in pairs if isinstance(p, list) and len(p) == 2]
+            if good:
+                p = rng.choice(good)
+                insert(pairs, [p[1], p[0]])
+            else:
+                pairs += [[x, y], [y, x]]
+        elif fault == 1:
+            insert(pairs_of(a), rng.choice([[x, "nowhere"], ["nowhere", y], [x, ["y"]]]))
+        elif fault == 2:
+            insert(pairs_of(a), [x, rng.choice(far)] if far else [x, x])
+        elif fault == 3:
+            insert(pairs_of(a), [x, x])
+        elif fault == 4:
+            insert(pairs_of(a), rng.choice([x + y, [x], [x, y, x], 7, None]))
+        elif fault == 5:
+            tiers = tiers_of(a)
+            insert(tiers, rng.choice([x + y, [], 7]))
+        elif fault == 6:
+            tiers = [t for t in tiers_of(a) if isinstance(t, list) and t]
+            if tiers:
+                tier = rng.choice(tiers)
+                insert(tier, rng.choice([7, tier[0], "nope"] + far[:1]))
+        elif fault == 7:  # an unknown agent between the known ones
+            ghost = f"ghost{rng.randrange(3)}"
+            spec = rng.choice([{"tiers": [[x], ["nope"]]}, {"pairs": [[x, y]]}])
+            items = list(prefs.items())
+            insert(items, (ghost, spec))
+            prefs.clear()
+            prefs.update(items)
+        elif fault == 8 and edges:
+            edges.remove(rng.choice(edges))
+        elif fault == 9:
+            insert(edges, rng.choice([[a, x], [a, "nowhere"], ["ghost", x], [a], a + x]))
+        elif fault == 10:
+            insert(objects, rng.choice([objects[0], "", 3]))
+        else:
+            prefs[a] = rng.choice([{"ranking": []}, {"pairs": "x>y"}, {"pairs": [], "tiers": []}])
+    return doc
+
+
+def _parser_documents():
+    rng = random.Random(17)
+    for i in range(240):
+        n = 2 + i % 7
+        m = n if i % 2 else max(1, n + rng.choice((-2, -1, 1, 2)))
+        style = PREF_STYLES[i % 3]
+        doc = random_instance_document(n, m, rng.choice((0.3, 0.6, 1.0)), style, 900 + i)
+        yield doc
+        for _ in range(3):
+            yield _faulty(rng, doc)
+
+
+def _same_parse(doc):
+    """Assert that the parser and the reference agree on ``doc``; return
+    whether it is valid."""
+    problems, expected = [], []
+    got = _from_document(doc, problems.append)
+    want = reference_from_document(doc, expected.append)
+    assert problems == expected
+    assert validate(doc).problems == tuple(expected)
+    assert validate(json.dumps(doc)).problems == tuple(expected)
+    if expected:
+        with pytest.raises(InstanceError) as err:
+            instance_from_document(doc)
+        assert str(err.value) == expected[0]
+    if want is None:
+        assert got is None
+        return False
+    for slot in ("_agents", "_objects", "_adj", "_object_adj", "_nbr_mask", "_edges", "_worse"):
+        assert getattr(got, slot) == getattr(want, slot), slot
+    assert got.to_document() == want.to_document()
+    return not expected
+
+
+def test_the_parser_matches_the_set_based_reference():
+    kinds = {True: 0, False: 0}
+    for doc in (*SINGLE_FAULT_DOCUMENTS.values(), *_parser_documents()):
+        kinds[_same_parse(doc)] += 1
+    assert kinds[True] >= 200 and kinds[False] >= 500
+
+
+def test_constructor_matches_the_set_based_reference():
+    for doc in _parser_documents():
+        prefs = {
+            a: spec["pairs"]
+            for a, spec in doc.get("preferences", {}).items()
+            if isinstance(spec, dict) and isinstance(spec.get("pairs"), list)
+        }
+        args = (doc["agents"], doc["objects"], doc["edges"], prefs)
+        try:
+            want = ReferenceInstance(*args)
+        except InstanceError as exc:
+            with pytest.raises(InstanceError) as err:
+                Instance(*args)
+            assert str(err.value) == str(exc)
+            continue
+        got = Instance(*args)
+        assert got._worse == want._worse and got.to_document() == want.to_document()
+        # closed orders, as padding passes them, where most successors are
+        # leaves or covered by another
+        closed = {a: got.preference_pairs(a) for a in got.agents}
+        args = (doc["agents"], doc["objects"], doc["edges"], closed)
+        assert Instance(*args)._worse == ReferenceInstance(*args)._worse == got._worse
+
+
+def _chain(n):
+    objects = [f"o{i}" for i in range(n)]
+    return objects, [("a", o) for o in objects]
+
+
+def test_long_chains_close_the_same_from_pairs_and_tiers():
+    objects, edges = _chain(3000)
+    pairs = [(x, y) for x, y in zip(objects, objects[1:])]
+    backward = Instance(["a"], objects, edges, {"a": pairs[::-1]})
+    forward = Instance(["a"], objects, edges, {"a": pairs})
+    doc = {
+        "agents": ["a"],
+        "objects": objects,
+        "edges": [list(e) for e in edges],
+        "preferences": {"a": {"tiers": [[o] for o in objects]}},
+    }
+    tiered = instance_from_document(doc)
+    everything = (1 << 3000) - 1
+    for bj in (0, 1, 1500, 2998, 2999):
+        expected = everything & ~((1 << (bj + 1)) - 1)
+        for instance in (backward, forward, tiered):
+            assert instance.worse_mask(0, bj) == expected
+    assert backward._worse == forward._worse == tiered._worse
+    assert tiered.tiers("a") == tuple((o,) for o in objects)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_a_cycle_closing_a_long_chain_is_rejected(reverse):
+    objects, edges = _chain(3000)
+    pairs = [(x, y) for x, y in zip(objects, objects[1:])] + [(objects[-1], objects[0])]
+    if reverse:
+        pairs.reverse()
+    with pytest.raises(InstanceError, match="cyclic preferences for agent 'a'"):
+        Instance(["a"], objects, edges, {"a": pairs})
+    doc = {
+        "agents": ["a"],
+        "objects": objects,
+        "edges": [list(e) for e in edges],
+        "preferences": {"a": {"pairs": [list(p) for p in pairs]}},
+    }
+    assert validate(doc).problems == ("cyclic preferences for agent 'a'",)
+
+
+def test_one_shot_iterables_build_the_same_instance():
+    for seed in range(20):
+        doc = random_instance_document(6, 7, 0.8, "partial", seed)
+        prefs = {a: spec["pairs"] for a, spec in doc["preferences"].items()}
+        listed = Instance(doc["agents"], doc["objects"], doc["edges"], prefs)
+        once = Instance(
+            iter(doc["agents"]),
+            (o for o in doc["objects"]),
+            (e for e in doc["edges"]),
+            {a: (p for p in pairs) for a, pairs in prefs.items()},
+        )
+        assert once._worse == listed._worse == instance_from_document(doc)._worse
+        assert once.to_document() == listed.to_document()
+
+
+# -- decoding ----------------------------------------------------------------------
+
+NESTED = "[" * 200_000 + "]" * 200_000
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps(random_instance_document(5, 5, 0.8, "partial", 1)),
+        json.dumps(_with(preferences={"a": {"pairs": [["x", "y"], ["y", "x"]]}})),
+        "{nope",
+        NESTED,
+    ],
+    ids=["valid", "cycle", "bad-json", "nested"],
+)
+def test_parsing_leaves_the_garbage_collector_as_it_was(enabled, text):
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        try:
+            parse_instance(text)
+        except InstanceError:
+            pass
+        assert gc.isenabled() is enabled
+        validate(text)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+def test_deeply_nested_json_is_invalid_not_a_crash():
+    with pytest.raises(InstanceError, match="invalid JSON"):
+        parse_instance(NESTED)
+    report = validate(NESTED)
+    assert not report.ok and len(report.problems) == 1
+    assert report.problems[0].startswith("invalid JSON")
+    with pytest.raises(InstanceError, match="invalid JSON"):
+        parse_market(NESTED)
