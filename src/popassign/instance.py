@@ -423,18 +423,37 @@ class Instance:
 
     # -- preference queries --------------------------------------------------
 
-    def prefers(self, agent: str, obj: str, other: str) -> bool:
-        """True iff ``agent`` strictly prefers ``obj`` to ``other``.
+    def vote(self, ai: int, bj: int, cj: int) -> int:
+        """Agent ``ai``'s vote for neighbor ``bj`` over neighbor ``cj``: +1
+        if ``cj`` is in ``bj``'s worse mask, -1 if ``bj`` is in ``cj``'s,
+        0 if they are the same object or incomparable.  The package's one
+        comparison rule: :meth:`prefers` and :func:`compare` resolve names
+        and call it, and so do the oracles' votes."""
+        worse = self._worse[ai]
+        if worse.get(bj, 0) >> cj & 1:
+            return 1
+        if worse.get(cj, 0) >> bj & 1:
+            return -1
+        return 0
 
-        Both objects must be adjacent to the agent.
-        """
+    def pair_indices(self, agent: str, obj: str, other: str) -> tuple[int, int, int]:
+        """The indices of ``agent`` and two of her neighbors, for
+        :meth:`vote`; raises :class:`InstanceError` on an unknown name or an
+        object that is not adjacent to the agent."""
         ai = self.agent_index(agent)
         bj = self.object_index(obj)
         cj = self.object_index(other)
         for j, name in ((bj, obj), (cj, other)):
             if not self._nbr_mask[ai] >> j & 1:
                 raise InstanceError(f"object {name!r} is not adjacent to agent {agent!r}")
-        return bool(self._worse[ai].get(bj, 0) >> cj & 1)
+        return ai, bj, cj
+
+    def prefers(self, agent: str, obj: str, other: str) -> bool:
+        """True iff ``agent`` strictly prefers ``obj`` to ``other``.
+
+        Both objects must be adjacent to the agent.
+        """
+        return self.vote(*self.pair_indices(agent, obj, other)) > 0
 
     def preference_pairs(self, agent: str) -> tuple[tuple[str, str], ...]:
         """The transitively closed strict pairs of ``agent``, sorted."""
@@ -605,13 +624,17 @@ def check_assignment(instance: Instance, matching: Matching) -> None:
         )
 
 
+_COMPARISONS = {
+    1: PrefComparison.PREFERS,
+    -1: PrefComparison.DISPREFERRED,
+    0: PrefComparison.INDIFFERENT,
+}
+
+
 def compare(instance: Instance, agent: str, obj: str, other: str) -> PrefComparison:
-    """Compare two of ``agent``'s neighbors from her point of view."""
-    if instance.prefers(agent, obj, other):
-        return PrefComparison.PREFERS
-    if instance.prefers(agent, other, obj):
-        return PrefComparison.DISPREFERRED
-    return PrefComparison.INDIFFERENT
+    """Compare two of ``agent``'s neighbors from her point of view, by
+    :meth:`Instance.vote`."""
+    return _COMPARISONS[instance.vote(*instance.pair_indices(agent, obj, other))]
 
 
 # -- documents ---------------------------------------------------------------

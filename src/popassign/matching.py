@@ -3,14 +3,17 @@
 This module is purely index-based: vertices on each side are numbered from
 zero, and callers translate between names and indices.  Both algorithms here
 are deterministic -- given the same graph (including adjacency order) they
-return the same matching, with ties broken towards lower vertex indices.
+return the same matching.  Hopcroft--Karp runs in O(m sqrt(n)); the
+maximum-weight perfect matching starts from one Hopcroft--Karp pass over
+each row's heaviest edges, then alternates one Dijkstra search from every
+row still free with one more pass, O(n m log n) at worst.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 INF = float("inf")
 
@@ -36,8 +39,8 @@ class BipartiteGraph:
             )
         for i, row in enumerate(adjacency):
             for r in row:
-                if not 0 <= r < n_right:
-                    raise ValueError(f"right vertex {r} of left vertex {i} out of range")
+                if type(r) is not int or not 0 <= r < n_right:
+                    raise _bad_right_vertex(i, r)
         self.n_left = n_left
         self.n_right = n_right
         self.adjacency = tuple(tuple(row) for row in adjacency)
@@ -73,9 +76,9 @@ class WeightedBipartiteGraph:
         rows: List[Dict[int, int]] = []
         for i, row in enumerate(edges):
             for r, w in row.items():
-                if not 0 <= r < n_right:
-                    raise ValueError(f"right vertex {r} of left vertex {i} out of range")
-                if not isinstance(w, int):
+                if type(r) is not int or not 0 <= r < n_right:
+                    raise _bad_right_vertex(i, r)
+                if type(w) is not int:
                     raise ValueError(f"weight of edge ({i}, {r}) must be an integer")
             rows.append(dict(row))
         self.n_left = n_left
@@ -83,17 +86,30 @@ class WeightedBipartiteGraph:
         self.edges = rows
 
 
+def _bad_right_vertex(i: int, r: Any) -> ValueError:
+    """The error for right end ``r`` of an edge of left vertex ``i`` that is
+    not a plain in-range ``int``: a float or a bool passes a range test, then
+    fails as a list index or stands in for a column in the result."""
+    if type(r) is not int:
+        return ValueError(f"right vertex {r!r} of left vertex {i} must be an integer")
+    return ValueError(f"right vertex {r} of left vertex {i} out of range")
+
+
 #: Deepest Hopcroft--Karp layer searched by recursion; deeper phases use an
 #: explicit stack, so no graph's shape can hit the interpreter's recursion limit.
 RECURSION_DEPTH = 500
 
 
-def maximum_matching(graph: BipartiteGraph) -> Tuple[List[int], List[int]]:
+def maximum_matching(
+    graph: BipartiteGraph, start: Tuple[List[int], List[int]] | None = None
+) -> Tuple[List[int], List[int]]:
     """Hopcroft--Karp maximum matching.
 
     Returns ``(match_left, match_right)`` where ``match_left[i]`` is the
     right vertex matched to left vertex ``i`` (``-1`` if unmatched) and
-    symmetrically for ``match_right``.
+    symmetrically for ``match_right``.  ``start``, a matching of ``graph``
+    in that form, is grown in place instead of the empty one: its lists are
+    the ones returned, and every vertex it matches stays matched.
 
     The search is deterministic: breadth-first layers grow from free left
     vertices in index order and the augmenting depth-first search scans
@@ -104,8 +120,7 @@ def maximum_matching(graph: BipartiteGraph) -> Tuple[List[int], List[int]]:
     """
     n_left, n_right = graph.n_left, graph.n_right
     adjacency = graph.adjacency
-    match_l: List[int] = [-1] * n_left
-    match_r: List[int] = [-1] * n_right
+    match_l, match_r = start or ([-1] * n_left, [-1] * n_right)
     dist: List[float] = [INF] * n_left
 
     def bfs() -> float:
@@ -240,21 +255,33 @@ def even_reach(
 
 
 def max_weight_perfect_matching(graph: WeightedBipartiteGraph) -> Tuple[List[int], int]:
-    """Maximum-weight perfect matching by successive shortest paths over the
-    real edges (Edmonds & Karp 1972).
+    """Maximum-weight perfect matching by shortest augmenting paths over the
+    real edges (Edmonds & Karp 1972), augmented in batches by Hopcroft--Karp.
 
     Returns ``(match_left, total_weight)`` with ``match_left[i]`` the right
     vertex assigned to left vertex ``i``.  Integer prices keep
     ``w(i, j) <= row[i] + col[j]`` on every edge, tight on matched ones;
-    ``row[i]`` starts at the largest weight of row ``i`` and ``col`` at 0.
-    Each left vertex in index order roots one Dijkstra search over the
-    slacks, O(m log n) on a binary heap, until the first free column is
-    popped; columns at equal distance pop lower index first, so the result
-    is deterministic.  Every settled vertex's price then moves by the final
-    distance less its own, which keeps the prices feasible and the path
-    tight, and the path is flipped.  A search that runs out of columns
-    proves that no perfect matching exists and raises
-    :class:`InfeasibleMatchingError`, as does a graph that is not square.
+    ``row[i]`` starts at the largest weight of row ``i`` and ``col`` at 0,
+    so the first tight edges are each row's heaviest ones.  Each phase grows
+    the matching with :func:`maximum_matching` on the tight edges (in the
+    rows' key order), starting from the last phase's matching; any matching
+    of tight edges keeps the invariant.  Then one Dijkstra search over the
+    slacks, rooted at every free row at once, runs until the first free
+    column pops at some distance ``D`` (:func:`_lower_prices`).  Every
+    reached vertex's price moves by ``D`` less its own distance, which keeps
+    the prices feasible and makes a shortest augmenting path tight, so the
+    next phase matches at least one more row.  With the prices feasible and
+    a perfect matching tight, the matching is a maximum-weight one.
+
+    At most n phases of O(m log n) each, and the Hopcroft--Karp passes,
+    which only grow one matching, take O(n m) in all.  Each phase lowers the
+    price of every row still free by at least 1, so weights in ``-W..W``
+    give O(W + sqrt(n W)) phases; the oracles' votes have ``W = 1``.  Where
+    several perfect matchings attain the maximum, the one returned is the
+    one this order reaches, so it can change when the kernel does; the total
+    cannot.  A search that runs out of columns proves that no perfect
+    matching exists and raises :class:`InfeasibleMatchingError`, as does a
+    graph that is not square.
     """
     n = graph.n_left
     if graph.n_right != n:
@@ -264,38 +291,59 @@ def max_weight_perfect_matching(graph: WeightedBipartiteGraph) -> Tuple[List[int
     edges = graph.edges
     row = [max(r.values(), default=0) for r in edges]
     col = [0] * n
-    match_l = [-1] * n
-    match_r = [-1] * n
-    for root in range(n):
-        reached: Dict[int, int] = {}  # column -> its best distance so far
-        parent: Dict[int, int] = {}  # column -> the row it was reached from
-        settled: Dict[int, int] = {}  # column -> its final distance
-        rows: List[Tuple[int, int]] = []  # (row, distance) of every settled row
-        heap: List[Tuple[int, int]] = []
-        i, d = root, 0
-        while i != -1:
-            rows.append((i, d))
+    match = None
+    while True:
+        tight = tuple(
+            tuple([j for j, w in r.items() if w == top + col[j]])
+            for r, top in zip(edges, row)
+        )
+        match = maximum_matching(BipartiteGraph.unchecked(n, n, tight), match)
+        match_l, match_r = match
+        free = [i for i, j in enumerate(match_l) if j == -1]
+        if not free:
+            return match_l, sum(edges[i][j] for i, j in enumerate(match_l))
+        _lower_prices(edges, row, col, match_r, free)
+
+
+def _lower_prices(
+    edges: Sequence[Mapping[int, int]],
+    row: List[int],
+    col: List[int],
+    match_r: Sequence[int],
+    free: Sequence[int],
+) -> None:
+    """One Dijkstra search over the slacks ``row[i] + col[j] - w(i, j)``
+    from all ``free`` rows at once, O(m log n) on a binary heap: a column
+    pops at its distance, lower index first among equals, and a matched one
+    passes that distance to its row.  At the first free column popped, at
+    distance ``D``, every reached row's price falls and every popped
+    column's rises by ``D`` less its own distance.  Raises
+    :class:`InfeasibleMatchingError` when no free column is reachable: then
+    the matching is maximum, and not perfect."""
+    reached: Dict[int, int] = {}  # column -> its best distance so far
+    settled: Dict[int, int] = {}  # column -> its final distance
+    rows: List[Tuple[int, int]] = []  # (row, distance) of every reached row
+    heap: List[Tuple[int, int]] = []
+    scan = [(i, 0) for i in free]
+    while scan:
+        rows += scan
+        for i, d in scan:
             base = d + row[i]
             for j, w in edges[i].items():
                 dj = base + col[j] - w
                 if j not in settled and (j not in reached or dj < reached[j]):
                     reached[j] = dj
-                    parent[j] = i
                     heappush(heap, (dj, j))
-            while True:
-                if not heap:
-                    raise InfeasibleMatchingError("graph admits no perfect matching")
-                d, j = heappop(heap)
-                if j not in settled:
-                    break
-            settled[j] = d
-            i = match_r[j]
-        for i, di in rows:
-            row[i] -= d - di
-        for k, dk in settled.items():
-            col[k] += d - dk
-        while j != -1:
-            i = parent[j]
-            match_r[j] = i
-            match_l[i], j = j, match_l[i]
-    return match_l, sum(edges[i][j] for i, j in enumerate(match_l))
+        while True:
+            if not heap:
+                raise InfeasibleMatchingError("graph admits no perfect matching")
+            d, j = heappop(heap)
+            if j not in settled:
+                break
+        settled[j] = d
+        i = match_r[j]
+        scan = [] if i == -1 else [(i, d)]
+    for i, di in rows:
+        row[i] -= d - di
+    for j, dj in settled.items():
+        col[j] += d - dj

@@ -6,7 +6,9 @@ enumeration on small instances, a maximum-weight-matching computation of the
 exact unpopularity margin, direct dual-certificate checking, and the
 classical first/second-choice-edge characterization of popular matchings
 under weak rankings.  Every vote between two objects goes through
-:func:`popassign.instance.compare`, the package's one comparison rule.
+:meth:`popassign.instance.Instance.vote`, the package's one comparison rule:
+by names in the tallies, by indices in the rows of the margin computation
+and the certificate check.
 """
 
 from __future__ import annotations
@@ -19,10 +21,8 @@ from .instance import (
     InstanceError,
     Matching,
     MatchingError,
-    PrefComparison,
     check_assignment,
     check_matching,
-    compare,
     iter_bits,
 )
 from .matching import (
@@ -45,18 +45,11 @@ PERFECT_SIDE_CAP = 8
 ALL_MATCHINGS_SIDE_CAP = 6
 
 
-_VOTE = {
-    PrefComparison.PREFERS: 1,
-    PrefComparison.DISPREFERRED: -1,
-    PrefComparison.INDIFFERENT: 0,
-}
-
-
 def _vote(
     instance: Instance, agent: str, new: str | None, old: str | None, kappa: int = 1
 ) -> int:
     """``agent``'s vote for partner ``new`` over partner ``old`` (None for
-    unmatched): the :func:`compare` verdict between two partners, +-``kappa``
+    unmatched): :meth:`Instance.vote` between two partners, +-``kappa``
     when exactly one side is unmatched, 0 when both sides agree."""
     if new == old:
         return 0
@@ -64,7 +57,21 @@ def _vote(
         return -kappa
     if old is None:
         return kappa
-    return _VOTE[compare(instance, agent, new, old)]
+    return instance.vote(*instance.pair_indices(agent, new, old))
+
+
+def _vote_rows(instance: Instance, matching: Matching) -> list[dict[int, int]]:
+    """Every agent's vote for each neighbor over her partner in the
+    assignment ``matching``, keyed by object index in index order: the
+    edge weights of the margin computation, by :meth:`Instance.vote` with
+    one name lookup per agent."""
+    vote = instance.vote
+    object_index = instance.object_index
+    rows = []
+    for ai, a in enumerate(instance.agents):
+        pj = object_index(matching.object_for(a))
+        rows.append({bj: vote(ai, bj, pj) for bj in instance.adj_indices(ai)})
+    return rows
 
 
 def _check_kappa(kappa: int) -> None:
@@ -128,19 +135,18 @@ def unpopularity_margin(instance: Instance, matching: Matching) -> MarginReport:
     tally any rival assignment achieves against it.  Zero means popular.
 
     Computed as a maximum-weight perfect matching under per-edge vote
-    weights; no enumeration and no level loop involved.  Raises
-    :class:`MatchingError` first unless ``matching`` is an assignment.
+    weights (:func:`max_weight_perfect_matching`: a Hopcroft--Karp pass
+    over each agent's best-vote edges, then phases of one Dijkstra search
+    from all agents still free and one more pass; O(sqrt(n)) phases for
+    these weights in {-1, 0, +1}); no enumeration and no level loop
+    involved.  Where several rivals attain the margin, which one is the
+    witness follows the kernel's search order and is not part of the
+    contract; re-tallied with :func:`delta`, it always gives the margin.
+    Raises :class:`MatchingError` first unless ``matching`` is an
+    assignment.
     """
     check_assignment(instance, matching)
-    rows = []
-    for ai, a in enumerate(instance.agents):
-        partner = matching.object_for(a)
-        rows.append(
-            {
-                bj: _vote(instance, a, instance.objects[bj], partner)
-                for bj in instance.adj_indices(ai)
-            }
-        )
+    rows = _vote_rows(instance, matching)
     graph = WeightedBipartiteGraph(instance.n_agents, instance.n_objects, rows)
     match, total = max_weight_perfect_matching(graph)
     witness = Matching(
@@ -276,13 +282,16 @@ def verify_certificate(
     if failures:
         return False, tuple(failures)
 
-    for a, b in instance.edges:
-        need = _vote(instance, a, b, matching.object_for(a))
-        have = certificate.alpha_agents[a] + certificate.alpha_objects[b]
-        if have < need:
-            failures.append(
-                f"edge ({a!r}, {b!r}) is uncovered: alpha sum {have} < weight {need}"
-            )
+    objects = instance.objects
+    for a, row in zip(instance.agents, _vote_rows(instance, matching)):
+        alpha_a = certificate.alpha_agents[a]
+        for bj, need in row.items():
+            b = objects[bj]
+            have = alpha_a + certificate.alpha_objects[b]
+            if have < need:
+                failures.append(
+                    f"edge ({a!r}, {b!r}) is uncovered: alpha sum {have} < weight {need}"
+                )
     total = certificate.total()
     if total > k:
         failures.append(f"certificate total {total} exceeds k = {k}")

@@ -2,13 +2,15 @@
 solver, all independent of the level-function machinery under test; the
 free-object level loop and the level loop without period jumps, the
 references the solver's loop is tested against; the dense Hungarian
-method, the reference of the weighted-matching kernel; and the set-based
-preference parser, the reference of the instance parser."""
+method and the one-search-per-row shortest-paths method, the references of
+the weighted-matching kernel; and the set-based preference parser, the
+reference of the instance parser."""
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Iterator, Mapping, Sequence
+from heapq import heappop, heappush
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
@@ -134,7 +136,7 @@ def per_edge_characterization(instance: Instance) -> CharacterizationSets:
     return CharacterizationSets(frozenset(first), frozenset(second), nu1)
 
 
-# -- the dense Hungarian method ---------------------------------------------------
+# -- the references of the weighted-matching kernel -------------------------------
 
 
 def dense_max_weight_perfect_matching(
@@ -199,6 +201,59 @@ def dense_max_weight_perfect_matching(
         match[p[j]] = j
         total += graph.edges[p[j]][j]
     return match, total
+
+
+def ssp_max_weight_perfect_matching(
+    graph: WeightedBipartiteGraph,
+) -> tuple[list[int], int]:
+    """``matching.max_weight_perfect_matching`` as it was before it started
+    from a Hopcroft--Karp matching of the tight edges: successive shortest
+    paths from an empty matching, one Dijkstra search rooted at every row in
+    index order.  Same signature, total and exceptions.  Copied verbatim
+    but for names and comments."""
+    n = graph.n_left
+    if graph.n_right != n:
+        raise InfeasibleMatchingError(
+            f"perfect matching impossible: {n} left vertices, {graph.n_right} right"
+        )
+    edges = graph.edges
+    row = [max(r.values(), default=0) for r in edges]
+    col = [0] * n
+    match_l = [-1] * n
+    match_r = [-1] * n
+    for root in range(n):
+        reached: dict[int, int] = {}
+        parent: dict[int, int] = {}
+        settled: dict[int, int] = {}
+        rows: list[tuple[int, int]] = []
+        heap: list[tuple[int, int]] = []
+        i, d = root, 0
+        while i != -1:
+            rows.append((i, d))
+            base = d + row[i]
+            for j, w in edges[i].items():
+                dj = base + col[j] - w
+                if j not in settled and (j not in reached or dj < reached[j]):
+                    reached[j] = dj
+                    parent[j] = i
+                    heappush(heap, (dj, j))
+            while True:
+                if not heap:
+                    raise InfeasibleMatchingError("graph admits no perfect matching")
+                d, j = heappop(heap)
+                if j not in settled:
+                    break
+            settled[j] = d
+            i = match_r[j]
+        for i, di in rows:
+            row[i] -= d - di
+        for k, dk in settled.items():
+            col[k] += d - dk
+        while j != -1:
+            i = parent[j]
+            match_r[j] = i
+            match_l[i], j = j, match_l[i]
+    return match_l, sum(edges[i][j] for i, j in enumerate(match_l))
 
 
 # -- the set-based preference parser ----------------------------------------------

@@ -1,6 +1,6 @@
 """Import and call boundaries: the runtime package imports nothing outside
 the standard library, the oracles share no solver internals, and one
-function compares two objects."""
+index-level rule compares two objects."""
 
 import ast
 import pathlib
@@ -56,20 +56,20 @@ def test_oracles_are_independent_of_the_solvers():
     assert not private
 
 
-def test_compare_is_the_only_caller_of_prefers():
-    def prefers_calls(tree):
-        return sum(
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "prefers"
-            for node in ast.walk(tree)
-        )
-
-    total = inside = 0
+def test_one_index_rule_compares_two_objects():
+    """``Instance.vote`` is the one comparison rule: ``prefers``,
+    ``compare`` and the oracles' ``_vote`` resolve names and call it,
+    ``_vote_rows`` calls it on indices, and nothing in the package calls the
+    name-level ``prefers`` or ``compare``."""
+    users: dict[str, set[str]] = {}
     for path in sorted(PACKAGE.glob("*.py")):
-        tree = _tree(path)
-        total += prefers_calls(tree)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef) and node.name == "compare":
-                inside += prefers_calls(node)
-    assert inside > 0 and total == inside
+        for fn in ast.walk(_tree(path)):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Attribute) and node.attr in ("vote", "prefers"):
+                    users.setdefault(node.attr, set()).add(fn.name)
+                elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                        and node.func.id == "compare":
+                    users.setdefault("compare", set()).add(fn.name)
+    assert users == {"vote": {"prefers", "compare", "_vote", "_vote_rows"}}

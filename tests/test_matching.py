@@ -14,7 +14,7 @@ from popassign import (
 from popassign import matching
 from popassign.matching import alternating_reach
 
-from helpers import dense_max_weight_perfect_matching
+from helpers import dense_max_weight_perfect_matching, ssp_max_weight_perfect_matching
 
 
 def brute_max_matching_size(adjacency: list[list[int]], n_right: int) -> int:
@@ -151,6 +151,53 @@ def test_graph_validation():
         WeightedBipartiteGraph(1, 1, [{0: 1.5}])  # non-integer weight
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: BipartiteGraph(1, 2, [[0.5]]),
+        lambda: BipartiteGraph(1, 2, [[1.0]]),
+        lambda: BipartiteGraph(2, 2, [[True], [0]]),
+        lambda: BipartiteGraph(1, 2, [["1"]]),
+        lambda: WeightedBipartiteGraph(1, 1, [{0.0: 1}]),
+        lambda: WeightedBipartiteGraph(2, 2, [{True: 1, 0: 0}, {0: 1, 1: 0}]),
+        lambda: WeightedBipartiteGraph(1, 1, [{0: True}]),
+        lambda: WeightedBipartiteGraph(1, 1, [{0: 1.0}]),
+    ],
+)
+def test_graphs_take_plain_int_indices_and_weights_only(make):
+    """A float or bool index passes a range test, then crashes a kernel with
+    ``TypeError`` or comes back as a column; both are refused up front."""
+    with pytest.raises(ValueError, match="must be an integer"):
+        make()
+
+
+def test_maximum_matching_grows_a_given_matching_in_place():
+    rng = random.Random(3)
+    for _ in range(300):
+        n_left, n_right = rng.randint(1, 30), rng.randint(1, 30)
+        density = rng.choice((0.05, 0.1, 0.3))
+        adj = [
+            [r for r in range(n_right) if rng.random() < density] for _ in range(n_left)
+        ]
+        graph = BipartiteGraph(n_left, n_right, adj)
+        match_l, match_r = [-1] * n_left, [-1] * n_right
+        for i, row in enumerate(adj):  # a greedy matching of every other row
+            free = [r for r in row if match_r[r] == -1]
+            if i % 2 == 0 and free:
+                match_l[i], match_r[free[0]] = free[0], i
+        before_l, before_r = list(match_l), list(match_r)
+        grown = maximum_matching(graph, (match_l, match_r))
+        assert grown[0] is match_l and grown[1] is match_r
+        size = sum(1 for r in match_l if r != -1)
+        assert size == sum(1 for r in maximum_matching(graph)[0] if r != -1)
+        for i, r in enumerate(match_l):
+            if r != -1:
+                assert match_r[r] == i and r in adj[i]
+        # augmenting paths never free a matched vertex
+        assert all(match_l[i] != -1 for i, r in enumerate(before_l) if r != -1)
+        assert all(match_r[r] != -1 for r, i in enumerate(before_r) if i != -1)
+
+
 @st.composite
 def weighted_squares(draw):
     n = draw(st.integers(1, 5))
@@ -187,10 +234,32 @@ def test_max_weight_prefers_heavier():
     assert total == 7 and match == [1, 0]
 
 
+def _assert_agrees_with_the_references(rows: list[dict[int, int]]) -> bool:
+    """The kernel's total, or its infeasibility verdict, equals both
+    references', and its match is a perfect matching of ``rows`` whose
+    weights sum to the total.  Returns whether the graph was feasible."""
+    n = len(rows)
+    graph = WeightedBipartiteGraph(n, n, rows)
+    try:
+        expected = dense_max_weight_perfect_matching(graph)[1]
+    except InfeasibleMatchingError:
+        for kernel in (ssp_max_weight_perfect_matching, max_weight_perfect_matching):
+            with pytest.raises(InfeasibleMatchingError):
+                kernel(graph)
+        return False
+    assert ssp_max_weight_perfect_matching(graph)[1] == expected
+    match, total = max_weight_perfect_matching(graph)
+    assert total == expected
+    assert sorted(match) == list(range(n))
+    assert sum(rows[i][j] for i, j in enumerate(match)) == total
+    return True
+
+
 def test_max_weight_perfect_matching_agrees_with_the_dense_method():
-    """Differential test against the dense Hungarian method it replaced:
-    equal totals and equal infeasibility verdicts on seeded random graphs,
-    sparse to complete, infeasible ones included."""
+    """Differential test against the dense Hungarian method and the
+    one-search-per-row shortest-paths method it replaced: equal totals and
+    equal infeasibility verdicts on seeded random graphs, sparse to
+    complete, infeasible ones included."""
     rng = random.Random(13)
     feasible = 0
     for _ in range(2000):
@@ -201,19 +270,25 @@ def test_max_weight_perfect_matching_agrees_with_the_dense_method():
             {j: rng.choice(weights) for j in range(n) if rng.random() < density}
             for _ in range(n)
         ]
-        graph = WeightedBipartiteGraph(n, n, rows)
-        try:
-            expected = dense_max_weight_perfect_matching(graph)[1]
-        except InfeasibleMatchingError:
-            with pytest.raises(InfeasibleMatchingError):
-                max_weight_perfect_matching(graph)
-            continue
-        feasible += 1
-        match, total = max_weight_perfect_matching(graph)
-        assert total == expected
-        assert sorted(match) == list(range(n))
-        assert sum(rows[i][j] for i, j in enumerate(match)) == total
+        feasible += _assert_agrees_with_the_references(rows)
     assert 500 < feasible < 1500  # both verdicts are well represented
+
+
+def test_max_weight_perfect_matching_agrees_on_wide_weights_and_dense_graphs():
+    """The same differential test with weights in -50..50, where a phase
+    can lower prices by many units, and on dense graphs of up to 80 rows."""
+    rng = random.Random(17)
+    feasible = 0
+    for k in range(300):
+        dense = k % 3 == 0
+        n = rng.randint(40, 80) if dense else rng.randint(1, 40)
+        density = rng.choice((0.7, 0.9, 1.0) if dense else (0.05, 0.1, 0.2, 0.4))
+        rows = [
+            {j: rng.randint(-50, 50) for j in range(n) if rng.random() < density}
+            for _ in range(n)
+        ]
+        feasible += _assert_agrees_with_the_references(rows)
+    assert 100 < feasible < 300
 
 
 def test_max_weight_of_the_empty_graph():

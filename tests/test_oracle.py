@@ -1,16 +1,24 @@
+import contextlib
+import io
 import itertools
+import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from popassign import (
+    BipartiteGraph,
     CapExceededError,
+    DualCertificate,
     Instance,
     InstanceError,
     Matching,
     MatchingError,
     add_last_resorts,
+    augment_to_perfect,
     brute_force_margin,
     characterize_weak_rankings,
     delta,
@@ -28,8 +36,8 @@ from popassign import (
     verify_certificate,
     vote_with_penalty,
 )
-from popassign import oracle
-from popassign.generate import random_instance_document
+from popassign import cli, oracle
+from popassign.generate import PREF_STYLES, random_instance_document
 from popassign.matching import maximum_matching
 
 from helpers import (
@@ -431,3 +439,158 @@ def test_is_popular_weak_on_weak_instance():
 def test_margin_requires_assignment(unanimous_k33):
     with pytest.raises(MatchingError):
         unpopularity_margin(unanimous_k33, Matching([("a1", "b1")]))
+
+
+# -- index-level vote rows and the margin witness ------------------------------------
+
+
+def _random_assignment(instance, rng):
+    """A perfect matching of ``instance`` found from shuffled adjacency rows,
+    or None if it has none."""
+    rows = [list(instance.adj_indices(ai)) for ai in range(instance.n_agents)]
+    for row in rows:
+        rng.shuffle(row)
+    match_l, _ = maximum_matching(
+        BipartiteGraph(instance.n_agents, instance.n_objects, rows)
+    )
+    if instance.n_agents != instance.n_objects or -1 in match_l:
+        return None
+    return Matching(
+        (instance.agents[ai], instance.objects[bj]) for ai, bj in enumerate(match_l)
+    )
+
+
+def _seeded_assignments():
+    """(instance, assignment) pairs over every preference style, square and
+    rectangular documents, each as it is where it has an assignment and
+    padded by ``augment_to_perfect``."""
+    rng = random.Random(29)
+    for k in range(90):
+        style = PREF_STYLES[k % 3]
+        n = rng.randint(2, 14)
+        m = n if k % 2 else max(1, n + rng.randint(-3, 3))
+        density = rng.choice((0.15, 0.3, 0.6, 1.0))
+        source = instance_from_document(
+            random_instance_document(n, m, density, style, 5000 + k)
+        )
+        for instance in (source, augment_to_perfect(source)[0]):
+            matching = _random_assignment(instance, rng)
+            if matching is not None:
+                yield instance, matching
+
+
+def _vote_by_closed_pairs(instance, agent, new, old):
+    """The vote read off the sorted closed pairs, with no call of the
+    comparison rule."""
+    pairs = set(instance.preference_pairs(agent))
+    return ((new, old) in pairs) - ((old, new) in pairs)
+
+
+def test_index_vote_rows_equal_the_votes_by_name():
+    """Every edge's weight in the margin computation (``_vote_rows``, by
+    index) equals ``_vote`` by names, and the vote read off the closed
+    preference pairs."""
+    seen = 0
+    for instance, matching in _seeded_assignments():
+        rows = oracle._vote_rows(instance, matching)
+        for (ai, bj), (a, b) in zip(instance.edge_indices, instance.edges):
+            partner = matching.object_for(a)
+            by_name = oracle._vote(instance, a, b, partner)
+            assert rows[ai][bj] == by_name == edge_weight(instance, matching, (a, b))
+            assert by_name == _vote_by_closed_pairs(instance, a, b, partner)
+            seen += 1
+        assert [list(row) for row in rows] == [
+            list(instance.adj_indices(ai)) for ai in range(instance.n_agents)
+        ]
+    assert seen > 5000
+
+
+def _certificate_problems_by_name(instance, matching, certificate, k):
+    """``verify_certificate``'s problems for a certificate whose values are
+    all present and in range: its coverage, total and load checks walked by
+    edge names, as the check read before it took index-level rows."""
+    alpha_a, alpha_b = certificate.alpha_agents, certificate.alpha_objects
+    failures = []
+    for a, b in instance.edges:
+        need = oracle._vote(instance, a, b, matching.object_for(a))
+        have = alpha_a[a] + alpha_b[b]
+        if have < need:
+            failures.append(
+                f"edge ({a!r}, {b!r}) is uncovered: alpha sum {have} < weight {need}"
+            )
+    total = certificate.total()
+    if total > k:
+        failures.append(f"certificate total {total} exceeds k = {k}")
+    for a, b in matching:
+        load = alpha_a[a] + alpha_b[b]
+        if load < 0:
+            failures.append(f"matched edge ({a!r}, {b!r}) carries invalid load {load}")
+    return tuple(failures)
+
+
+def test_verify_certificate_problems_match_the_walk_by_names():
+    """Random in-range certificates of random assignments, and the solver's
+    own, get the same problems, in the same order, as the walk by names."""
+    rng = random.Random(31)
+    outcomes = {True: 0, False: 0}
+    for instance, matching in _seeded_assignments():
+        n = instance.n_objects
+        cases = [
+            # values near the top of the agent range and the bottom of the
+            # object range give a mix of covered and uncovered edges
+            (
+                matching,
+                DualCertificate(
+                    {a: rng.randint(max(0, n - 3), n - 1 + k) for a in instance.agents},
+                    {b: rng.randint(1 - n, min(0, 3 - n)) for b in instance.objects},
+                ),
+                k,
+            )
+            for k in (0, 1, 3)
+        ]
+        out = solve_popular_assignment(instance)
+        if out.found:
+            cases.append((out.assignment, out.certificate, 0))
+        for assignment, certificate, k in cases:
+            ok, problems = verify_certificate(instance, assignment, certificate, k)
+            expected = _certificate_problems_by_name(instance, assignment, certificate, k)
+            assert problems == expected and ok == (not expected)
+            outcomes[ok] += 1
+    assert min(outcomes.values()) > 20
+
+
+@st.composite
+def verify_inputs(draw):
+    """A padded random instance document and one of its assignments."""
+    n = draw(st.integers(1, 9))
+    m = draw(st.integers(max(1, n - 2), n + 2))
+    style = draw(st.sampled_from(PREF_STYLES))
+    density = draw(st.sampled_from((0.3, 0.6, 1.0)))
+    seed = draw(st.integers(0, 10**6))
+    source = instance_from_document(random_instance_document(n, m, density, style, seed))
+    instance = augment_to_perfect(source)[0]
+    matching = _random_assignment(instance, random.Random(draw(st.integers(0, 10**6))))
+    return instance, matching
+
+
+@given(verify_inputs())
+def test_verify_witness_re_tallies_to_the_margin(data):
+    """``popassign verify``'s witness is an assignment that wins by exactly
+    the reported margin; on at most 5 agents the margin is the brute-force
+    one.  Which rival is reported when several attain it is not checked."""
+    instance, matching = data
+    with tempfile.TemporaryDirectory() as tmp:
+        instance_path, matching_path = Path(tmp, "i.json"), Path(tmp, "m.json")
+        instance_path.write_text(json.dumps(instance.to_document()), "utf-8")
+        matching_path.write_text(json.dumps([list(p) for p in matching]), "utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["verify", str(instance_path), str(matching_path)])
+    report = json.loads(out.getvalue())
+    margin = report["margin"]
+    assert code == (0 if margin <= 0 else 1)
+    witness = Matching(tuple(pair) for pair in report["witness"])
+    assert len(witness) == instance.n_agents
+    assert delta(instance, witness, matching) == margin
+    if instance.n_agents <= 5:
+        assert margin == brute_force_margin(instance, matching).margin
