@@ -152,14 +152,25 @@ def _admissible_mask(
     nbr = instance.neighbor_mask(ai)
     top = masks.get(top_level, 0) & nbr
     below = masks.get(top_level - 1, 0) & nbr
-    admissible = 0
-    middle, low = top, below
-    if lam:
-        for level in range(max(top_level - lam + 1, 0), top_level + 1):
-            admissible |= masks.get(level, 0) & nbr
-        middle = masks.get(top_level - lam, 0) & nbr
-        low = masks.get(top_level - lam - 1, 0) & nbr
-    admissible |= middle & ~instance.dominated(ai, top)
+    if not lam:
+        return _admissible_in(instance, ai, top, below, top, below)
+    upper = 0
+    for level in range(max(top_level - lam + 1, 0), top_level + 1):
+        upper |= masks.get(level, 0) & nbr
+    middle = masks.get(top_level - lam, 0) & nbr
+    low = masks.get(top_level - lam - 1, 0) & nbr
+    return upper | _admissible_in(instance, ai, top, below, middle, low)
+
+
+def _admissible_in(
+    instance: Instance, ai: int, top: int, below: int, middle: int, low: int
+) -> int:
+    """The members of ``middle`` that no member of ``top`` beats, and the
+    members of ``low`` that beat every member of ``top`` and that no member
+    of ``below`` beats: the core of :func:`_admissible_mask`, on ``ai``'s
+    neighbours at her top level, one level below it, and at the levels a
+    load allowance shifts those two to."""
+    admissible = middle & ~instance.dominated(ai, top)
     if low:
         candidates = low & ~instance.dominated(ai, below)
         while candidates:
@@ -170,10 +181,36 @@ def _admissible_mask(
     return admissible
 
 
+def _bits(mask: int) -> tuple[int, ...]:
+    """The indices of the set bits of ``mask``, in increasing order."""
+    row = []
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        row.append(bit.bit_length() - 1)
+    return tuple(row)
+
+
+#: Each agent's level-graph rows seen so far, by her window: see
+#: :func:`_build_level_graph`.
+RowMemo = list[dict[int, tuple[int, tuple[int, ...]]]]
+
+
+def _row_memo(instance: Instance, twin_class: Sequence[int] | None = None) -> RowMemo:
+    """An empty row memo for ``instance``'s agents.  Agents of one
+    ``twin_class`` -- the same neighbours and the same worse mask at each --
+    build the same row from the same window, so they share their entries."""
+    if twin_class is None:
+        return [{} for _ in range(instance.n_agents)]
+    shared: dict[int, dict] = {}
+    return [shared.setdefault(c, {}) for c in twin_class]
+
+
 def _build_level_graph(
     instance: Instance,
     masks: Mapping[int, int],
     tops: Sequence[int],
+    memo: RowMemo,
     allowed: Sequence[int] | None = None,
     allowance: Mapping[int, int] | None = None,
 ) -> tuple[BipartiteGraph, int]:
@@ -183,21 +220,40 @@ def _build_level_graph(
     maximum neighbor level.  ``allowed``, if given, is each agent's mask of
     usable objects (default: every neighbor); ``allowance`` maps an agent to
     the positive load allowance of her row.  Rows list objects in index
-    order, which is the instance's adjacency order."""
+    order, which is the instance's adjacency order.
+
+    The row of an agent with no allowance and every neighbour allowed comes
+    from ``memo``, keyed by her *window*: the masks of her neighbours at her
+    top level and at the level below it.  With no allowance,
+    :func:`_admissible_mask` reads nothing else of the levels, so such a row
+    is a function of the agent and her window alone, and ``memo`` may serve
+    every level loop on the same instance.  A miss stores the row with its
+    mask.  Other rows are built afresh."""
     rows = []
     covered = 0
+    shift = instance.n_objects
     for ai in range(instance.n_agents):
+        nbr = instance.neighbor_mask(ai)
         lam = allowance.get(ai, 0) if allowance else 0
-        admissible = _admissible_mask(instance, masks, ai, tops[ai], lam)
-        if allowed is not None:
-            admissible &= allowed[ai]
-        covered |= admissible
-        row = []
-        while admissible:
-            bit = admissible & -admissible
-            admissible ^= bit
-            row.append(bit.bit_length() - 1)
-        rows.append(tuple(row))
+        if lam or allowed is not None and allowed[ai] != nbr:
+            admissible = _admissible_mask(instance, masks, ai, tops[ai], lam)
+            if allowed is not None:
+                admissible &= allowed[ai]
+            covered |= admissible
+            rows.append(_bits(admissible))
+            continue
+        top_level = tops[ai]
+        top = masks.get(top_level, 0) & nbr
+        below = masks.get(top_level - 1, 0) & nbr
+        # top and below are disjoint, so one int keys the window
+        key = top | below << shift
+        seen = memo[ai]
+        entry = seen.get(key)
+        if entry is None:
+            admissible = _admissible_in(instance, ai, top, below, top, below)
+            entry = seen[key] = (admissible, _bits(admissible))
+        covered |= entry[0]
+        rows.append(entry[1])
     graph = BipartiteGraph.unchecked(instance.n_agents, instance.n_objects, tuple(rows))
     return graph, covered
 
@@ -211,7 +267,10 @@ def induced_subgraph(
     if not isinstance(level_function, LevelFunction):
         level_function = make_level_function(instance, level_function)
     graph, _ = _build_level_graph(
-        instance, _level_masks(level_function.levels), level_function.max_neighbor_level
+        instance,
+        _level_masks(level_function.levels),
+        level_function.max_neighbor_level,
+        _row_memo(instance),
     )
     return graph
 
@@ -295,13 +354,9 @@ def _require_perfectly_matchable(instance: Instance) -> None:
 
 #: The level loop keeps the states of this many latest rounds, and so can
 #: skip periods of up to this many rounds.  The not-found runs of padded
-#: sparse instances with up to 1000 agents repeat with periods of 5 to 37.
+#: sparse instances with up to 1000 agents repeat with periods of 5 to 37,
+#: and the doomed loops of the k-margin search with periods of 2 or 3.
 PERIOD_WINDOW = 64
-#: Rounds the level loop runs before it looks for a period.  The loops of
-#: the k-margin search on instances of a few agents end within about a
-#: dozen rounds, too close to their cap for a jump to skip much: keying and
-#: checking their rounds costs them more than it saves.
-PERIOD_SEARCH_FROM = 16
 
 
 def _cluster_key(masks: Mapping[int, int]) -> tuple[int, ...]:
@@ -377,12 +432,26 @@ def _run_level_loop(
     cap: int,
     allowed: Sequence[int] | None = None,
     allowance: Mapping[int, int] | None = None,
+    memo: RowMemo | None = None,
 ) -> SolveOutcome:
     """The solver core.  Runs until the level graph has a perfect matching,
     or some object's level reaches ``cap``.  ``allowed`` and ``allowance``
     restrict and widen each agent's row as in :func:`_build_level_graph`; a
     found assignment matches each agent with an allowance along the single
     object she is allowed, which carries that allowance as its load.
+    ``memo`` is the row memo of :func:`_build_level_graph`; by default the
+    loop starts its own.
+
+    The memo is exact.  With no load allowance, :func:`_admissible_mask`
+    reads the levels only through two masks: the agent's neighbours at her
+    top level, and those one level below it.  So the row of an agent with
+    no allowance and no restriction is a function of the agent, her top
+    mask and her below mask -- not of the round, the levels' offset, the
+    cap or the other agents' rows -- and a row stored under those two masks
+    is the row any later round would build from them, in this loop or in
+    any other loop on the same instance.  Twins (same neighbours, same worse
+    masks) compute the same function, so they may share entries.  Rows with
+    an allowance or a restriction are built afresh every round.
 
     Each round raises the even objects of the level graph (see
     :func:`_even_objects`).  This is exact.  The loop keeps the invariant
@@ -421,10 +490,10 @@ def _run_level_loop(
     ``cap`` (levels only rise, so every skipped round started below it too),
     and the loop adds ``t d_b`` to each level and goes on with plain rounds.
     The cap, the found matching and the final levels are always reached by
-    real rounds.  A period is looked for only when a round's levels, with
-    each cluster of occupied levels shifted to start at 0 (see
-    :func:`_cluster_key`), repeat those of an earlier round within the
-    latest :data:`PERIOD_WINDOW` rounds; that repeat only triggers the
+    real rounds.  From the first round on, a period is looked for when a
+    round's levels, with each cluster of occupied levels shifted to start at
+    0 (see :func:`_cluster_key`), repeat those of an earlier round within
+    the latest :data:`PERIOD_WINDOW` rounds; that repeat only triggers the
     check, and the exactness rests on the check.  The loop keeps a hash of
     each round's key and the states of the latest rounds only, and a failed
     check waits one period before the next.  The jump too depends on the
@@ -445,30 +514,33 @@ def _run_level_loop(
         maxlen=PERIOD_WINDOW + 1
     )
     next_check = 0
+    if memo is None:
+        memo = _row_memo(instance)
     while highest < cap:
-        if iterations >= PERIOD_SEARCH_FROM:
-            recent.append((tuple(levels), tuple(tops)))
-            key = hash(_cluster_key(masks))
-            last = seen.get(key)
-            seen[key] = iterations
-            period = iterations - last if last is not None else len(recent)
-            if period < len(recent) and iterations >= next_check:
-                states = list(recent)[-period - 1 :]
-                times, shifts = _periods_to_skip(instance, states, allowance, cap)
-                if times:
-                    levels = [level + times * d for level, d in zip(levels, shifts)]
-                    masks = _level_masks(levels)
-                    tops = [
-                        max((levels[bj] for bj in instance.adj_indices(ai)), default=0)
-                        for ai in range(instance.n_agents)
-                    ]
-                    highest = max(levels)
-                    rounds_skipped += times * period
-                    seen.clear()
-                    recent.clear()
-                    continue
-                next_check = iterations + period
-        graph, covered = _build_level_graph(instance, masks, tops, allowed, allowance)
+        recent.append((tuple(levels), tuple(tops)))
+        key = hash(_cluster_key(masks))
+        last = seen.get(key)
+        seen[key] = iterations
+        period = iterations - last if last is not None else len(recent)
+        if period < len(recent) and iterations >= next_check:
+            states = list(recent)[-period - 1 :]
+            times, shifts = _periods_to_skip(instance, states, allowance, cap)
+            if times:
+                levels = [level + times * d for level, d in zip(levels, shifts)]
+                masks = _level_masks(levels)
+                tops = [
+                    max((levels[bj] for bj in instance.adj_indices(ai)), default=0)
+                    for ai in range(instance.n_agents)
+                ]
+                highest = max(levels)
+                rounds_skipped += times * period
+                seen.clear()
+                recent.clear()
+                continue
+            next_check = iterations + period
+        graph, covered = _build_level_graph(
+            instance, masks, tops, memo, allowed, allowance
+        )
         match_l, match_r = maximum_matching(graph)
         iterations += 1
         if -1 not in match_l:

@@ -33,10 +33,12 @@ from .matching import BipartiteGraph, maximum_matching
 from .popular import (
     DualCertificate,
     LevelFunction,
+    RowMemo,
     SolveOutcome,
     _admissible_mask,
     _level_masks,
     _require_perfectly_matchable,
+    _row_memo,
     _run_level_loop,
     make_level_function,
     solve_truncated,
@@ -184,11 +186,12 @@ def _perfect_without(instance: Instance, allowed: Sequence[int]) -> bool:
 
 
 def _run_margin_branch(
-    instance: Instance, combo: tuple[int, ...]
+    instance: Instance, combo: tuple[int, ...], memo: RowMemo
 ) -> SolveOutcome | None:
     """Run the level loop for one load guess, a multiset of edge indices
-    whose distinct edges form a matching.  Returns the loop's outcome, or
-    None if the guess leaves no perfect matching at all."""
+    whose distinct edges form a matching, with the search's row ``memo``.
+    Returns the loop's outcome, or None if the guess leaves no perfect
+    matching at all."""
     edge_indices = instance.edge_indices
     allowed = [instance.neighbor_mask(ai) for ai in range(instance.n_agents)]
     allowance: dict[int, int] = {}
@@ -202,7 +205,7 @@ def _run_margin_branch(
     restricted = any(allowed[ai] != instance.neighbor_mask(ai) for ai in allowance)
     if restricted and not _perfect_without(instance, allowed):
         return None
-    return _run_level_loop(instance, instance.n_objects, allowed, allowance)
+    return _run_level_loop(instance, instance.n_objects, allowed, allowance, memo)
 
 
 def _twin_classes(instance: Instance) -> list[int]:
@@ -271,6 +274,8 @@ def solve_k_margin(instance: Instance, k: int) -> KMarginOutcome:
         itertools.combinations_with_replacement(range(m), t) for t in range(k + 1)
     )
     twin_class = _twin_classes(instance)
+    # every branch reads the same instance, so one memo serves them all
+    memo = _row_memo(instance, twin_class)
     seen: set[tuple] = set()
     branches = 0
     for combo in combos:
@@ -279,7 +284,7 @@ def solve_k_margin(instance: Instance, k: int) -> KMarginOutcome:
             continue
         seen.add(key)
         branches += 1
-        outcome = _run_margin_branch(instance, combo)
+        outcome = _run_margin_branch(instance, combo, memo)
         if outcome is not None and outcome.found:
             edges = instance.edges
             loads = LoadCapacity({edges[idx]: combo.count(idx) for idx in combo})

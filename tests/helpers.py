@@ -1,7 +1,8 @@
 """Shared test oracles: exhaustive searches and an integer-programming margin
 solver, all independent of the level-function machinery under test; the
-free-object level loop and the level loop without period jumps, the
-references the solver's loop is tested against; the dense Hungarian
+level-graph build without the row memo, and the free-object level loop and
+the level loop without period jumps built on it, the references the
+solver's loop is tested against; the dense Hungarian
 method and the one-search-per-row shortest-paths method, the references of
 the weighted-matching kernel; and the set-based preference parser, the
 reference of the instance parser."""
@@ -43,7 +44,6 @@ from popassign.instance import (
 from popassign.popular import (
     LevelFunction,
     SolveOutcome,
-    _build_level_graph,
     _even_objects,
     _level_masks,
     certificate_from_levels,
@@ -431,6 +431,79 @@ def reference_from_document(doc, report: Report) -> ReferenceInstance | None:
     return instance
 
 
+# -- the level-graph build without the row memo -------------------------------------
+#
+# ``popular._admissible_mask`` and ``popular._build_level_graph`` as they were
+# before the build took rows from a memo, copied verbatim: every row is
+# computed afresh from the levels.
+
+
+def reference_admissible_mask(
+    instance: Instance,
+    masks: Mapping[int, int],
+    ai: int,
+    top_level: int,
+    lam: int = 0,
+) -> int:
+    """All objects admissible for ``ai`` with load allowance ``lam``, as a
+    mask.  Writing ``L`` for ``top_level``: every neighbor at a level of at
+    least ``L - lam + 1``; the neighbors at level ``L - lam`` that no
+    top-level neighbor beats; and the neighbors at level ``L - lam - 1``
+    that beat every top-level neighbor and that no level ``L - 1`` neighbor
+    beats."""
+    nbr = instance.neighbor_mask(ai)
+    top = masks.get(top_level, 0) & nbr
+    below = masks.get(top_level - 1, 0) & nbr
+    admissible = 0
+    middle, low = top, below
+    if lam:
+        for level in range(max(top_level - lam + 1, 0), top_level + 1):
+            admissible |= masks.get(level, 0) & nbr
+        middle = masks.get(top_level - lam, 0) & nbr
+        low = masks.get(top_level - lam - 1, 0) & nbr
+    admissible |= middle & ~instance.dominated(ai, top)
+    if low:
+        candidates = low & ~instance.dominated(ai, below)
+        while candidates:
+            bit = candidates & -candidates
+            candidates ^= bit
+            if top & ~instance.worse_mask(ai, bit.bit_length() - 1) == 0:
+                admissible |= bit
+    return admissible
+
+
+def reference_build_level_graph(
+    instance: Instance,
+    masks: Mapping[int, int],
+    tops: Sequence[int],
+    allowed: Sequence[int] | None = None,
+    allowance: Mapping[int, int] | None = None,
+) -> tuple[BipartiteGraph, int]:
+    """Build the level graph, and the mask of objects it has an edge to.
+    ``masks`` maps each level to the mask of its objects (as
+    :func:`_level_masks` gives it), and ``tops`` carries each agent's
+    maximum neighbor level.  ``allowed``, if given, is each agent's mask of
+    usable objects (default: every neighbor); ``allowance`` maps an agent to
+    the positive load allowance of her row.  Rows list objects in index
+    order, which is the instance's adjacency order."""
+    rows = []
+    covered = 0
+    for ai in range(instance.n_agents):
+        lam = allowance.get(ai, 0) if allowance else 0
+        admissible = reference_admissible_mask(instance, masks, ai, tops[ai], lam)
+        if allowed is not None:
+            admissible &= allowed[ai]
+        covered |= admissible
+        row = []
+        while admissible:
+            bit = admissible & -admissible
+            admissible ^= bit
+            row.append(bit.bit_length() - 1)
+        rows.append(tuple(row))
+    graph = BipartiteGraph.unchecked(instance.n_agents, instance.n_objects, tuple(rows))
+    return graph, covered
+
+
 # -- the free-object level loop ---------------------------------------------------
 
 
@@ -442,7 +515,9 @@ def free_object_level_loop(instance, cap, allowed=None, allowance=None):
     tops = [0] * instance.n_agents
     iterations = 0
     while not any(level >= cap for level in levels):
-        graph, _ = _build_level_graph(instance, _level_masks(levels), tops, allowed, allowance)
+        graph, _ = reference_build_level_graph(
+            instance, _level_masks(levels), tops, allowed, allowance
+        )
         match_l, match_r = maximum_matching(graph)
         iterations += 1
         if -1 not in match_l:
@@ -471,9 +546,10 @@ def free_object_level_loop(instance, cap, allowed=None, allowance=None):
 # -- the level loop without period jumps -------------------------------------------
 #
 # ``popular._run_level_loop`` as it was before it skipped repeating periods,
-# copied verbatim: every round is built and matched, so ``iterations`` is the
-# logical round count the jumping loop reports as ``iterations +
-# rounds_skipped``.
+# copied verbatim but for its level graphs, which come from
+# :func:`reference_build_level_graph`: every round is built afresh and
+# matched, so ``iterations`` is the logical round count the jumping loop
+# reports as ``iterations + rounds_skipped``.
 
 
 def plain_level_loop(
@@ -484,7 +560,8 @@ def plain_level_loop(
 ) -> SolveOutcome:
     """The solver core.  Runs until the level graph has a perfect matching,
     or some object's level reaches ``cap``.  ``allowed`` and ``allowance``
-    restrict and widen each agent's row as in :func:`_build_level_graph`; a
+    restrict and widen each agent's row as in
+    :func:`reference_build_level_graph`; a
     found assignment matches each agent with an allowance along the single
     object she is allowed, which carries that allowance as its load.
 
@@ -514,7 +591,7 @@ def plain_level_loop(
     highest = max(levels, default=-1)
     iterations = 0
     while highest < cap:
-        graph, covered = _build_level_graph(instance, masks, tops, allowed, allowance)
+        graph, covered = reference_build_level_graph(instance, masks, tops, allowed, allowance)
         match_l, match_r = maximum_matching(graph)
         iterations += 1
         if -1 not in match_l:

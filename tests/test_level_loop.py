@@ -1,6 +1,7 @@
 """The even-object level loop against the free-object loop it replaced, its
-period jumps against the loop without them, and its independence from how
-agents and objects are named and ordered."""
+period jumps against the loop without them, its memoised level-graph rows
+against rows built afresh, and its independence from how agents and objects
+are named and ordered."""
 
 import dataclasses
 import hashlib
@@ -22,9 +23,21 @@ from popassign import (
 )
 from popassign import popular, variants
 from popassign.generate import random_instance_document
-from popassign.popular import _require_perfectly_matchable
+from popassign.popular import (
+    _build_level_graph,
+    _level_masks,
+    _require_perfectly_matchable,
+    _row_memo,
+)
+from popassign.variants import _twin_classes
 
-from helpers import STYLES, corpus, free_object_level_loop, plain_level_loop
+from helpers import (
+    STYLES,
+    corpus,
+    free_object_level_loop,
+    plain_level_loop,
+    reference_build_level_graph,
+)
 
 _jumping_loop = popular._run_level_loop
 
@@ -44,6 +57,12 @@ def _constraints(instance, i):
         EdgeConstraints.of(forced=[edges[1 % len(edges)]], forbidden=[edges[0]]),
     ]
     return menu[i % len(menu)]
+
+
+def _free_object_loop(instance, cap, allowed=None, allowance=None, memo=None):
+    """The free-object loop in the place of ``_run_level_loop``; it builds
+    every row afresh, so it has no use for the row memo."""
+    return free_object_level_loop(instance, cap, allowed, allowance)
 
 
 def test_found_outcomes_match_the_free_object_loop(monkeypatch):
@@ -71,8 +90,8 @@ def test_found_outcomes_match_the_free_object_loop(monkeypatch):
             except InstanceError:
                 continue  # the constraint menu's forced edge meets a forbidden one
             with monkeypatch.context() as patch:
-                patch.setattr(popular, "_run_level_loop", free_object_level_loop)
-                patch.setattr(variants, "_run_level_loop", free_object_level_loop)
+                patch.setattr(popular, "_run_level_loop", _free_object_loop)
+                patch.setattr(variants, "_run_level_loop", _free_object_loop)
                 old = run(*args)
             assert new.found == old.found
             if new.found:
@@ -100,14 +119,19 @@ def _same_run(out, reference):
 def test_period_jumps_match_the_plain_loop(monkeypatch):
     """On 1200 random instances -- plain, truncated (cap 2 and random caps),
     constrained and k-margin runs -- every level loop that jumps over
-    periods ends as the loop without jumps does: verdict, reason, levels,
-    tops, assignment and certificate, after as many rounds."""
+    periods, with its rows from a memo, ends as the loop without jumps or
+    memo does: verdict, reason, levels, tops, assignment and certificate,
+    after as many rounds.  The loops of the k-margin search share one memo,
+    and jump too."""
     skipped = []
+    margin_skipped = []
 
-    def checked(instance, cap, allowed=None, allowance=None):
-        out = _jumping_loop(instance, cap, allowed, allowance)
+    def checked(instance, cap, allowed=None, allowance=None, memo=None):
+        out = _jumping_loop(instance, cap, allowed, allowance, memo)
         _same_run(out, plain_level_loop(instance, cap, allowed, allowance))
         skipped.append(out.rounds_skipped)
+        if memo is not None:
+            margin_skipped.append(out.rounds_skipped)
         return out
 
     monkeypatch.setattr(popular, "_run_level_loop", checked)
@@ -116,7 +140,7 @@ def test_period_jumps_match_the_plain_loop(monkeypatch):
     solved = searched = 0
     for i, instance in enumerate(corpus(1200, 2, 20, seed0=90_000)):
         try:
-            solve_popular_assignment(instance)
+            popular_one = solve_popular_assignment(instance)
         except NoPerfectMatchingError:
             continue
         solved += 1
@@ -129,8 +153,13 @@ def test_period_jumps_match_the_plain_loop(monkeypatch):
         if instance.n_agents <= 5:
             solve_k_margin(instance, 1 + i % 2)
             searched += 1
+        elif not popular_one.found and instance.n_agents <= 9:
+            # no popular assignment: every load-0 branch climbs to the cap
+            solve_k_margin(instance, 1)
+            searched += 1
     assert solved >= 1000 and searched > 100
     assert sum(1 for s in skipped if s) > 500
+    assert sum(1 for s in margin_skipped if s) > 50
 
 
 @given(
@@ -161,6 +190,65 @@ def test_period_jumps_keep_runs_under_masks_and_allowances(n, style, density, se
     cap = rng.choice((n, 2, rng.randint(1, n)))
     out = _jumping_loop(instance, cap, allowed, allowance)
     _same_run(out, plain_level_loop(instance, cap, allowed, allowance))
+
+
+def _with_twins(doc):
+    """``doc`` with every even-numbered agent given the edges and the
+    preferences of the agent before it, so that the two are twins."""
+    agents = doc["agents"]
+    source = {a: agents[k - 1] if k % 2 else a for k, a in enumerate(agents)}
+    edges = [[a, b] for a in agents for s, b in doc["edges"] if s == source[a]]
+    preferences = {a: doc["preferences"][source[a]] for a in agents}
+    return {**doc, "edges": edges, "preferences": preferences}
+
+
+@given(
+    st.integers(1, 30),
+    st.sampled_from(STYLES),
+    st.sampled_from((0.2, 0.5, 1.0)),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.booleans(),
+)
+def test_memoised_rows_match_rows_built_afresh(n, style, density, seed, draw, twins):
+    """Eight builds share one memo, so later ones read rows that earlier ones
+    stored; with ``twins``, pairs of agents are twins and share their
+    entries.  Each build takes random levels -- fresh, the last ones raised,
+    or an earlier build's again -- with random ``allowed`` masks and load
+    allowances, and must return the rows and ``covered`` of the build
+    without a memo."""
+    doc = random_instance_document(n, n, density, style, seed)
+    if twins:
+        doc = _with_twins(doc)
+    instance = instance_from_document(doc)
+    rng = random.Random(draw)
+    memo = _row_memo(instance, _twin_classes(instance) if twins else None)
+    history = [[rng.randint(0, 3) for _ in range(n)]]
+    for _ in range(8):
+        pick = rng.random()
+        if pick < 0.3:
+            levels = [rng.randint(0, 3) for _ in range(n)]
+        elif pick < 0.7:
+            levels = [level + (rng.random() < 0.3) for level in history[-1]]
+        else:
+            levels = rng.choice(history)
+        history.append(levels)
+        tops = [
+            max((levels[bj] for bj in instance.adj_indices(ai)), default=0)
+            for ai in range(n)
+        ]
+        allowed = allowance = None
+        if rng.random() < 0.5:
+            allowed = [instance.neighbor_mask(ai) for ai in range(n)]
+            for ai in rng.sample(range(n), rng.randint(0, n)):
+                allowed[ai] &= rng.getrandbits(n)
+        if rng.random() < 0.5:
+            allowance = {ai: rng.randint(1, 3) for ai in rng.sample(range(n), rng.randint(0, n))}
+        masks = _level_masks(levels)
+        graph, covered = _build_level_graph(instance, masks, tops, memo, allowed, allowance)
+        want, want_covered = reference_build_level_graph(instance, masks, tops, allowed, allowance)
+        assert graph.adjacency == want.adjacency
+        assert covered == want_covered
 
 
 def test_a_padded_strict_not_found_solve_at_500_is_pinned():

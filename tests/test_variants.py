@@ -30,6 +30,7 @@ from popassign import (
 
 from popassign import variants
 from popassign.generate import random_instance_document
+from popassign.popular import _row_memo
 from popassign.variants import _run_margin_branch, _twin_classes
 
 from helpers import STYLES, brute_margin_of, brute_min_margin, complete_doc, corpus, inst
@@ -448,8 +449,9 @@ def test_margin_search_outcomes_are_pinned(name):
 
 def _search_every_guess(instance, k):
     """The bounded-margin search with no orbit skipping: every guess whose
-    loaded edges form a matching runs, in the same order.  Returns the
-    outcome fields that skipping must keep, and the branch count."""
+    loaded edges form a matching runs, in the same order, each with a row
+    memo of its own and shared by no twins.  Returns the outcome fields that
+    skipping must keep, and the branch count."""
     edge_indices = instance.edge_indices
     branches = 0
     for t in range(k + 1):
@@ -460,7 +462,7 @@ def _search_every_guess(instance, k):
             ) < len(support):
                 continue
             branches += 1
-            out = _run_margin_branch(instance, combo)
+            out = _run_margin_branch(instance, combo, _row_memo(instance))
             if out is not None and out.found:
                 loads = {instance.edges[idx]: combo.count(idx) for idx in combo}
                 return (True, out.assignment, loads, out.levels, out.certificate), branches
