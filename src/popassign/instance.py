@@ -174,7 +174,32 @@ class Instance:
                 object_adj[bj].append(ai)
         self._object_adj = tuple(map(tuple, object_adj))
         self._nbr_mask = tuple(sum(1 << j for j in row) for row in adj)
-        self._edges = tuple((ai, bj) for ai, row in enumerate(adj) for bj in row)
+        self._edges = None
+
+    @classmethod
+    def _assemble(
+        cls,
+        agent_index: dict[str, int],
+        object_index: dict[str, int],
+        adj: tuple[tuple[int, ...], ...],
+        object_adj: tuple[tuple[int, ...], ...],
+        nbr_mask: tuple[int, ...],
+        worse: tuple[dict[int, int], ...],
+    ) -> Instance:
+        """An instance from index data that is already consistent and
+        closed, as :func:`popassign.reductions._pad` derives it from a
+        checked instance.  Nothing is checked again."""
+        instance = cls.__new__(cls)
+        instance._agent_index = agent_index
+        instance._object_index = object_index
+        instance._agents = tuple(agent_index)
+        instance._objects = tuple(object_index)
+        instance._adj = adj
+        instance._object_adj = object_adj
+        instance._nbr_mask = nbr_mask
+        instance._edges = None
+        instance._worse = worse
+        return instance
 
     def _order(
         self,
@@ -352,10 +377,16 @@ class Instance:
     @property
     def edges(self) -> tuple[tuple[str, str], ...]:
         """All edges as name pairs, sorted by (agent index, object index)."""
-        return tuple((self._agents[a], self._objects[b]) for a, b in self._edges)
+        agents, objects = self._agents, self._objects
+        return tuple((agents[a], objects[b]) for a, b in self.edge_indices)
 
     @property
     def edge_indices(self) -> tuple[tuple[int, int], ...]:
+        """All edges as index pairs, sorted.  Built on first read: the
+        solvers walk the adjacency rows, and only the k-margin search and
+        serialization need the edges listed one by one."""
+        if self._edges is None:
+            self._edges = tuple((ai, bj) for ai, row in enumerate(self._adj) for bj in row)
         return self._edges
 
     def agent_index(self, agent: str) -> int:
@@ -398,6 +429,10 @@ class Instance:
 
     def neighbor_mask(self, ai: int) -> int:
         return self._nbr_mask[ai]
+
+    def indifferent(self, ai: int) -> bool:
+        """True iff agent ``ai`` ranks no neighbor above another."""
+        return not self._worse[ai]
 
     def worse_mask(self, ai: int, bj: int) -> int:
         """Bitmask of objects strictly worse than ``bj`` for agent ``ai``."""
@@ -537,7 +572,7 @@ class Instance:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Instance({self.n_agents} agents, {self.n_objects} objects, "
-            f"{len(self._edges)} edges)"
+            f"{len(self.edge_indices)} edges)"
         )
 
 

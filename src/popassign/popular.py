@@ -199,10 +199,21 @@ RowMemo = list[dict[int, tuple[int, tuple[int, ...]]]]
 def _row_memo(instance: Instance, twin_class: Sequence[int] | None = None) -> RowMemo:
     """An empty row memo for ``instance``'s agents.  Agents of one
     ``twin_class`` -- the same neighbours and the same worse mask at each --
-    build the same row from the same window, so they share their entries."""
+    build the same row from the same window, so they share their entries.
+    Without classes, the indifferent agents with the same neighbours share
+    theirs, such as the dummies of a padded instance: a row with no load
+    depends only on the agent's neighbours, her worse masks and her window,
+    and theirs are all empty.  That takes one pass over the agents, where
+    finding every twin class reads each agent's worse masks."""
     if twin_class is None:
-        return [{} for _ in range(instance.n_agents)]
-    shared: dict[int, dict] = {}
+        shared: dict[int, dict] = {}
+        return [
+            shared.setdefault(instance.neighbor_mask(ai), {})
+            if instance.indifferent(ai)
+            else {}
+            for ai in range(instance.n_agents)
+        ]
+    shared = {}
     return [shared.setdefault(c, {}) for c in twin_class]
 
 

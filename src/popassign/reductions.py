@@ -4,17 +4,22 @@ Each ``reduce_*`` function, :func:`add_last_resorts`,
 :func:`augment_to_perfect` and :func:`weak_to_strict` builds a new instance
 plus a :class:`ReductionMap` that can lift solutions back to the source
 instance.  :func:`housing_to_assignment` returns the instance alone; the
-allocation conversions take the market itself.  The padding reductions share
-one construction,
-:func:`_pad`: it appends indifferent dummy agents and objects that source
-agents rank tied worst.  Node names introduced here live in a reserved
-``__``-prefixed namespace and every transformation raises if a generated name
-collides with an existing identifier.
+allocation conversions take the market itself.  The padding reductions
+(:func:`augment_to_perfect`, :func:`add_last_resorts`,
+:func:`reduce_penalty_matching` and :func:`reduce_diversity`) share one
+construction, :func:`_pad`: it appends new agents, such as indifferent
+dummies, and objects that source agents rank tied worst.  It works at index
+level, on the source's adjacency rows and worse masks: worst objects are
+leaves, so OR-ing their mask into a source agent's worse masks keeps every
+order closed, and no order is closed again.  Node names introduced here live
+in a reserved ``__``-prefixed namespace and every transformation raises if a
+generated name collides with an existing identifier.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Any, Iterable, Mapping, Sequence
 
 from .instance import (
@@ -32,6 +37,7 @@ from .instance import (
     _valid_names,
     check_assignment,
     check_matching,
+    iter_bits,
 )
 from .popular import SolveOutcome, solve_truncated
 
@@ -79,36 +85,81 @@ def _pad(
     instance: Instance,
     agents: Sequence[str],
     objects: Sequence[str],
-    edges: Iterable[tuple[str, str]],
-    worst: Mapping[str, Sequence[str]],
-    preferences: Mapping[str, list[tuple[str, str]]],
+    rows: Sequence[int],
+    worst: Sequence[int],
+    preferences: Mapping[int, Mapping[int, int]] | None = None,
 ) -> Instance:
     """The padding construction every reduction to popular assignments
     shares: ``instance`` followed by the new ``agents`` and ``objects`` (in
-    the order given), the new ``edges`` and ``preferences`` among them, and
-    an edge from each source agent ``a`` to each object in ``worst[a]``,
-    ranked tied below all of ``a``'s source neighbors."""
+    the order given).  Masks are over the target's object indices, where
+    the new objects follow the source's.  New agent ``i`` has the neighbour
+    mask ``rows[i]`` and, if her target index is a key of ``preferences``,
+    the order those (acyclic) successor masks close to; otherwise she is
+    indifferent.  Each source agent ``ai`` gains an edge to every object in
+    ``worst[ai]`` and ranks them tied below all her source neighbours.
+
+    The target is built from the source's index data, not from names, and
+    no source order is closed again.  A source agent's row is her old row
+    followed by her worst objects, whose indices are higher, so it stays
+    sorted.  Her worse mask at each neighbour becomes ``worse | worst``, and
+    ``worst`` where she had none; with ``worst`` 0 her order is kept as it
+    is.  That order is closed: worst objects are leaves, so OR-ing their
+    mask keeps every order closed.  A chain ``b > c > x`` that ends at a
+    worst object ``x`` is covered, since every neighbour's mask, ``b``'s
+    too, gained all of them; and a worst object beats nothing, so no chain
+    runs on past one, and no cycle appears.  Consecutive agents with one
+    mask, such as the dummies, share one row, resolved once."""
     _claim(instance, agents, objects)
-    all_edges = [*instance.edges, *edges]
-    all_prefs = dict(preferences)
-    for a in instance.agents:
-        low = worst.get(a, ())
-        all_edges.extend((a, x) for x in low)
-        pairs = list(instance.preference_pairs(a))
-        # closing the order puts every worst object below every neighbor, so
-        # only the neighbors with no worse neighbor need pairs
-        better = {b for b, _ in pairs}
-        pairs.extend(
-            (b, x) for b in instance.neighbors(a) if b not in better for x in low
-        )
-        if pairs:
-            all_prefs[a] = pairs
-    return Instance(
-        instance.agents + tuple(agents),
-        instance.objects + tuple(objects),
-        all_edges,
-        all_prefs,
+    n_source, n_objects = instance.n_agents, instance.n_objects
+    new_agents = range(n_source, n_source + len(agents))
+    agent_index = dict(instance._agent_index)
+    agent_index.update(zip(agents, new_agents))
+    object_index = dict(instance._object_index)
+    object_index.update(zip(objects, range(n_objects, n_objects + len(objects))))
+    adj = list(instance._adj)
+    nbr = list(instance._nbr_mask)
+    worse = list(instance._worse)
+    object_adj = [list(column) for column in instance._object_adj]
+    object_adj.extend([] for _ in objects)
+    # a run of agents with one mask shares its row and extends each column
+    # at once, in index order
+    for low, run in groupby(range(n_source), worst.__getitem__):
+        if not low:
+            continue
+        run = list(run)
+        added = tuple(iter_bits(low))
+        for bj in added:
+            object_adj[bj].extend(run)
+        for ai in run:
+            order = dict.fromkeys(adj[ai], low)
+            for bj, below in worse[ai].items():
+                order[bj] = below | low
+            worse[ai] = order
+            adj[ai] += added
+            nbr[ai] |= low
+    for mask, run in groupby(new_agents, lambda ai: rows[ai - n_source]):
+        run = list(run)
+        row = tuple(iter_bits(mask))
+        for bj in row:
+            object_adj[bj].extend(run)
+        adj.extend(row for _ in run)
+        nbr.extend(mask for _ in run)
+        worse.extend({} for _ in run)
+    for ai, succ in (preferences or {}).items():
+        worse[ai] = Instance._close(succ)
+    return Instance._assemble(
+        agent_index,
+        object_index,
+        tuple(adj),
+        tuple(map(tuple, object_adj)),
+        tuple(nbr),
+        tuple(worse),
     )
+
+
+def _span(count: int, start: int = 0) -> int:
+    """The mask of the ``count`` indices from ``start`` on."""
+    return ((1 << count) - 1) << start
 
 
 # -- maximum matchings via dummies and artificial objects ----------------------
@@ -123,6 +174,12 @@ def augment_to_perfect(instance: Instance) -> tuple[Instance, ReductionMap]:
     every original agent), where ``nu`` is the maximum matching size.  If the
     instance already admits a perfect matching it is returned unchanged.
     ``lift_back`` drops the padding, leaving a maximum matching of the source.
+
+    The padded instance comes from :func:`_pad` at index level: the dummies
+    share one row, the mask of every original object, and each original
+    agent's worse masks gain the mask of the artificial objects, which
+    keeps them closed because those objects are leaves.  Its edge tuple is
+    built only if something reads it.
     """
     # imported when called, so that a replaced ``matching.maximum_matching``
     # (as the benchmark's tracer installs) is the one that runs
@@ -139,13 +196,13 @@ def augment_to_perfect(instance: Instance) -> tuple[Instance, ReductionMap]:
     arts = tuple(f"__art:aug:{i}" for i in range(instance.n_agents - nu))
     target = instance
     if dummies or arts:
+        n = instance.n_objects
         target = _pad(
             instance,
             dummies,
             arts,
-            [(d, b) for d in dummies for b in instance.objects],
-            {a: arts for a in instance.agents},
-            {},
+            [_span(n)] * len(dummies),
+            [_span(len(arts), n)] * instance.n_agents,
         )
     return target, ReductionMap("augment", instance, target, dummies, arts, {})
 
@@ -163,9 +220,8 @@ def add_last_resorts(instance: Instance) -> tuple[Instance, ReductionMap]:
     """
     last_resort = {a: f"__lr:{a}" for a in instance.agents}
     added = tuple(last_resort[a] for a in instance.agents)
-    target = _pad(
-        instance, (), added, (), {a: (last_resort[a],) for a in instance.agents}, {}
-    )
+    n = instance.n_objects
+    target = _pad(instance, (), added, (), [1 << n + ai for ai in range(instance.n_agents)])
     rmap = ReductionMap(
         "last-resorts", instance, target, (), added, {"last_resort": last_resort}
     )
@@ -202,31 +258,27 @@ def reduce_penalty_matching(
             "objects": tuple(f"__l:{a}:{i}" for i in range(1, kappa + 1)),
         }
     dummies = tuple(f"__dummy:{i}" for i in range(instance.n_objects))
-
-    edges: list[tuple[str, str]] = []
-    preferences: dict[str, list[tuple[str, str]]] = {}
-    for a in instance.agents:
-        l_objects = paths[a]["objects"]
-        for i, p in enumerate(paths[a]["agents"]):
-            edges.append((p, l_objects[i]))
-            edges.append((p, l_objects[i + 1]))
-            preferences[p] = [(l_objects[i], l_objects[i + 1])]
-    tail_objects = [paths[a]["objects"][-1] for a in instance.agents]
-    edges.extend(
-        (d, b) for d in dummies for b in list(instance.objects) + tail_objects
-    )
     added_agents = tuple(
         p for a in instance.agents for p in paths[a]["agents"]
     ) + dummies
     added_objects = tuple(l for a in instance.agents for l in paths[a]["objects"])
-    target = _pad(
-        instance,
-        added_agents,
-        added_objects,
-        edges,
-        {a: paths[a]["objects"][:1] for a in instance.agents},
-        preferences,
-    )
+
+    # agent a's path objects are the kappa indices from n + a * kappa on,
+    # and her helpers follow the source agents in the same order
+    n = instance.n_objects
+    rows: list[int] = []
+    worst: list[int] = []
+    preferences: dict[int, dict[int, int]] = {}
+    tails = 0
+    for ai in range(instance.n_agents):
+        first = n + ai * kappa
+        worst.append(1 << first)
+        tails |= 1 << first + kappa - 1
+        for bj in range(first, first + kappa - 1):
+            preferences[instance.n_agents + len(rows)] = {bj: 1 << bj + 1}
+            rows.append(_span(2, bj))
+    rows += [_span(n) | tails] * len(dummies)
+    target = _pad(instance, added_agents, added_objects, rows, worst, preferences)
     rmap = ReductionMap(
         "penalty-matching",
         instance,
@@ -352,14 +404,19 @@ def reduce_diversity(
         artificials[i][: bounds[i][1] - bounds[i][0]] for i in range(len(bounds))
     )
     added_objects = tuple(x for group in artificials for x in group)
-    dummy_objects = list(instance.objects) + [x for group in designated for x in group]
+    n = start = instance.n_objects
+    color_masks = []
+    dummy_row = _span(n)
+    for group, chosen in zip(artificials, designated):
+        color_masks.append(_span(len(group), start))
+        dummy_row |= _span(len(chosen), start)
+        start += len(group)
     target = _pad(
         instance,
         dummies,
         added_objects,
-        [(d, b) for d in dummies for b in dummy_objects],
-        {a: artificials[colors[a]] for a in instance.agents},
-        {},
+        [dummy_row] * len(dummies),
+        [color_masks[colors[a]] for a in instance.agents],
     )
     rmap = ReductionMap(
         "diversity",

@@ -48,6 +48,7 @@ from popassign.popular import (
     _level_masks,
     certificate_from_levels,
 )
+from popassign.reductions import _claim
 
 
 def inst(doc: dict) -> Instance:
@@ -502,6 +503,46 @@ def reference_build_level_graph(
         rows.append(tuple(row))
     graph = BipartiteGraph.unchecked(instance.n_agents, instance.n_objects, tuple(rows))
     return graph, covered
+
+
+# -- the name-level padding --------------------------------------------------------
+
+
+def reference_pad(
+    instance: Instance,
+    agents: Sequence[str],
+    objects: Sequence[str],
+    edges: Iterable[tuple[str, str]],
+    worst: Mapping[str, Sequence[str]],
+    preferences: Mapping[str, list[tuple[str, str]]],
+) -> Instance:
+    """``reductions._pad`` as it was before it worked at index level: the
+    same target, built through names and closed again by the constructor.
+    ``instance`` followed by the new ``agents`` and ``objects`` (in the
+    order given), the new ``edges`` and ``preferences`` among them, and an
+    edge from each source agent ``a`` to each object in ``worst[a]``,
+    ranked tied below all of ``a``'s source neighbors."""
+    _claim(instance, agents, objects)
+    all_edges = [*instance.edges, *edges]
+    all_prefs = dict(preferences)
+    for a in instance.agents:
+        low = worst.get(a, ())
+        all_edges.extend((a, x) for x in low)
+        pairs = list(instance.preference_pairs(a))
+        # closing the order puts every worst object below every neighbor, so
+        # only the neighbors with no worse neighbor need pairs
+        better = {b for b, _ in pairs}
+        pairs.extend(
+            (b, x) for b in instance.neighbors(a) if b not in better for x in low
+        )
+        if pairs:
+            all_prefs[a] = pairs
+    return Instance(
+        instance.agents + tuple(agents),
+        instance.objects + tuple(objects),
+        all_edges,
+        all_prefs,
+    )
 
 
 # -- the free-object level loop ---------------------------------------------------

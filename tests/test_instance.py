@@ -24,13 +24,14 @@ from popassign import (
     parse_instance,
     parse_market,
     serialize_instance,
+    solve_popular_assignment,
     solve_with_constraints,
     validate,
 )
 from popassign.generate import PREF_STYLES, random_instance_document
 from popassign.instance import _from_document
 
-from helpers import ReferenceInstance, corpus, reference_from_document
+from helpers import ReferenceInstance, corpus, inst, reference_from_document
 
 
 def test_basic_shape():
@@ -639,10 +640,41 @@ def _same_parse(doc):
     if want is None:
         assert got is None
         return False
-    for slot in ("_agents", "_objects", "_adj", "_object_adj", "_nbr_mask", "_edges", "_worse"):
+    for slot in ("_agents", "_objects", "_adj", "_object_adj", "_nbr_mask", "_worse"):
         assert getattr(got, slot) == getattr(want, slot), slot
+    # the edge tuple is built on first read, so it is compared through its accessor
+    assert got.edge_indices == want.edge_indices
     assert got.to_document() == want.to_document()
     return not expected
+
+
+def _accessors(instance):
+    return instance.edges, repr(instance), instance.to_document()
+
+
+def test_the_edge_tuple_reads_the_same_whenever_it_is_built():
+    """``edge_indices`` is built on first read.  Read first or after
+    ``edges``, ``repr`` and ``to_document``, it and they come out the same,
+    on parsed instances and on padded ones; and solving a padded instance
+    does not build it."""
+    padded_solves = 0
+    for instance in corpus(60, 1, 6, seed0=4400, square=False):
+        padded, _ = augment_to_perfect(instance)
+        if padded is not instance:
+            solve_popular_assignment(padded)
+            assert padded._edges is None
+            padded_solves += 1
+        for build in (lambda: inst(instance.to_document()), lambda: augment_to_perfect(instance)[0]):
+            early = build()
+            early_edges = early.edge_indices
+            late = build()
+            late_rest = _accessors(late)
+            assert late.edge_indices == early_edges
+            assert _accessors(early) == late_rest
+            assert early_edges == tuple(
+                (ai, bj) for ai in range(early.n_agents) for bj in early.adj_indices(ai)
+            )
+    assert padded_solves >= 20
 
 
 def test_the_parser_matches_the_set_based_reference():

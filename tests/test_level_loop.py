@@ -251,6 +251,42 @@ def test_memoised_rows_match_rows_built_afresh(n, style, density, seed, draw, tw
         assert covered == want_covered
 
 
+def test_dummies_share_one_row_memo_entry(monkeypatch):
+    """By default a padded instance's dummy agents -- indifferent, with the
+    same neighbours -- get one shared memo dict, and every agent with
+    preferences her own.  Plain and constrained level loops on padded
+    instances, with that memo, end as the loop without memo or jumps
+    does."""
+    runs = []
+
+    def checked(instance, cap, allowed=None, allowance=None, memo=None):
+        out = _jumping_loop(instance, cap, allowed, allowance, memo)
+        _same_run(out, plain_level_loop(instance, cap, allowed, allowance))
+        runs.append(out.found)
+        return out
+
+    monkeypatch.setattr(popular, "_run_level_loop", checked)
+    monkeypatch.setattr(variants, "_run_level_loop", checked)
+    shared = 0
+    for i in range(300):
+        n = 3 + i % 8
+        density = (0.15, 0.3)[i % 2]
+        document = random_instance_document(n, n + i % 4, density, STYLES[i % 3], 91_000 + i)
+        padded, rmap = augment_to_perfect(instance_from_document(document))
+        memo = _row_memo(padded)
+        dummies = [memo[padded.agent_index(d)] for d in rmap.added_agents]
+        assert all(entry is dummies[0] for entry in dummies)
+        shared += len(dummies) >= 2
+        own = [memo[ai] for ai in range(padded.n_agents) if not padded.indifferent(ai)]
+        assert len({*map(id, own), *map(id, dummies)}) == len(own) + bool(dummies)
+        solve_popular_assignment(padded)
+        try:
+            solve_with_constraints(padded, _constraints(padded, i))
+        except InstanceError:
+            pass  # the constraint menu's forced edge meets a forbidden one
+    assert shared >= 100 and len(runs) >= 500 and runs.count(True) >= 200
+
+
 def test_a_padded_strict_not_found_solve_at_500_is_pinned():
     """Reason, final levels and round count as computed once with the loop
     without jumps, which builds and matches all 2741 rounds; the jumping

@@ -43,6 +43,7 @@ from helpers import (
     inst,
     market_corpus,
     milp_min_margin,
+    reference_pad,
 )
 
 
@@ -53,6 +54,13 @@ def small_matchings(instance, cap=200):
 # -- the shared padding ----------------------------------------------------------------
 
 
+def two_colors(instance):
+    """The diversity quotas of :func:`padded_targets`: agents colored
+    alternately, with no lower quota."""
+    colors = {a: i % 2 for i, a in enumerate(instance.agents)}
+    return colors, [(0, list(colors.values()).count(c)) for c in (0, 1)]
+
+
 def padded_targets(instance):
     """Every padding reduction of ``instance``; diversity with two colors
     and no lower quota."""
@@ -60,9 +68,102 @@ def padded_targets(instance):
     yield add_last_resorts(instance)[0]
     for kappa in (1, 2, 3):
         yield reduce_penalty_matching(instance, kappa)[0]
-    colors = {a: i % 2 for i, a in enumerate(instance.agents)}
-    bounds = [(0, list(colors.values()).count(c)) for c in (0, 1)]
-    yield reduce_diversity(instance, colors, bounds)[0]
+    yield reduce_diversity(instance, *two_colors(instance))[0]
+
+
+def reference_padded_targets(instance):
+    """The targets of :func:`padded_targets`, in the same order, built by
+    the name-level :func:`helpers.reference_pad` from the names each
+    reduction generates."""
+    source_objects = list(instance.objects)
+    _, rmap = augment_to_perfect(instance)
+    dummies, arts = rmap.added_agents, rmap.added_objects
+    if dummies or arts:
+        yield reference_pad(
+            instance,
+            dummies,
+            arts,
+            [(d, b) for d in dummies for b in source_objects],
+            {a: arts for a in instance.agents},
+            {},
+        )
+    else:
+        yield instance
+    _, rmap = add_last_resorts(instance)
+    last_resort = rmap.data["last_resort"]
+    yield reference_pad(
+        instance, (), rmap.added_objects, (),
+        {a: (last_resort[a],) for a in instance.agents}, {},
+    )
+    for kappa in (1, 2, 3):
+        _, rmap = reduce_penalty_matching(instance, kappa)
+        paths = rmap.data["paths"]
+        edges, preferences = [], {}
+        for a in instance.agents:
+            l_objects = paths[a]["objects"]
+            for i, p in enumerate(paths[a]["agents"]):
+                edges += [(p, l_objects[i]), (p, l_objects[i + 1])]
+                preferences[p] = [(l_objects[i], l_objects[i + 1])]
+        tails = [paths[a]["objects"][-1] for a in instance.agents]
+        dummies = [d for d in rmap.added_agents if d.startswith("__dummy:")]
+        edges += [(d, b) for d in dummies for b in source_objects + tails]
+        yield reference_pad(
+            instance, rmap.added_agents, rmap.added_objects, edges,
+            {a: paths[a]["objects"][:1] for a in instance.agents}, preferences,
+        )
+    colors, bounds = two_colors(instance)
+    _, rmap = reduce_diversity(instance, colors, bounds)
+    artificials = rmap.data["artificials"]
+    designated = [x for group in rmap.data["designated"] for x in group]
+    yield reference_pad(
+        instance,
+        rmap.added_agents,
+        rmap.added_objects,
+        [(d, b) for d in rmap.added_agents for b in source_objects + designated],
+        {a: artificials[colors[a]] for a in instance.agents},
+        {},
+    )
+
+
+def padding_sources():
+    """Random instances of every shape, with one more agent that has no
+    neighbors added to every third."""
+    for i, instance in enumerate(corpus(180, min_n=1, max_n=6, seed0=2000, square=False)):
+        yield instance
+        if i % 3 == 0:
+            doc = instance.to_document()
+            doc["agents"].append("z")
+            yield inst(doc)
+
+
+def test_index_level_padding_matches_the_name_level_reference():
+    cases = {"sources": 0, "no neighbors": 0, "dummies only": 0, "artificials only": 0}
+    for instance in padding_sources():
+        cases["sources"] += 1
+        if not all(instance.adj_indices(ai) for ai in range(instance.n_agents)):
+            cases["no neighbors"] += 1
+        _, rmap = augment_to_perfect(instance)
+        if rmap.added_agents and not rmap.added_objects:
+            cases["dummies only"] += 1
+        if rmap.added_objects and not rmap.added_agents:
+            cases["artificials only"] += 1
+        targets = zip(padded_targets(instance), reference_padded_targets(instance))
+        for got, want in targets:
+            assert got.agents == want.agents and got.objects == want.objects
+            for ai in range(want.n_agents):
+                assert got.adj_indices(ai) == want.adj_indices(ai)
+                assert got.neighbor_mask(ai) == want.neighbor_mask(ai)
+                for bj in range(want.n_objects):
+                    assert got.worse_mask(ai, bj) == want.worse_mask(ai, bj)
+            for bj in range(want.n_objects):
+                assert got.object_adj_indices(bj) == want.object_adj_indices(bj)
+            # equal dicts: no empty entry is stored where the reference has none
+            assert got._worse == want._worse
+            assert got.edge_indices == want.edge_indices
+            assert got.to_document() == want.to_document()
+    assert cases["sources"] >= 200
+    assert cases["no neighbors"] >= 50
+    assert cases["dummies only"] >= 20 and cases["artificials only"] >= 20
 
 
 def test_padding_ranks_added_objects_tied_worst():

@@ -3,6 +3,8 @@
 import itertools
 import math
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -30,7 +32,6 @@ from popassign import (
 
 from popassign import variants
 from popassign.generate import random_instance_document
-from popassign.popular import _row_memo
 from popassign.variants import _run_margin_branch, _twin_classes
 
 from helpers import STYLES, brute_margin_of, brute_min_margin, complete_doc, corpus, inst
@@ -462,7 +463,7 @@ def _search_every_guess(instance, k):
             ) < len(support):
                 continue
             branches += 1
-            out = _run_margin_branch(instance, combo, _row_memo(instance))
+            out = _run_margin_branch(instance, combo, [{} for _ in range(instance.n_agents)])
             if out is not None and out.found:
                 loads = {instance.edges[idx]: combo.count(idx) for idx in combo}
                 return (True, out.assignment, loads, out.levels, out.certificate), branches
@@ -525,6 +526,20 @@ def test_orbit_skipping_keeps_every_outcome_of_the_full_search():
             fewer += out.branches < branches
             hits_after_skips += out.found and out.branches < branches
     assert searches > 500 and fewer > 40 and hits_after_skips > 15
+
+
+def test_branch_counts_of_two_benchmark_margin_searches_are_pinned():
+    """``branches`` of the k-margin searches on the benchmark's master-10-k2
+    and swapped-7-k3 instances.  The search numbers its guesses by the
+    edge tuple, which is built on its first read."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import gen
+
+    master = inst(gen.sparse_master_list_instance(random.Random(64), 10, 0.4))
+    swapped = inst(gen.master_list_instance(7, random.Random(31)))
+    for instance, k, branches, bound in ((master, 2, 168, 2), (swapped, 3, 378, 3)):
+        out = solve_k_margin(instance, k)
+        assert (out.found, out.branches, out.certified_bound) == (True, branches, bound)
 
 
 def test_unmatchable_guesses_are_pruned(monkeypatch):
