@@ -40,12 +40,14 @@ class PrefComparison(Enum):
     INDIFFERENT = "indifferent"
 
 
-def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the indices of the set bits of ``mask`` in increasing order."""
+def bits(mask: int) -> tuple[int, ...]:
+    """The indices of the set bits of ``mask``, in increasing order."""
+    row = []
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        bit = mask & -mask
+        mask ^= bit
+        row.append(bit.bit_length() - 1)
+    return tuple(row)
 
 
 #: Where the parser sends each problem it finds: :func:`_raise` stops at the
@@ -495,7 +497,7 @@ class Instance:
         ai = self.agent_index(agent)
         out = []
         for b, mask in self._worse[ai].items():
-            for c in iter_bits(mask):
+            for c in bits(mask):
                 out.append((self._objects[b], self._objects[c]))
         return tuple(sorted(out))
 
@@ -534,7 +536,7 @@ class Instance:
         return all(self._tier_masks(ai) is not None for ai in range(self.n_agents))
 
     def _names(self, mask: int) -> tuple[str, ...]:
-        return tuple(self._objects[b] for b in iter_bits(mask))
+        return tuple(self._objects[b] for b in bits(mask))
 
     def tiers(self, agent: str) -> tuple[tuple[str, ...], ...]:
         """The agent's neighbors grouped into indifference tiers, best first.

@@ -49,8 +49,9 @@ class BipartiteGraph:
     def unchecked(
         cls, n_left: int, n_right: int, adjacency: Tuple[Tuple[int, ...], ...]
     ) -> "BipartiteGraph":
-        """A graph whose rows are already tuples of in-range right indices,
-        as a caller that builds them from index bitmasks knows they are; they
+        """A graph whose rows are already tuples of in-range ``int`` right
+        indices, as a caller that takes them from an instance's index data
+        (its adjacency rows, or the bits of its masks) knows they are; they
         are kept as given, with no check and no copy."""
         graph = cls.__new__(cls)
         graph.n_left = n_left

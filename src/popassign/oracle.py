@@ -21,9 +21,9 @@ from .instance import (
     InstanceError,
     Matching,
     MatchingError,
+    bits,
     check_assignment,
     check_matching,
-    iter_bits,
 )
 from .matching import (
     BipartiteGraph,
@@ -251,8 +251,8 @@ def verify_certificate(
         check_assignment(instance, matching)
     except MatchingError as exc:
         return False, (f"matching is not an assignment: {exc}",)
-    if k < 0:
-        return False, ("k must be non-negative",)
+    if type(k) is not int or k < 0:
+        return False, ("k must be a non-negative integer",)
     n = instance.n_objects
     agent_hi = n - 1 + k
     for a in instance.agents:
@@ -260,7 +260,7 @@ def verify_certificate(
             failures.append(f"agent {a!r} has no certificate value")
         else:
             v = certificate.alpha_agents[a]
-            if not isinstance(v, int) or not 0 <= v <= agent_hi:
+            if type(v) is not int or not 0 <= v <= agent_hi:
                 failures.append(
                     f"agent value alpha[{a!r}] = {v!r} is outside 0..{agent_hi}"
                 )
@@ -269,7 +269,7 @@ def verify_certificate(
             failures.append(f"object {b!r} has no certificate value")
         else:
             v = certificate.alpha_objects[b]
-            if not isinstance(v, int) or not -(n - 1) <= v <= 0:
+            if type(v) is not int or not -(n - 1) <= v <= 0:
                 failures.append(
                     f"object value alpha[{b!r}] = {v!r} is outside -{n - 1}..0"
                 )
@@ -344,10 +344,8 @@ def characterize_weak_rankings(instance: Instance) -> CharacterizationSets:
     for ai in range(instance.n_agents):
         nbr = instance.neighbor_mask(ai)
         first_masks.append(nbr & ~instance.dominated(ai, nbr))
-    graph = BipartiteGraph(
-        instance.n_agents,
-        instance.n_objects,
-        [list(iter_bits(mask)) for mask in first_masks],
+    graph = BipartiteGraph.unchecked(
+        instance.n_agents, instance.n_objects, tuple(map(bits, first_masks))
     )
     first = {
         (instance.agents[ai], instance.objects[bj])
@@ -364,7 +362,7 @@ def characterize_weak_rankings(instance: Instance) -> CharacterizationSets:
         if not even_agents[ai]:
             continue
         critical = instance.neighbor_mask(ai) & ~first_mask & even_mask
-        undominated = iter_bits(critical & ~instance.dominated(ai, critical))
+        undominated = bits(critical & ~instance.dominated(ai, critical))
         second.update((instance.agents[ai], instance.objects[bj]) for bj in undominated)
     return CharacterizationSets(frozenset(first), frozenset(second), nu1)
 

@@ -39,8 +39,8 @@ from .instance import (
     Instance,
     InstanceError,
     Matching,
+    bits,
     check_assignment,
-    iter_bits,
 )
 from .matching import BipartiteGraph, even_reach, maximum_matching
 
@@ -66,16 +66,17 @@ class LevelFunction:
 
 
 def make_level_function(instance: Instance, levels: Sequence[int]) -> LevelFunction:
-    """Validate ``levels`` (one non-negative integer per object) and cache the
-    per-agent maxima.  Every agent must have at least one neighbor, otherwise
-    her maximum neighbor level -- and the level graph -- is undefined."""
-    lv = tuple(int(x) for x in levels)
+    """Validate ``levels`` (one non-negative ``int`` per object; a bool, a
+    float or a string is no level) and cache the per-agent maxima.  Every
+    agent must have at least one neighbor, otherwise her maximum neighbor
+    level -- and the level graph -- is undefined."""
+    lv = tuple(levels)
     if len(lv) != instance.n_objects:
         raise InstanceError(
             f"level function has {len(lv)} entries for {instance.n_objects} objects"
         )
-    if any(x < 0 for x in lv):
-        raise InstanceError("levels must be non-negative")
+    if not all(type(x) is int and x >= 0 for x in lv):
+        raise InstanceError("levels must be non-negative integers")
     maxima = []
     for ai in range(instance.n_agents):
         adj = instance.adj_indices(ai)
@@ -181,16 +182,6 @@ def _admissible_in(
     return admissible
 
 
-def _bits(mask: int) -> tuple[int, ...]:
-    """The indices of the set bits of ``mask``, in increasing order."""
-    row = []
-    while mask:
-        bit = mask & -mask
-        mask ^= bit
-        row.append(bit.bit_length() - 1)
-    return tuple(row)
-
-
 #: Each agent's level-graph rows seen so far, by her window: see
 #: :func:`_build_level_graph`.
 RowMemo = list[dict[int, tuple[int, tuple[int, ...]]]]
@@ -251,7 +242,7 @@ def _build_level_graph(
             if allowed is not None:
                 admissible &= allowed[ai]
             covered |= admissible
-            rows.append(_bits(admissible))
+            rows.append(bits(admissible))
             continue
         top_level = tops[ai]
         top = masks.get(top_level, 0) & nbr
@@ -262,7 +253,7 @@ def _build_level_graph(
         entry = seen.get(key)
         if entry is None:
             admissible = _admissible_in(instance, ai, top, below, top, below)
-            entry = seen[key] = (admissible, _bits(admissible))
+            entry = seen[key] = (admissible, bits(admissible))
         covered |= entry[0]
         rows.append(entry[1])
     graph = BipartiteGraph.unchecked(instance.n_agents, instance.n_objects, tuple(rows))
@@ -320,13 +311,18 @@ def certificate_from_levels(
     is the total load.
 
     Raises if the matching is not an assignment of the instance, if some
-    loaded edge is not matched, or if some matched edge is not admissible at
-    the given levels under its load allowance.
+    load is not a non-negative ``int``, if some loaded edge is not matched,
+    or if some matched edge is not admissible at the given levels under its
+    load allowance.
     """
     if not isinstance(level_function, LevelFunction):
         level_function = make_level_function(instance, level_function)
     check_assignment(instance, matching)
-    for edge in loads or ():
+    for edge, load in (loads or {}).items():
+        if type(load) is not int or load < 0:
+            raise InstanceError(
+                f"load {load!r} of edge {edge!r} is not a non-negative integer"
+            )
         if edge not in matching:
             raise InstanceError(f"loaded edge {edge!r} is not matched")
     levels = level_function.levels
@@ -353,11 +349,8 @@ def _require_perfectly_matchable(instance: Instance) -> None:
             f"instance has {instance.n_agents} agents but {instance.n_objects} "
             "objects, so no perfect matching exists"
         )
-    graph = BipartiteGraph(
-        instance.n_agents,
-        instance.n_objects,
-        [list(instance.adj_indices(ai)) for ai in range(instance.n_agents)],
-    )
+    rows = tuple(map(instance.adj_indices, range(instance.n_agents)))
+    graph = BipartiteGraph.unchecked(instance.n_agents, instance.n_objects, rows)
     match_l, _ = maximum_matching(graph)
     if -1 in match_l:
         raise NoPerfectMatchingError("instance admits no perfect matching")
@@ -431,7 +424,7 @@ def _periods_to_skip(
             shift = shifts[(window & -window).bit_length() - 1]
             if window & ~by_shift[shift]:
                 return 0, shifts
-            for bj in iter_bits(nbr & faster[shift]):
+            for bj in bits(nbr & faster[shift]):
                 times = min(times, (bottom - levels[bj] - 1) // (shifts[bj] - shift))
             if times < 1:
                 return 0, shifts

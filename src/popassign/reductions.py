@@ -35,9 +35,9 @@ from .instance import (
     _preference_specs,
     _raise,
     _valid_names,
+    bits,
     check_assignment,
     check_matching,
-    iter_bits,
 )
 from .popular import SolveOutcome, solve_truncated
 
@@ -127,7 +127,7 @@ def _pad(
         if not low:
             continue
         run = list(run)
-        added = tuple(iter_bits(low))
+        added = bits(low)
         for bj in added:
             object_adj[bj].extend(run)
         for ai in run:
@@ -139,7 +139,7 @@ def _pad(
             nbr[ai] |= low
     for mask, run in groupby(new_agents, lambda ai: rows[ai - n_source]):
         run = list(run)
-        row = tuple(iter_bits(mask))
+        row = bits(mask)
         for bj in row:
             object_adj[bj].extend(run)
         adj.extend(row for _ in run)
@@ -185,11 +185,8 @@ def augment_to_perfect(instance: Instance) -> tuple[Instance, ReductionMap]:
     # (as the benchmark's tracer installs) is the one that runs
     from .matching import BipartiteGraph, maximum_matching
 
-    graph = BipartiteGraph(
-        instance.n_agents,
-        instance.n_objects,
-        [list(instance.adj_indices(a)) for a in range(instance.n_agents)],
-    )
+    rows = tuple(map(instance.adj_indices, range(instance.n_agents)))
+    graph = BipartiteGraph.unchecked(instance.n_agents, instance.n_objects, rows)
     match_l, _ = maximum_matching(graph)
     nu = sum(1 for j in match_l if j >= 0)
     dummies = tuple(f"__dummy:{i}" for i in range(instance.n_objects - nu))

@@ -15,7 +15,9 @@ All of these reuse the level loop from :mod:`popassign.popular`:
   the edge-index multiset -- so the first hit is deterministic.  Agents with
   the same neighbours and the same order over them are *twins*; a guess that
   swapping twins turns into an earlier guess is skipped, since both get the
-  same verdict.
+  same verdict.  Every other guess runs its loop; a guess that leaves no
+  perfect matching has no feasible level function, so its loop ends
+  not-found.
 * An assignment popular with penalty ``kappa`` (unmatched agents in rival
   matchings count ``kappa`` votes instead of one) is exactly what the level
   loop truncated at ``kappa + 1`` decides, so that variant is a direct
@@ -28,8 +30,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .instance import Instance, InstanceError, Matching, _is_pair, iter_bits
-from .matching import BipartiteGraph, maximum_matching
+from .instance import Instance, InstanceError, Matching, _is_pair, bits
+# unused here, but perfbench/spans.py wraps maximum_matching in this namespace
+from .matching import maximum_matching  # noqa: F401
 from .popular import (
     DualCertificate,
     LevelFunction,
@@ -119,8 +122,8 @@ def lambda_feasible(
 ) -> bool:
     """Is ``edge`` admissible at the given levels when it is allowed to carry
     ``load``?  Load zero is exactly membership in the plain level graph."""
-    if load < 0:
-        raise ValueError("load must be non-negative")
+    if type(load) is not int or load < 0:
+        raise ValueError("load must be a non-negative integer")
     if not isinstance(level_function, LevelFunction):
         level_function = make_level_function(instance, level_function)
     a, b = edge
@@ -141,7 +144,7 @@ class LoadCapacity:
 
     def __post_init__(self) -> None:
         for edge, load in self.loads.items():
-            if not isinstance(load, int) or load < 1:
+            if type(load) is not int or load < 1:
                 raise ValueError(f"load for edge {edge!r} must be a positive integer")
 
     @property
@@ -162,8 +165,9 @@ class KMarginOutcome:
     counts the guesses the search ran: the orbit representatives -- the
     first guess of each twin-swap orbit, in enumeration order -- among the
     load guesses whose loaded edges form a matching, up to and including the
-    successful one.  The other guesses are skipped uncounted: they admit no
-    assignment, or repeat the verdict of their representative.
+    successful one; each of them ran its level loop.  The other guesses are
+    skipped uncounted: they admit no assignment, or repeat the verdict of
+    their representative.
     """
 
     found: bool
@@ -175,23 +179,14 @@ class KMarginOutcome:
     branches: int
 
 
-def _perfect_without(instance: Instance, allowed: Sequence[int]) -> bool:
-    """Does the graph of each agent's ``allowed`` objects have a perfect
-    matching?"""
-    graph = BipartiteGraph(
-        instance.n_agents, instance.n_objects, [list(iter_bits(m)) for m in allowed]
-    )
-    match_l, _ = maximum_matching(graph)
-    return -1 not in match_l
-
-
 def _run_margin_branch(
     instance: Instance, combo: tuple[int, ...], memo: RowMemo
-) -> SolveOutcome | None:
+) -> SolveOutcome:
     """Run the level loop for one load guess, a multiset of edge indices
     whose distinct edges form a matching, with the search's row ``memo``.
-    Returns the loop's outcome, or None if the guess leaves no perfect
-    matching at all."""
+    A guess whose loaded edges leave no perfect matching needs no test of
+    its own: no level function is feasible for it, so its loop ends
+    not-found."""
     edge_indices = instance.edge_indices
     allowed = [instance.neighbor_mask(ai) for ai in range(instance.n_agents)]
     allowance: dict[int, int] = {}
@@ -200,11 +195,6 @@ def _run_margin_branch(
         # a loaded edge acts as a forced edge
         allowed[ai] = 1 << bj
         allowance[ai] = allowance.get(ai, 0) + 1
-    # If restricting the loaded agents already kills perfect matchability,
-    # the level loop could only time out.
-    restricted = any(allowed[ai] != instance.neighbor_mask(ai) for ai in allowance)
-    if restricted and not _perfect_without(instance, allowed):
-        return None
     return _run_level_loop(instance, instance.n_objects, allowed, allowance, memo)
 
 
@@ -215,7 +205,7 @@ def _twin_classes(instance: Instance) -> list[int]:
     classes = []
     for ai in range(instance.n_agents):
         neighbors = instance.neighbor_mask(ai)
-        worse = tuple(instance.worse_mask(ai, bj) for bj in iter_bits(neighbors))
+        worse = tuple(instance.worse_mask(ai, bj) for bj in bits(neighbors))
         classes.append(first.setdefault((neighbors, worse), ai))
     return classes
 
@@ -285,7 +275,7 @@ def solve_k_margin(instance: Instance, k: int) -> KMarginOutcome:
         seen.add(key)
         branches += 1
         outcome = _run_margin_branch(instance, combo, memo)
-        if outcome is not None and outcome.found:
+        if outcome.found:
             edges = instance.edges
             loads = LoadCapacity({edges[idx]: combo.count(idx) for idx in combo})
             certificate = outcome.certificate

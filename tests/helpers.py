@@ -2,10 +2,11 @@
 solver, all independent of the level-function machinery under test; the
 level-graph build without the row memo, and the free-object level loop and
 the level loop without period jumps built on it, the references the
-solver's loop is tested against; the dense Hungarian
-method and the one-search-per-row shortest-paths method, the references of
-the weighted-matching kernel; and the set-based preference parser, the
-reference of the instance parser."""
+solver's loop is tested against; the k-margin branch with its
+perfect-matching pre-check, the reference of the branch without it; the
+dense Hungarian method and the one-search-per-row shortest-paths method, the
+references of the weighted-matching kernel; and the set-based preference
+parser, the reference of the instance parser."""
 
 from __future__ import annotations
 
@@ -40,12 +41,15 @@ from popassign.instance import (
     _is_pair,
     _preference_specs,
     _valid_names,
+    bits,
 )
 from popassign.popular import (
     LevelFunction,
+    RowMemo,
     SolveOutcome,
     _even_objects,
     _level_masks,
+    _run_level_loop,
     certificate_from_levels,
 )
 from popassign.reductions import _claim
@@ -663,6 +667,46 @@ def plain_level_loop(
     loads = {(agents[ai], objects[match_l[ai]]): lam for ai, lam in allowance.items()}
     certificate = certificate_from_levels(instance, assignment, level_function, loads)
     return SolveOutcome(True, assignment, level_function, certificate, None, iterations)
+
+
+# -- the k-margin branch with its perfect-matching pre-check ---------------------
+#
+# ``variants._run_margin_branch`` and ``variants._perfect_without`` as they
+# were before every guess went straight to its level loop, copied verbatim
+# but for the bit decoder.
+
+
+def reference_perfect_without(instance: Instance, allowed: Sequence[int]) -> bool:
+    """Does the graph of each agent's ``allowed`` objects have a perfect
+    matching?"""
+    graph = BipartiteGraph(
+        instance.n_agents, instance.n_objects, [list(bits(m)) for m in allowed]
+    )
+    match_l, _ = maximum_matching(graph)
+    return -1 not in match_l
+
+
+def reference_run_margin_branch(
+    instance: Instance, combo: tuple[int, ...], memo: RowMemo
+) -> SolveOutcome | None:
+    """Run the level loop for one load guess, a multiset of edge indices
+    whose distinct edges form a matching, with the search's row ``memo``.
+    Returns the loop's outcome, or None if the guess leaves no perfect
+    matching at all."""
+    edge_indices = instance.edge_indices
+    allowed = [instance.neighbor_mask(ai) for ai in range(instance.n_agents)]
+    allowance: dict[int, int] = {}
+    for idx in combo:
+        ai, bj = edge_indices[idx]
+        # a loaded edge acts as a forced edge
+        allowed[ai] = 1 << bj
+        allowance[ai] = allowance.get(ai, 0) + 1
+    # If restricting the loaded agents already kills perfect matchability,
+    # the level loop could only time out.
+    restricted = any(allowed[ai] != instance.neighbor_mask(ai) for ai in allowance)
+    if restricted and not reference_perfect_without(instance, allowed):
+        return None
+    return _run_level_loop(instance, instance.n_objects, allowed, allowance, memo)
 
 
 # -- corpus builders -------------------------------------------------------------

@@ -9,6 +9,9 @@ import sys
 from pathlib import Path
 
 import popassign.cli
+from popassign import EdgeConstraints, NoPerfectMatchingError, popular, solve_with_constraints
+
+from helpers import corpus
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -47,3 +50,34 @@ def test_traced_padded_solve_counts(tmp_path, capsys):
     assert tracer.calls["matching.hk@instance"] == 1
     # the perfect-matchability check, then one matching per round
     assert tracer.count["popular.solve_hk_calls"] == report["iterations"] + 1
+
+
+def test_a_solve_calls_popular_maximum_matching_iterations_plus_one_times(monkeypatch):
+    """The traced self-check counts Hopcroft--Karp calls in a solve through
+    ``popular.maximum_matching``: one perfect-matchability check, then one
+    matching per round built, found and not-found runs alike."""
+    calls = []
+    matching = popular.maximum_matching
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return matching(*args, **kwargs)
+
+    monkeypatch.setattr(popular, "maximum_matching", counting)
+    solves = not_found = 0
+    for instance in corpus(60, min_n=2, max_n=7, seed0=4400):
+        a, b = instance.edges[0]
+        for constraints in (
+            EdgeConstraints(),
+            EdgeConstraints.of(forced=[(a, b)]),
+            EdgeConstraints.of(forbidden=[(a, b)]),
+        ):
+            calls.clear()
+            try:
+                outcome = solve_with_constraints(instance, constraints)
+            except NoPerfectMatchingError:
+                break
+            assert len(calls) == outcome.iterations + 1
+            solves += 1
+            not_found += not outcome.found
+    assert solves > 90 and not_found > 10

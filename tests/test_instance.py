@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from popassign import (
+    BipartiteGraph,
     EdgeConstraints,
     Instance,
     InstanceError,
     Matching,
     MatchingError,
     PrefComparison,
+    add_last_resorts,
     augment_to_perfect,
     check_assignment,
     check_matching,
@@ -180,6 +182,27 @@ def test_generated_documents_round_trip(seed):
     assert again.edges == inst.edges
     for a in inst.agents:
         assert again.preference_pairs(a) == inst.preference_pairs(a)
+
+
+@given(st.integers(0, 10_000))
+def test_index_rows_pass_the_checked_graph_constructor(seed):
+    """Every ``adj_indices`` row of a parsed instance, and of the instances
+    padding derives from it, is a tuple of in-range ``int`` columns that the
+    checked ``BipartiteGraph`` keeps unchanged: the condition under which the
+    solvers build graphs from these rows with ``BipartiteGraph.unchecked``."""
+    doc = random_instance_document(
+        1 + seed % 6,
+        1 + (seed // 6) % 6,
+        (0.3, 0.6, 0.9)[(seed // 3) % 3],
+        PREF_STYLES[seed % 3],
+        seed,
+    )
+    parsed = parse_instance(json.dumps(doc))
+    for instance in (parsed, augment_to_perfect(parsed)[0], add_last_resorts(parsed)[0]):
+        rows = tuple(map(instance.adj_indices, range(instance.n_agents)))
+        assert all(type(row) is tuple for row in rows)
+        graph = BipartiteGraph(instance.n_agents, instance.n_objects, rows)
+        assert graph.adjacency == rows
 
 
 def test_validate_collects_problems():

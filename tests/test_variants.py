@@ -5,15 +5,18 @@ import math
 import random
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from popassign import (
+    DualCertificate,
     EdgeConstraints,
     Instance,
     InstanceError,
     LoadCapacity,
+    Matching,
     NoPerfectMatchingError,
     augment_to_perfect,
     certificate_from_levels,
@@ -34,7 +37,15 @@ from popassign import variants
 from popassign.generate import random_instance_document
 from popassign.variants import _run_margin_branch, _twin_classes
 
-from helpers import STYLES, brute_margin_of, brute_min_margin, complete_doc, corpus, inst
+from helpers import (
+    STYLES,
+    brute_margin_of,
+    brute_min_margin,
+    complete_doc,
+    corpus,
+    inst,
+    reference_run_margin_branch,
+)
 
 
 # -- constraint plumbing ----------------------------------------------------------
@@ -246,6 +257,69 @@ def test_load_capacity_validation():
         LoadCapacity({("a1", "b1"): 0})
     with pytest.raises(ValueError):
         LoadCapacity({("a1", "b1"): -1})
+
+
+_K1_ASSIGNMENT = Matching([("a1", "b1"), ("a2", "b2"), ("a3", "b3")])
+_K1_LEVELS = [0, 1, 2]
+
+
+def _k1_certificate(**agents):
+    values = {"a1": 1, "a2": 1, "a3": 2, **agents}
+    return DualCertificate(values, {"b1": 0, "b2": -1, "b3": -2})
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda i: make_level_function(i, [1.9, 0, 0]),
+        lambda i: make_level_function(i, ["0", 0, 0]),
+        lambda i: make_level_function(i, [0, True, 2]),
+        lambda i: lambda_feasible(i, _K1_LEVELS, ("a1", "b1"), 1.0),
+        lambda i: lambda_feasible(i, _K1_LEVELS, ("a1", "b1"), True),
+        lambda i: certificate_from_levels(
+            i, _K1_ASSIGNMENT, _K1_LEVELS, {("a1", "b1"): 1.0}
+        ),
+        lambda i: certificate_from_levels(
+            i, _K1_ASSIGNMENT, _K1_LEVELS, {("a1", "b1"): -1}
+        ),
+        lambda i: LoadCapacity({("a1", "b1"): True}),
+        lambda i: verify_certificate(i, _K1_ASSIGNMENT, _k1_certificate(a1=True), 1),
+        lambda i: verify_certificate(i, _K1_ASSIGNMENT, _k1_certificate(), True),
+    ],
+    ids=[
+        "level-float", "level-str", "level-bool",
+        "feasible-float-load", "feasible-bool-load",
+        "certificate-float-load", "certificate-negative-load",
+        "capacity-bool", "verify-bool-value", "verify-bool-k",
+    ],
+)
+def test_levels_and_loads_must_be_plain_ints(unanimous_k33, call):
+    """Levels and loads follow one integer rule, ``type(x) is int``: a float,
+    a string or a bool is rejected with ``InstanceError`` or ``ValueError``,
+    or -- by ``verify_certificate``, which reports rather than raises -- as
+    a failed check.  Each call is valid with plain ints in their place: the
+    certificate is the one the search finds at ``k = 1``."""
+    try:
+        result = call(unanimous_k33)
+    except ValueError as exc:  # InstanceError included
+        assert "not admissible" not in str(exc)
+        return
+    ok, failures = result
+    assert not ok and failures
+
+
+def test_the_integer_rule_cases_pass_with_plain_ints(unanimous_k33):
+    out = solve_k_margin(unanimous_k33, 1)
+    assert out.assignment == _K1_ASSIGNMENT
+    assert out.levels.levels == tuple(_K1_LEVELS)
+    assert out.certificate == _k1_certificate()
+    assert lambda_feasible(unanimous_k33, _K1_LEVELS, ("a1", "b1"), 1)
+    certificate_from_levels(
+        unanimous_k33, _K1_ASSIGNMENT, _K1_LEVELS, {("a1", "b1"): 1}
+    )
+    assert verify_certificate(unanimous_k33, _K1_ASSIGNMENT, _k1_certificate(), 1) == (
+        True, ()
+    )
 
 
 # -- bounded-margin search --------------------------------------------------------
@@ -464,7 +538,7 @@ def _search_every_guess(instance, k):
                 continue
             branches += 1
             out = _run_margin_branch(instance, combo, [{} for _ in range(instance.n_agents)])
-            if out is not None and out.found:
+            if out.found:
                 loads = {instance.edges[idx]: combo.count(idx) for idx in combo}
                 return (True, out.assignment, loads, out.levels, out.certificate), branches
     return (False, None, None, None, None), branches
@@ -542,16 +616,19 @@ def test_branch_counts_of_two_benchmark_margin_searches_are_pinned():
         assert (out.found, out.branches, out.certified_bound) == (True, branches, bound)
 
 
-def test_unmatchable_guesses_are_pruned(monkeypatch):
-    """A guess whose loaded edges leave no perfect matching is pruned before
-    its level loop, and the search still finds the brute-force minimum."""
+def test_unmatchable_guesses_end_not_found(monkeypatch):
+    """A guess whose loaded edges leave no perfect matching runs its level
+    loop like any other guess, and the loop ends not-found; the search still
+    finds the brute-force minimum."""
     instance = inst(random_instance_document(6, 6, 0.5, "strict", 2767))
     run_branch = variants._run_margin_branch
-    pruned = []
+    unmatchable = []
 
-    def recording(*args):
-        outcome = run_branch(*args)
-        pruned.append(outcome is None)
+    def recording(instance, combo, memo):
+        outcome = run_branch(instance, combo, memo)
+        fresh = [{} for _ in range(instance.n_agents)]
+        if reference_run_margin_branch(instance, combo, fresh) is None:
+            unmatchable.append(outcome)
         return outcome
 
     monkeypatch.setattr(variants, "_run_margin_branch", recording)
@@ -561,7 +638,84 @@ def test_unmatchable_guesses_are_pruned(monkeypatch):
         assert out.found == (best <= k)
         if out.found:
             assert out.certified_bound == best
-    assert any(pruned)
+    assert unmatchable
+    assert all(not outcome.found for outcome in unmatchable)
+
+
+def _beside_a_unanimous_triple(instance):
+    """``instance`` with a disjoint complete 3 x 3 block beside it, whose
+    agents all rank its objects alike.  The block has no popular assignment,
+    so a margin search over the union tries every single-edge guess of
+    ``instance`` at ``k = 1``, and the pre-check drops those whose edge lies
+    in no perfect matching."""
+    doc = instance.to_document()
+    agents, objects = ["u1", "u2", "u3"], ["v1", "v2", "v3"]
+    doc["agents"] += agents
+    doc["objects"] += objects
+    doc["edges"] += [[a, b] for a in agents for b in objects]
+    doc.setdefault("preferences", {}).update(
+        {a: {"tiers": [[b] for b in objects]} for a in agents}
+    )
+    return inst(doc)
+
+
+def _pre_check_corpus():
+    """200 corpus instances with a perfect matching, each also beside a
+    unanimous triple, and the master-list instances of the benchmark's
+    generator at n = 5..7, each with the largest budget ``k`` to search."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import gen
+
+    kept = 0
+    for instance in corpus(400, min_n=2, max_n=6, seed0=2100):
+        try:
+            solve_k_margin(instance, 0)
+        except NoPerfectMatchingError:
+            continue
+        yield instance, (3 if instance.n_agents <= 4 else 2)
+        yield _beside_a_unanimous_triple(instance), 1
+        kept += 1
+        if kept == 200:
+            break
+    assert kept == 200
+    for n in (5, 6, 7):
+        yield inst(gen.master_list_instance(n)), 3
+        for seed in range(3):
+            yield inst(gen.master_list_instance(n, random.Random(seed))), 3
+            for density in (0.4, 0.6):
+                doc = gen.sparse_master_list_instance(random.Random(seed), n, density)
+                yield inst(doc), 3
+
+
+#: what the screened search's branches return for a guess the pre-check
+#: drops: the search reads only ``found`` of it
+_UNMATCHABLE = SimpleNamespace(found=False)
+
+
+def test_margin_search_matches_the_search_with_its_matching_pre_check(monkeypatch):
+    """Every guess going straight to its level loop changes no outcome of
+    the search -- found, assignment, loads, levels, certificate,
+    ``certified_bound`` and ``branches`` -- against the search whose
+    branches first test the guess for a perfect matching."""
+    dropped = []
+
+    def screened(instance, combo, memo):
+        outcome = reference_run_margin_branch(instance, combo, memo)
+        if outcome is None:
+            dropped.append(combo)
+            return _UNMATCHABLE
+        return outcome
+
+    searches = found = 0
+    for instance, top in _pre_check_corpus():
+        for k in range(top + 1):
+            with monkeypatch.context() as patch:
+                patch.setattr(variants, "_run_margin_branch", screened)
+                expected = solve_k_margin(instance, k)
+            assert solve_k_margin(instance, k) == expected
+            searches += 1
+            found += expected.found
+    assert searches > 1000 and found > 900 and len(dropped) > 150
 
 
 def _classes(edges, preferences):
