@@ -75,8 +75,8 @@ def _vote_rows(instance: Instance, matching: Matching) -> list[dict[int, int]]:
 
 
 def _check_kappa(kappa: int) -> None:
-    if kappa < 1:
-        raise ValueError("kappa must be at least 1")
+    if type(kappa) is not int or kappa < 1:
+        raise ValueError("kappa must be an integer of at least 1")
 
 
 def edge_weight(instance: Instance, matching: Matching, edge: tuple[str, str]) -> int:

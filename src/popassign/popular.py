@@ -10,9 +10,11 @@ A perfect matching of the level graph is a popular assignment, and the final
 levels translate directly into a dual certificate of its popularity:
 ``alpha[object] = -level`` and ``alpha[agent] = level of the matched object``.
 
-If some object's level reaches the number of objects (or a caller-supplied
-truncation cap), no popular assignment exists (respectively, none with a
-certificate whose object values stay within the cap).
+If some object's level reaches the number of objects, or the levels grow
+too sparse for any feasible level function to lie above them (the counting
+bound of :func:`_run_level_loop`), no popular assignment exists.  If some
+level reaches a lower caller-supplied truncation cap first, none exists with
+a certificate whose object values stay within the cap.
 
 An edge ``(a, b)`` is admissible at levels ``l`` when, writing ``L`` for the
 highest level among ``a``'s neighbors, either ``b`` sits at level ``L`` and no
@@ -31,7 +33,6 @@ implementation of this test.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -111,14 +112,13 @@ class SolveOutcome:
     """Result of a level-loop solver run.
 
     ``found`` outcomes carry the assignment, the final levels, and the dual
-    certificate derived from them.  Not-found outcomes carry the final levels,
-    ``reason`` (``"level-overflow"`` when the intrinsic bound -- the number of
-    objects -- was hit, ``"truncation-cap"`` when a lower caller-supplied cap
-    was hit) and no assignment.  ``iterations`` counts the rounds that built
-    and matched a level graph, and ``rounds_skipped`` the rounds the loop
-    jumped over because they repeat an earlier period (see
-    :func:`_run_level_loop`); the run took ``iterations + rounds_skipped``
-    rounds in all.
+    certificate derived from them.  Not-found outcomes carry the levels at
+    the stop, ``reason`` and no assignment.  ``"level-overflow"`` means the
+    loop proved that no feasible level function exists: a level reached the
+    number of objects, or the levels met the counting bound of
+    :func:`_run_level_loop`.  ``"truncation-cap"`` means a level reached a
+    lower caller-supplied cap first.  ``iterations`` counts the rounds that
+    built and matched a level graph.
     """
 
     found: bool
@@ -127,7 +127,6 @@ class SolveOutcome:
     certificate: DualCertificate | None
     reason: str | None
     iterations: int
-    rounds_skipped: int = 0
 
 
 def _level_masks(levels: Sequence[int]) -> dict[int, int]:
@@ -356,79 +355,17 @@ def _require_perfectly_matchable(instance: Instance) -> None:
         raise NoPerfectMatchingError("instance admits no perfect matching")
 
 
-#: The level loop keeps the states of this many latest rounds, and so can
-#: skip periods of up to this many rounds.  The not-found runs of padded
-#: sparse instances with up to 1000 agents repeat with periods of 5 to 37,
-#: and the doomed loops of the k-margin search with periods of 2 or 3.
-PERIOD_WINDOW = 64
-
-
-def _cluster_key(masks: Mapping[int, int]) -> tuple[int, ...]:
-    """The levels with each cluster -- a maximal run of occupied levels
-    whose gaps are below 2 -- shifted to start at 0, as an offset and a mask
-    per occupied level, in level order.  Two rounds with the same key may
-    repeat one another, shifted."""
-    key: list[int] = []
-    start = previous = -2
-    for level, mask in sorted(masks.items()):
-        if not mask:
-            continue
-        if level - previous >= 2:
-            start = level
-        previous = level
-        key += (level - start, mask)
-    return tuple(key)
-
-
-def _periods_to_skip(
-    instance: Instance,
-    states: Sequence[tuple[tuple[int, ...], tuple[int, ...]]],
-    allowance: Mapping[int, int] | None,
-    cap: int,
-) -> tuple[int, list[int]]:
-    """How many whole periods the level loop may skip, and the shift of each
-    object over one period.  ``states`` holds the levels and tops at the
-    start of ``p + 1`` consecutive rounds, the current one last; the shift
-    of an object is its rise from the first of them to the last.  The count
-    is the largest ``t`` such that, at each of the period's ``p`` states,
-    every agent's window -- her neighbours at or above ``top - 1 - lam`` --
-    holds objects of one shift only, no neighbour below her window climbs
-    into it within ``t`` periods, and no level reaches ``cap`` within
-    ``t`` periods of the current state."""
-    last = states[-1][0]
-    shifts = [new - old for old, new in zip(states[0][0], last)]
-    times = min(
-        ((cap - 1 - level) // d for level, d in zip(last, shifts) if d), default=0
-    )
-    if times < 1:
-        return 0, shifts
-    by_shift: dict[int, int] = {}
-    for bj, d in enumerate(shifts):
-        by_shift[d] = by_shift.get(d, 0) | 1 << bj
-    faster: dict[int, int] = {}  # each shift -> the objects with a larger one
-    above = 0
-    for d in sorted(by_shift, reverse=True):
-        faster[d] = above
-        above |= by_shift[d]
-    for levels, tops in states[:-1]:
-        masks = _level_masks(levels)
-        for ai in range(instance.n_agents):
-            lam = allowance.get(ai, 0) if allowance else 0
-            top = tops[ai]
-            bottom = top - 1 - lam
-            nbr = instance.neighbor_mask(ai)
-            window = 0
-            for level in range(max(bottom, 0), top + 1):
-                window |= masks.get(level, 0)
-            window &= nbr
-            shift = shifts[(window & -window).bit_length() - 1]
-            if window & ~by_shift[shift]:
-                return 0, shifts
-            for bj in bits(nbr & faster[shift]):
-                times = min(times, (bottom - levels[bj] - 1) // (shifts[bj] - shift))
-            if times < 1:
-                return 0, shifts
-    return times, shifts
+def _too_few_below(masks: Mapping[int, int], gap: int) -> bool:
+    """Does some occupied level ``v`` of ``masks`` have fewer than
+    ``v / gap`` objects below it?  An empty level that fails the test needs
+    no skipping: the next occupied level has as many objects below it, and
+    fails too."""
+    below = 0
+    for level in sorted(masks):
+        if below * gap < level:
+            return True
+        below += masks[level].bit_count()
+    return False
 
 
 def _run_level_loop(
@@ -439,7 +376,8 @@ def _run_level_loop(
     memo: RowMemo | None = None,
 ) -> SolveOutcome:
     """The solver core.  Runs until the level graph has a perfect matching,
-    or some object's level reaches ``cap``.  ``allowed`` and ``allowance``
+    some object's level reaches ``cap``, or the counting bound below proves
+    that no feasible level function exists.  ``allowed`` and ``allowance``
     restrict and widen each agent's row as in :func:`_build_level_graph`; a
     found assignment matches each agent with an allowance along the single
     object she is allowed, which carries that allowance as its load.
@@ -474,34 +412,25 @@ def _run_level_loop(
     trajectory -- rounds and not-found levels included -- is fixed by the
     instance, whatever its labelling.
 
-    Runs that find nothing march a band of levels up to ``cap``, and rebuild
-    the same level graphs, shifted, period after period; the loop jumps over
-    whole periods.  An agent's row reads the levels only in her *window*,
-    her neighbours at or above ``top - 1 - lam``, and only relative to her
-    top ``top``.  So adding ``s`` to the level of every object in her window,
-    while every neighbour below it stays below it, leaves her row as it was.
-    Say the rounds from states ``S_0`` to ``S_p`` ran for real, and ``d_b``
-    is object ``b``'s rise over that period.  If at every phase ``S_i``
-    (``i < p``) every window holds objects of one shift only, and no
-    neighbour below a window climbs into it within ``t`` periods, then the
-    state ``S_i + t'd`` (``1 <= t' <= t``) builds the same level graph as
-    ``S_i``: each row, and with them the objects the graph covers.
-    Hopcroft--Karp, the even objects and the raise then repeat too, so the
-    next state is ``S_(i+1) + t'd``; by induction over the skipped rounds,
-    the loop would have run ``t * p`` rounds, none with a perfect matching,
-    from ``S_p`` to ``S_p + t d``.  :func:`_periods_to_skip` takes the
-    largest such ``t`` that also keeps every level of ``S_p + t d`` below
-    ``cap`` (levels only rise, so every skipped round started below it too),
-    and the loop adds ``t d_b`` to each level and goes on with plain rounds.
-    The cap, the found matching and the final levels are always reached by
-    real rounds.  From the first round on, a period is looked for when a
-    round's levels, with each cluster of occupied levels shifted to start at
-    0 (see :func:`_cluster_key`), repeat those of an earlier round within
-    the latest :data:`PERIOD_WINDOW` rounds; that repeat only triggers the
-    check, and the exactness rests on the check.  The loop keeps a hash of
-    each round's key and the states of the latest rounds only, and a failed
-    check waits one period before the next.  The jump too depends on the
-    levels alone, so the round counts stay fixed by the instance."""
+    Runs that find nothing stop on a counting bound, checked before each
+    round is built.  Write ``g`` for 2 plus the largest load allowance.  An
+    agent's row reads the levels only in her *window*, her neighbours at
+    levels ``top - 1 - lam`` to ``top``, and only relative to her top
+    ``top``.  So if ``f`` is a feasible level function, so is
+    ``f - min(f)``; and where two consecutive occupied levels of ``f`` lie
+    more than ``g`` apart, lowering every level above the gap until the gap
+    is ``g`` leaves every row as it was, since no window straddles the gap.
+    So if any feasible level function exists, one has minimum 0 and no gap
+    above ``g``, and by the invariant the loop's levels lie at or below it.
+    Some object sits at ``f``-level ``v`` or higher for each occupied loop
+    level ``v``, so ``f`` occupies at least ``v / g`` levels below ``v``,
+    and every object on them sits below ``v`` in the loop too.  Hence if
+    some occupied level ``v`` has fewer than ``v / g`` objects below it (see
+    :func:`_too_few_below`), no feasible level function exists, and the loop
+    stops with reason ``"level-overflow"`` -- under a lower ``cap`` too, as
+    it proves more than the cap does.  A found run never meets the bound,
+    and the bound reads the levels alone, so the round counts stay fixed by
+    the instance."""
     n_objects = instance.n_objects
     levels = [0] * n_objects
     # levels only ever rise, so the objects at each level, each agent's
@@ -510,38 +439,11 @@ def _run_level_loop(
     masks = _level_masks(levels)
     tops = [0] * instance.n_agents
     highest = max(levels, default=-1)
-    iterations = rounds_skipped = 0
-    # the hash of each round's key, with the last round it was seen at, and
-    # the levels and tops of the latest rounds
-    seen: dict[int, int] = {}
-    recent: deque[tuple[tuple[int, ...], tuple[int, ...]]] = deque(
-        maxlen=PERIOD_WINDOW + 1
-    )
-    next_check = 0
+    iterations = 0
+    gap = 2 + max(allowance.values(), default=0) if allowance else 2
     if memo is None:
         memo = _row_memo(instance)
-    while highest < cap:
-        recent.append((tuple(levels), tuple(tops)))
-        key = hash(_cluster_key(masks))
-        last = seen.get(key)
-        seen[key] = iterations
-        period = iterations - last if last is not None else len(recent)
-        if period < len(recent) and iterations >= next_check:
-            states = list(recent)[-period - 1 :]
-            times, shifts = _periods_to_skip(instance, states, allowance, cap)
-            if times:
-                levels = [level + times * d for level, d in zip(levels, shifts)]
-                masks = _level_masks(levels)
-                tops = [
-                    max((levels[bj] for bj in instance.adj_indices(ai)), default=0)
-                    for ai in range(instance.n_agents)
-                ]
-                highest = max(levels)
-                rounds_skipped += times * period
-                seen.clear()
-                recent.clear()
-                continue
-            next_check = iterations + period
+    while highest < cap and not _too_few_below(masks, gap):
         graph, covered = _build_level_graph(
             instance, masks, tops, memo, allowed, allowance
         )
@@ -565,20 +467,17 @@ def _run_level_loop(
                     if tops[ai] < new_level:
                         tops[ai] = new_level
     else:
-        reason = "level-overflow" if cap >= n_objects else "truncation-cap"
+        capped = highest >= cap and cap < n_objects
+        reason = "truncation-cap" if capped else "level-overflow"
         level_function = LevelFunction(tuple(levels), tuple(tops))
-        return SolveOutcome(
-            False, None, level_function, None, reason, iterations, rounds_skipped
-        )
+        return SolveOutcome(False, None, level_function, None, reason, iterations)
     level_function = LevelFunction(tuple(levels), tuple(tops))
     agents, objects = instance.agents, instance.objects
     assignment = Matching((agents[ai], objects[bj]) for ai, bj in enumerate(match_l))
     allowance = allowance or {}
     loads = {(agents[ai], objects[match_l[ai]]): lam for ai, lam in allowance.items()}
     certificate = certificate_from_levels(instance, assignment, level_function, loads)
-    return SolveOutcome(
-        True, assignment, level_function, certificate, None, iterations, rounds_skipped
-    )
+    return SolveOutcome(True, assignment, level_function, certificate, None, iterations)
 
 
 def solve_popular_assignment(instance: Instance) -> SolveOutcome:
@@ -597,11 +496,12 @@ def solve_truncated(instance: Instance, max_level: int) -> SolveOutcome:
     ``max_level``.
 
     A found assignment is popular with a certificate whose object values all
-    exceed ``-max_level``; a not-found outcome only rules out popular
-    assignments with such bounded certificates.  With ``max_level`` at least
+    exceed ``-max_level``.  A not-found outcome with reason
+    ``"truncation-cap"`` only rules out popular assignments with such bounded
+    certificates; one with ``"level-overflow"`` rules out all of them.  With ``max_level`` at least
     the number of objects this is exactly :func:`solve_popular_assignment`.
     """
-    if max_level < 0:
-        raise ValueError("max_level must be non-negative")
+    if type(max_level) is not int or max_level < 0:
+        raise ValueError("max_level must be a non-negative integer")
     _require_perfectly_matchable(instance)
     return _run_level_loop(instance, min(max_level, instance.n_objects))

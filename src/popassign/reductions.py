@@ -246,8 +246,8 @@ def reduce_penalty_matching(
     :func:`extend_to_assignment`) is a popular assignment of the target, and
     popular assignments of the target lift back to popular matchings.
     """
-    if kappa < 1:
-        raise ValueError("kappa must be at least 1")
+    if type(kappa) is not int or kappa < 1:
+        raise ValueError("kappa must be an integer of at least 1")
     paths: dict[str, dict[str, tuple[str, ...]]] = {}
     for a in instance.agents:
         paths[a] = {

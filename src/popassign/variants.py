@@ -99,8 +99,8 @@ def solve_with_constraints(
     (including a forced edge that is also forbidden) surface as a not-found
     outcome, not an error.
     """
-    if max_level is not None and max_level < 0:
-        raise ValueError("max_level must be non-negative")
+    if max_level is not None and (type(max_level) is not int or max_level < 0):
+        raise ValueError("max_level must be a non-negative integer")
     _check_constraints(instance, constraints)
     _require_perfectly_matchable(instance)
     allowed = None
@@ -256,8 +256,8 @@ def solve_k_margin(instance: Instance, k: int) -> KMarginOutcome:
     Raises :class:`popassign.popular.NoPerfectMatchingError` if the instance
     admits no perfect matching at all.
     """
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    if type(k) is not int or k < 0:
+        raise ValueError("k must be a non-negative integer")
     _require_perfectly_matchable(instance)
     m = len(instance.edge_indices)
     combos = itertools.chain.from_iterable(
@@ -294,6 +294,6 @@ def solve_penalty_assignment(instance: Instance, kappa: int) -> SolveOutcome:
     Equivalent to the level loop truncated at ``kappa + 1``; with ``kappa``
     at least the number of objects this coincides with plain popularity.
     """
-    if kappa < 1:
-        raise ValueError("kappa must be at least 1")
+    if type(kappa) is not int or kappa < 1:
+        raise ValueError("kappa must be an integer of at least 1")
     return solve_truncated(instance, kappa + 1)

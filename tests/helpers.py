@@ -1,7 +1,7 @@
 """Shared test oracles: exhaustive searches and an integer-programming margin
 solver, all independent of the level-function machinery under test; the
 level-graph build without the row memo, and the free-object level loop and
-the level loop without period jumps built on it, the references the
+the level loop without a stop rule built on it, the references the
 solver's loop is tested against; the k-margin branch with its
 perfect-matching pre-check, the reference of the branch without it; the
 dense Hungarian method and the one-search-per-row shortest-paths method, the
@@ -588,13 +588,13 @@ def free_object_level_loop(instance, cap, allowed=None, allowance=None):
     return SolveOutcome(True, assignment, level_function, certificate, None, iterations)
 
 
-# -- the level loop without period jumps -------------------------------------------
+# -- the level loop without a stop rule ----------------------------------------------
 #
-# ``popular._run_level_loop`` as it was before it skipped repeating periods,
-# copied verbatim but for its level graphs, which come from
-# :func:`reference_build_level_graph`: every round is built afresh and
-# matched, so ``iterations`` is the logical round count the jumping loop
-# reports as ``iterations + rounds_skipped``.
+# ``popular._run_level_loop`` as it was before it stopped not-found runs on
+# the counting bound, copied verbatim but for its level graphs, which come
+# from :func:`reference_build_level_graph`, and its ``rounds`` limit: every
+# round is built afresh and matched, and a not-found run climbs until a
+# level reaches the cap.
 
 
 def plain_level_loop(
@@ -602,6 +602,8 @@ def plain_level_loop(
     cap: int,
     allowed: Sequence[int] | None = None,
     allowance: Mapping[int, int] | None = None,
+    *,
+    rounds: int | None = None,
 ) -> SolveOutcome:
     """The solver core.  Runs until the level graph has a perfect matching,
     or some object's level reaches ``cap``.  ``allowed`` and ``allowance``
@@ -609,6 +611,9 @@ def plain_level_loop(
     :func:`reference_build_level_graph`; a
     found assignment matches each agent with an allowance along the single
     object she is allowed, which carries that allowance as its load.
+    ``rounds``, if given, ends the run after that many rounds, not found,
+    with the levels of that moment and reason ``None``, unless its last
+    round found or reached the cap.
 
     Each round raises the even objects of the level graph (see
     :func:`_even_objects`).  This is exact.  The loop keeps the invariant
@@ -636,6 +641,9 @@ def plain_level_loop(
     highest = max(levels, default=-1)
     iterations = 0
     while highest < cap:
+        if iterations == rounds:
+            level_function = LevelFunction(tuple(levels), tuple(tops))
+            return SolveOutcome(False, None, level_function, None, None, iterations)
         graph, covered = reference_build_level_graph(instance, masks, tops, allowed, allowance)
         match_l, match_r = maximum_matching(graph)
         iterations += 1

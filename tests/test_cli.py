@@ -150,6 +150,25 @@ def test_solve_truncation_flag(write, capsys):
     assert report["reason"] == "truncation-cap"
 
 
+def test_solve_reads_level_overflow_when_the_bound_stops_a_truncated_run(write, capsys):
+    """Five agents rank five objects alike.  After three rounds the levels
+    are 1, 1, 2, 3, 3: no object is left at level 0, so no feasible level
+    function exists, and the run stops below the cap of 4 with the reason
+    that proves more than the cap."""
+    agents = [f"a{i}" for i in range(1, 6)]
+    objects = [f"b{i}" for i in range(1, 6)]
+    doc = {
+        "agents": agents,
+        "objects": objects,
+        "edges": [[a, b] for a in agents for b in objects],
+        "preferences": {a: {"tiers": [[b] for b in objects]} for a in agents},
+    }
+    code, report, _ = run(capsys, "solve", write("k55.json", doc), "--truncate", "4")
+    assert code == 1
+    assert (report["reason"], report["iterations"]) == ("level-overflow", 3)
+    assert report["levels"] == {"b1": 1, "b2": 1, "b3": 2, "b4": 3, "b5": 3}
+
+
 def test_solve_constraint_flags(write, capsys):
     path = write("chain.json", CHAIN)
     code, report, _ = run(capsys, "solve", path, "--forced", "a2,b1")

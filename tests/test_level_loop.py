@@ -1,7 +1,7 @@
 """The even-object level loop against the free-object loop it replaced, its
-period jumps against the loop without them, its memoised level-graph rows
-against rows built afresh, and its independence from how agents and objects
-are named and ordered."""
+counting-bound stop against the loop without it and against brute force, its
+memoised level-graph rows against rows built afresh, and its independence
+from how agents and objects are named and ordered."""
 
 import dataclasses
 import hashlib
@@ -15,11 +15,13 @@ from popassign import (
     NoPerfectMatchingError,
     SolveOutcome,
     augment_to_perfect,
+    enumerate_perfect_matchings,
     instance_from_document,
     solve_k_margin,
     solve_popular_assignment,
     solve_truncated,
     solve_with_constraints,
+    unpopularity_margin,
 )
 from popassign import popular, variants
 from popassign.generate import random_instance_document
@@ -33,19 +35,20 @@ from popassign.variants import _twin_classes
 
 from helpers import (
     STYLES,
+    brute_popular_exists,
     corpus,
     free_object_level_loop,
     plain_level_loop,
     reference_build_level_graph,
 )
 
-_jumping_loop = popular._run_level_loop
+_loop = popular._run_level_loop
 
 
 def _fingerprint(out):
     """An outcome as text, less the round counts of a level loop."""
     if isinstance(out, SolveOutcome):
-        out = dataclasses.replace(out, iterations=0, rounds_skipped=0)
+        out = dataclasses.replace(out, iterations=0)
     return repr(out)
 
 
@@ -103,35 +106,44 @@ def test_found_outcomes_match_the_free_object_loop(monkeypatch):
     assert solved >= 1000 and found > 1000 and searched > 300
 
 
-def _same_run(out, reference):
-    """``out`` ends as the loop without jumps ends, after as many rounds,
-    built or skipped."""
-    assert (out.found, out.reason, out.levels, out.assignment, out.certificate) == (
-        reference.found,
-        reference.reason,
-        reference.levels,
-        reference.assignment,
-        reference.certificate,
-    )
-    assert out.iterations + out.rounds_skipped == reference.iterations
+def _stopped_early(out, instance, cap, allowed=None, allowance=None):
+    """Check ``out`` against the loop without a stop rule, and say whether
+    it stopped before that loop did.  The verdicts agree, and a found run
+    agrees in everything, ``iterations`` included.  A not-found run stops
+    after at most the reference's rounds, with the reference's levels after
+    as many rounds; it reads ``"level-overflow"`` if it stopped early, and
+    the reference's reason otherwise."""
+    reference = plain_level_loop(instance, cap, allowed, allowance)
+    assert out.found == reference.found
+    if out.found:
+        assert out == reference
+        return False
+    assert out.iterations <= reference.iterations
+    early = out.iterations < reference.iterations
+    if early:
+        assert out.reason == "level-overflow"
+        reference = plain_level_loop(instance, cap, allowed, allowance, rounds=out.iterations)
+    else:
+        assert out.reason == reference.reason
+    assert out.levels == reference.levels
+    return early
 
 
-def test_period_jumps_match_the_plain_loop(monkeypatch):
+def test_stop_rule_matches_the_plain_loop(monkeypatch):
     """On 1200 random instances -- plain, truncated (cap 2 and random caps),
-    constrained and k-margin runs -- every level loop that jumps over
-    periods, with its rows from a memo, ends as the loop without jumps or
-    memo does: verdict, reason, levels, tops, assignment and certificate,
-    after as many rounds.  The loops of the k-margin search share one memo,
-    and jump too."""
-    skipped = []
-    margin_skipped = []
+    constrained and k-margin runs -- every level loop, with the counting
+    bound and its rows from a memo, ends as the loop without either does,
+    or stops earlier on the reference's way.  The loops of the k-margin
+    search share one memo, and stop early too."""
+    early = []
+    margin_early = []
 
     def checked(instance, cap, allowed=None, allowance=None, memo=None):
-        out = _jumping_loop(instance, cap, allowed, allowance, memo)
-        _same_run(out, plain_level_loop(instance, cap, allowed, allowance))
-        skipped.append(out.rounds_skipped)
+        out = _loop(instance, cap, allowed, allowance, memo)
+        stopped = _stopped_early(out, instance, cap, allowed, allowance)
+        early.append(stopped)
         if memo is not None:
-            margin_skipped.append(out.rounds_skipped)
+            margin_early.append(stopped)
         return out
 
     monkeypatch.setattr(popular, "_run_level_loop", checked)
@@ -154,12 +166,12 @@ def test_period_jumps_match_the_plain_loop(monkeypatch):
             solve_k_margin(instance, 1 + i % 2)
             searched += 1
         elif not popular_one.found and instance.n_agents <= 9:
-            # no popular assignment: every load-0 branch climbs to the cap
+            # no popular assignment: every load-0 branch is doomed
             solve_k_margin(instance, 1)
             searched += 1
     assert solved >= 1000 and searched > 100
-    assert sum(1 for s in skipped if s) > 500
-    assert sum(1 for s in margin_skipped if s) > 50
+    assert sum(early) > 500
+    assert sum(margin_early) > 50
 
 
 @given(
@@ -169,7 +181,7 @@ def test_period_jumps_match_the_plain_loop(monkeypatch):
     st.integers(0, 10**6),
     st.integers(0, 10**6),
 )
-def test_period_jumps_keep_runs_under_masks_and_allowances(n, style, density, seed, draw):
+def test_stop_rule_keeps_runs_under_masks_and_allowances(n, style, density, seed, draw):
     """Random forced and forbidden edges, load allowances and caps."""
     instance = instance_from_document(random_instance_document(n, n, density, style, seed))
     try:
@@ -188,8 +200,52 @@ def test_period_jumps_keep_runs_under_masks_and_allowances(n, style, density, se
         else:
             allowed[ai] &= ~(1 << rng.choice(neighbors))  # forbidden
     cap = rng.choice((n, 2, rng.randint(1, n)))
-    out = _jumping_loop(instance, cap, allowed, allowance)
-    _same_run(out, plain_level_loop(instance, cap, allowed, allowance))
+    out = _loop(instance, cap, allowed, allowance)
+    _stopped_early(out, instance, cap, allowed, allowance)
+
+
+def test_not_found_agrees_with_brute_force():
+    """On 600 random instances with up to 6 agents, exhaustive search
+    checks the verdicts.  Plain and constrained solves find nothing exactly
+    when no popular assignment keeps the constraints.  A run that reads
+    ``"level-overflow"`` claims as much under a lower cap too, so it must
+    hold there as well.  Many of these runs stop on the counting bound,
+    before any level reaches the cap."""
+    bound_stops = capped = 0
+    for i, instance in enumerate(corpus(600, 2, 6, seed0=95_000)):
+        try:
+            out = solve_popular_assignment(instance)
+        except NoPerfectMatchingError:
+            continue
+        popular_ones = [
+            pm
+            for pm in enumerate_perfect_matchings(instance)
+            if unpopularity_margin(instance, pm).margin == 0
+        ]
+        assert out.found == bool(popular_ones) == brute_popular_exists(instance)
+        runs = [(out, None, popular_ones)]
+        runs += [(solve_truncated(instance, cap), cap, popular_ones) for cap in (2, 3)]
+        constraints = _constraints(instance, i)
+        kept = [
+            pm
+            for pm in popular_ones
+            if all(pm.object_for(a) == b for a, b in constraints.forced)
+            and not set(pm.pairs) & constraints.forbidden
+        ]
+        try:
+            constrained = solve_with_constraints(instance, constraints)
+        except InstanceError:
+            pass  # the constraint menu's forced edge meets a forbidden one
+        else:
+            assert constrained.found == bool(kept)
+            runs.append((constrained, None, kept))
+            runs.append((solve_with_constraints(instance, constraints, 3), 3, kept))
+        for run, cap, witnesses in runs:
+            if run.reason == "level-overflow":
+                assert not witnesses
+                bound_stops += max(run.levels.levels) < instance.n_objects
+                capped += cap is not None and cap < instance.n_objects
+    assert bound_stops > 150 and capped > 40
 
 
 def _with_twins(doc):
@@ -255,13 +311,13 @@ def test_dummies_share_one_row_memo_entry(monkeypatch):
     """By default a padded instance's dummy agents -- indifferent, with the
     same neighbours -- get one shared memo dict, and every agent with
     preferences her own.  Plain and constrained level loops on padded
-    instances, with that memo, end as the loop without memo or jumps
-    does."""
+    instances, with that memo, end as the loop without memo or stop rule
+    does, or stop earlier on its way."""
     runs = []
 
     def checked(instance, cap, allowed=None, allowance=None, memo=None):
-        out = _jumping_loop(instance, cap, allowed, allowance, memo)
-        _same_run(out, plain_level_loop(instance, cap, allowed, allowance))
+        out = _loop(instance, cap, allowed, allowance, memo)
+        _stopped_early(out, instance, cap, allowed, allowance)
         runs.append(out.found)
         return out
 
@@ -288,20 +344,22 @@ def test_dummies_share_one_row_memo_entry(monkeypatch):
 
 
 def test_a_padded_strict_not_found_solve_at_500_is_pinned():
-    """Reason, final levels and round count as computed once with the loop
-    without jumps, which builds and matches all 2741 rounds; the jumping
-    loop matches a few dozen of them."""
+    """Reason, levels at the stop and round count as computed once.  The
+    loop without a stop rule climbs for 2741 rounds to the cap; the counting
+    bound stops the run after 17, at the levels that loop holds after 17."""
     document = random_instance_document(500, 500, 0.005, "strict", 58)
     padded, _ = augment_to_perfect(instance_from_document(document))
     out = solve_popular_assignment(padded)
     digest = hashlib.sha256(repr(out.levels.levels).encode()).hexdigest()
-    assert (out.found, out.reason, out.iterations + out.rounds_skipped, digest) == (
+    assert (out.found, out.reason, out.iterations, digest) == (
         False,
         "level-overflow",
-        2741,
-        "8ca49c94e650be2c9d63277f11ccba7cd47b70419411d12015783cfa38437f9f",
+        17,
+        "c85a4f32caadbd0df5a3e745a91007f223e178b4103d4395cc5ab73189db2bda",
     )
-    assert out.iterations < 100
+    assert max(out.levels.levels) < padded.n_objects
+    reference = plain_level_loop(padded, padded.n_objects, rounds=17)
+    assert reference.levels == out.levels
 
 
 _RELABEL = st.tuples(

@@ -20,7 +20,7 @@ from popassign import (
     verify_certificate,
 )
 
-from helpers import brute_popular_exists, corpus
+from helpers import brute_popular_exists, corpus, plain_level_loop
 
 
 def test_no_popular_assignment_on_unanimous_chain(unanimous_k33):
@@ -222,5 +222,13 @@ def test_level_minimality_against_all_certificates():
 
 
 def test_iteration_counter_counts_rounds(partial_order_triple, unanimous_k33):
+    """A found run counts every round it built.  A not-found run counts the
+    rounds before the counting bound stopped it: on the unanimous triple,
+    three of the five that the loop without a stop rule builds on its way
+    to the cap, ending at the levels that loop holds after three."""
     assert solve_popular_assignment(partial_order_triple).iterations == 2
-    assert solve_popular_assignment(unanimous_k33).iterations == 5
+    out = solve_popular_assignment(unanimous_k33)
+    assert (out.found, out.reason, out.iterations) == (False, "level-overflow", 3)
+    assert out.levels.levels == (1, 1, 2)
+    assert plain_level_loop(unanimous_k33, 3).iterations == 5
+    assert plain_level_loop(unanimous_k33, 3, rounds=3).levels == out.levels

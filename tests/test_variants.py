@@ -25,9 +25,12 @@ from popassign import (
     is_popular_with_penalty,
     lambda_feasible,
     make_level_function,
+    reduce_penalty_matching,
     solve_k_margin,
     solve_penalty_assignment,
+    solve_penalty_matching,
     solve_popular_assignment,
+    solve_truncated,
     solve_with_constraints,
     unpopularity_margin,
     verify_certificate,
@@ -144,10 +147,12 @@ def test_constrained_solver_agrees_with_brute_force():
 
 
 # (instance, forced, forbidden) -> per max_level None, 2: (found, levels,
-# iterations)
+# iterations).  Uncapped, the first case stops on the counting bound after
+# two rounds, at the levels that the loop without a stop rule holds after
+# two of its three.
 PINNED_CONSTRAINED_SOLVES = [
     ("partial_order_triple", [("a", "x")], [("a", "x")],
-     [(False, (2, 2, 3), 3), (False, (1, 1, 2), 2)]),
+     [(False, (1, 1, 2), 2), (False, (1, 1, 2), 2)]),
     ("partial_order_triple", [("a", "x")], [("b", "z")],
      [(False, (1, 2, 3), 3), (False, (0, 1, 2), 2)]),
     ("partial_order_triple", [("b", "x")], [("c", "z")],
@@ -320,6 +325,33 @@ def test_the_integer_rule_cases_pass_with_plain_ints(unanimous_k33):
     assert verify_certificate(unanimous_k33, _K1_ASSIGNMENT, _k1_certificate(), 1) == (
         True, ()
     )
+
+
+@pytest.mark.parametrize("value", [True, 1.5, "2"], ids=["bool", "float", "str"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        solve_truncated,
+        lambda i, x: solve_with_constraints(i, EdgeConstraints(), max_level=x),
+        solve_k_margin,
+        solve_penalty_assignment,
+        reduce_penalty_matching,
+        solve_penalty_matching,
+        lambda i, x: is_popular_with_penalty(i, _K1_ASSIGNMENT, x),
+    ],
+    ids=[
+        "truncated-max-level", "constrained-max-level", "margin-k",
+        "penalty-kappa", "penalty-reduction-kappa", "penalty-matching-kappa",
+        "oracle-kappa",
+    ],
+)
+def test_caps_and_budgets_must_be_plain_ints(unanimous_k33, call, value):
+    """Caps, margin budgets and penalties follow the integer rule of levels
+    and loads: a bool, a float or a string is rejected with ``ValueError``,
+    neither run as the number it stands for nor failed deep inside with a
+    ``TypeError``."""
+    with pytest.raises(ValueError):
+        call(unanimous_k33, value)
 
 
 # -- bounded-margin search --------------------------------------------------------
