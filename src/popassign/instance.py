@@ -432,9 +432,20 @@ class Instance:
     def neighbor_mask(self, ai: int) -> int:
         return self._nbr_mask[ai]
 
-    def indifferent(self, ai: int) -> bool:
-        """True iff agent ``ai`` ranks no neighbor above another."""
-        return not self._worse[ai]
+    def twin_classes(self) -> list[int]:
+        """Each agent's twin class: the index of the first agent with the
+        same neighbors and the same worse mask at each of them.  Every
+        construction path stores only the non-empty worse masks, so the
+        neighbor mask, the neighbors with a stored mask and their masks in
+        index order are that key.  (Sorting those neighbors, plain ints, is
+        cheaper than sorting the stored pairs.)"""
+        first: dict[tuple, int] = {}
+        classes = []
+        for ai, (nbr, worse) in enumerate(zip(self._nbr_mask, self._worse)):
+            ranked = tuple(sorted(worse))
+            key = (nbr, ranked, tuple(map(worse.__getitem__, ranked)))
+            classes.append(first.setdefault(key, ai))
+        return classes
 
     def worse_mask(self, ai: int, bj: int) -> int:
         """Bitmask of objects strictly worse than ``bj`` for agent ``ai``."""

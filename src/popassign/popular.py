@@ -186,25 +186,14 @@ def _admissible_in(
 RowMemo = list[dict[int, tuple[int, tuple[int, ...]]]]
 
 
-def _row_memo(instance: Instance, twin_class: Sequence[int] | None = None) -> RowMemo:
-    """An empty row memo for ``instance``'s agents.  Agents of one
-    ``twin_class`` -- the same neighbours and the same worse mask at each --
-    build the same row from the same window, so they share their entries.
-    Without classes, the indifferent agents with the same neighbours share
-    theirs, such as the dummies of a padded instance: a row with no load
-    depends only on the agent's neighbours, her worse masks and her window,
-    and theirs are all empty.  That takes one pass over the agents, where
-    finding every twin class reads each agent's worse masks."""
-    if twin_class is None:
-        shared: dict[int, dict] = {}
-        return [
-            shared.setdefault(instance.neighbor_mask(ai), {})
-            if instance.indifferent(ai)
-            else {}
-            for ai in range(instance.n_agents)
-        ]
-    shared = {}
-    return [shared.setdefault(c, {}) for c in twin_class]
+def _row_memo(instance: Instance) -> RowMemo:
+    """An empty row memo for ``instance``'s agents, one entry dict per twin
+    class (see :meth:`Instance.twin_classes`).  A row with no load depends
+    only on the agent's neighbours, her worse masks and her window, so twins
+    build the same row from the same window and may share their entries:
+    the dummies of a padded instance, for one, build each row once."""
+    shared: dict[int, dict] = {}
+    return [shared.setdefault(c, {}) for c in instance.twin_classes()]
 
 
 def _build_level_graph(
@@ -342,16 +331,21 @@ def certificate_from_levels(
     return DualCertificate(alpha_agents, alpha_objects)
 
 
+def _match_instance(instance: Instance) -> list[int]:
+    """Each agent's object in a maximum matching of the whole instance
+    graph, -1 for an agent it leaves free."""
+    rows = tuple(map(instance.adj_indices, range(instance.n_agents)))
+    graph = BipartiteGraph.unchecked(instance.n_agents, instance.n_objects, rows)
+    return maximum_matching(graph)[0]
+
+
 def _require_perfectly_matchable(instance: Instance) -> None:
     if instance.n_agents != instance.n_objects:
         raise NoPerfectMatchingError(
             f"instance has {instance.n_agents} agents but {instance.n_objects} "
             "objects, so no perfect matching exists"
         )
-    rows = tuple(map(instance.adj_indices, range(instance.n_agents)))
-    graph = BipartiteGraph.unchecked(instance.n_agents, instance.n_objects, rows)
-    match_l, _ = maximum_matching(graph)
-    if -1 in match_l:
+    if -1 in _match_instance(instance):
         raise NoPerfectMatchingError("instance admits no perfect matching")
 
 
@@ -381,8 +375,8 @@ def _run_level_loop(
     restrict and widen each agent's row as in :func:`_build_level_graph`; a
     found assignment matches each agent with an allowance along the single
     object she is allowed, which carries that allowance as its load.
-    ``memo`` is the row memo of :func:`_build_level_graph`; by default the
-    loop starts its own.
+    ``memo`` is the row memo of :func:`_build_level_graph`, as
+    :func:`_row_memo` makes it; by default the loop starts its own.
 
     The memo is exact.  With no load allowance, :func:`_admissible_mask`
     reads the levels only through two masks: the agent's neighbours at her
@@ -392,8 +386,9 @@ def _run_level_loop(
     cap or the other agents' rows -- and a row stored under those two masks
     is the row any later round would build from them, in this loop or in
     any other loop on the same instance.  Twins (same neighbours, same worse
-    masks) compute the same function, so they may share entries.  Rows with
-    an allowance or a restriction are built afresh every round.
+    masks; see :meth:`Instance.twin_classes`) compute the same function, so
+    every loop's memo shares one entry dict per twin class.  Rows with an
+    allowance or a restriction are built afresh every round.
 
     Each round raises the even objects of the level graph (see
     :func:`_even_objects`).  This is exact.  The loop keeps the invariant

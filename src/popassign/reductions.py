@@ -39,7 +39,7 @@ from .instance import (
     check_assignment,
     check_matching,
 )
-from .popular import SolveOutcome, solve_truncated
+from .popular import SolveOutcome, _match_instance, solve_truncated
 
 
 @dataclass(frozen=True)
@@ -181,14 +181,7 @@ def augment_to_perfect(instance: Instance) -> tuple[Instance, ReductionMap]:
     keeps them closed because those objects are leaves.  Its edge tuple is
     built only if something reads it.
     """
-    # imported when called, so that a replaced ``matching.maximum_matching``
-    # (as the benchmark's tracer installs) is the one that runs
-    from .matching import BipartiteGraph, maximum_matching
-
-    rows = tuple(map(instance.adj_indices, range(instance.n_agents)))
-    graph = BipartiteGraph.unchecked(instance.n_agents, instance.n_objects, rows)
-    match_l, _ = maximum_matching(graph)
-    nu = sum(1 for j in match_l if j >= 0)
+    nu = sum(1 for j in _match_instance(instance) if j >= 0)
     dummies = tuple(f"__dummy:{i}" for i in range(instance.n_objects - nu))
     arts = tuple(f"__art:aug:{i}" for i in range(instance.n_agents - nu))
     target = instance
@@ -373,14 +366,17 @@ def reduce_diversity(
         if a not in colors:
             raise InstanceError(f"agent {a!r} has no color")
         c = colors[a]
-        if not isinstance(c, int) or not 0 <= c < len(bounds):
+        if type(c) is not int or not 0 <= c < len(bounds):
             raise InstanceError(f"color {c!r} of agent {a!r} is out of range")
         count[c] += 1
     for a in colors:
         if not instance.has_agent(a):
             raise InstanceError(f"colors reference unknown agent {a!r}")
     lower_total = 0
-    for i, (s, t) in enumerate(bounds):
+    for i, bound in enumerate(bounds):
+        if not _is_pair(bound) or not all(type(x) is int for x in bound):
+            raise InstanceError(f"bounds {bound!r} for color {i} are not a pair of integers")
+        s, t = bound
         if not 0 <= s <= t <= count[i]:
             raise InstanceError(
                 f"bounds ({s}, {t}) for color {i} violate 0 <= s <= t <= {count[i]}"

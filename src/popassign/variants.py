@@ -30,7 +30,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .instance import Instance, InstanceError, Matching, _is_pair, bits
+from .instance import Instance, InstanceError, Matching, _is_pair
 # unused here, but perfbench/spans.py wraps maximum_matching in this namespace
 from .matching import maximum_matching  # noqa: F401
 from .popular import (
@@ -126,6 +126,8 @@ def lambda_feasible(
         raise ValueError("load must be a non-negative integer")
     if not isinstance(level_function, LevelFunction):
         level_function = make_level_function(instance, level_function)
+    if not _is_pair(edge):
+        raise InstanceError(f"edge {edge!r} is not an (agent, object) pair")
     a, b = edge
     ai = instance.agent_index(a)
     bj = instance.object_index(b)
@@ -198,18 +200,6 @@ def _run_margin_branch(
     return _run_level_loop(instance, instance.n_objects, allowed, allowance, memo)
 
 
-def _twin_classes(instance: Instance) -> list[int]:
-    """Each agent's twin class: the index of the first agent with the same
-    neighbours and the same worse mask at every neighbour."""
-    first: dict[tuple, int] = {}
-    classes = []
-    for ai in range(instance.n_agents):
-        neighbors = instance.neighbor_mask(ai)
-        worse = tuple(instance.worse_mask(ai, bj) for bj in bits(neighbors))
-        classes.append(first.setdefault((neighbors, worse), ai))
-    return classes
-
-
 def _orbit_key(
     instance: Instance, combo: tuple[int, ...], twin_class: Sequence[int]
 ) -> tuple | None:
@@ -240,11 +230,11 @@ def solve_k_margin(instance: Instance, k: int) -> KMarginOutcome:
 
     Of the remaining guesses, only the first of each twin-swap orbit runs.
     Two agents are twins when they have the same neighbours and the same
-    worse mask at every neighbour; swapping them maps the instance onto
-    itself.  So a swap maps a guess onto a guess whose level loop is the
-    same up to renaming agents, and whether that loop finds an assignment
-    -- whether a feasible level function exists for the guess -- does not
-    depend on names.  Every guess of one orbit gets the same verdict.  A
+    worse mask at every neighbour (:meth:`Instance.twin_classes`); swapping
+    them maps the instance onto itself.  So a swap maps a guess onto a
+    guess whose level loop is the same up to renaming agents, and whether
+    that loop finds an assignment -- whether a feasible level function
+    exists for the guess -- does not depend on names.  Every guess of one orbit gets the same verdict.  A
     guess loads at most one edge per agent, so two guesses lie in one orbit
     exactly when they have the same sorted ``(twin class, object, load)``
     over their loaded edges.  The first hit in enumeration order is the
@@ -263,9 +253,9 @@ def solve_k_margin(instance: Instance, k: int) -> KMarginOutcome:
     combos = itertools.chain.from_iterable(
         itertools.combinations_with_replacement(range(m), t) for t in range(k + 1)
     )
-    twin_class = _twin_classes(instance)
+    twin_class = instance.twin_classes()
     # every branch reads the same instance, so one memo serves them all
-    memo = _row_memo(instance, twin_class)
+    memo = _row_memo(instance)
     seen: set[tuple] = set()
     branches = 0
     for combo in combos:
@@ -276,8 +266,11 @@ def solve_k_margin(instance: Instance, k: int) -> KMarginOutcome:
         branches += 1
         outcome = _run_margin_branch(instance, combo, memo)
         if outcome.found:
-            edges = instance.edges
-            loads = LoadCapacity({edges[idx]: combo.count(idx) for idx in combo})
+            agents, objects = instance.agents, instance.objects
+            loaded = [instance.edge_indices[idx] for idx in combo]
+            loads = LoadCapacity(
+                {(agents[ai], objects[bj]): loaded.count((ai, bj)) for ai, bj in loaded}
+            )
             certificate = outcome.certificate
             return KMarginOutcome(
                 True, outcome.assignment, loads, outcome.levels, certificate,

@@ -3,7 +3,8 @@ solver, all independent of the level-function machinery under test; the
 level-graph build without the row memo, and the free-object level loop and
 the level loop without a stop rule built on it, the references the
 solver's loop is tested against; the k-margin branch with its
-perfect-matching pre-check, the reference of the branch without it; the
+perfect-matching pre-check, the reference of the branch without it; twin
+classes read one worse mask per edge, the reference of the instance's; the
 dense Hungarian method and the one-search-per-row shortest-paths method, the
 references of the weighted-matching kernel; and the set-based preference
 parser, the reference of the instance parser."""
@@ -715,6 +716,24 @@ def reference_run_margin_branch(
     if restricted and not reference_perfect_without(instance, allowed):
         return None
     return _run_level_loop(instance, instance.n_objects, allowed, allowance, memo)
+
+
+# -- twin classes by one worse-mask read per edge ----------------------------------
+#
+# ``variants._twin_classes`` as it was before ``Instance.twin_classes`` keyed
+# the classes by the stored worse masks alone.
+
+
+def reference_twin_classes(instance: Instance) -> list[int]:
+    """Each agent's twin class: the index of the first agent with the same
+    neighbours and the same worse mask at every neighbour."""
+    first: dict[tuple, int] = {}
+    classes = []
+    for ai in range(instance.n_agents):
+        neighbors = instance.neighbor_mask(ai)
+        worse = tuple(instance.worse_mask(ai, bj) for bj in bits(neighbors))
+        classes.append(first.setdefault((neighbors, worse), ai))
+    return classes
 
 
 # -- corpus builders -------------------------------------------------------------

@@ -47,7 +47,9 @@ def test_traced_padded_solve_counts(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 0 and report["augmentation"]["artificial_objects"]
     assert tracer.calls["instance.augment"] == 1
-    assert tracer.calls["matching.hk@instance"] == 1
+    # the padding matches the source through popular.maximum_matching too
+    assert tracer.calls["matching.hk@instance"] == 0
+    assert tracer.calls["matching.hk@popular"] == report["iterations"] + 2
     # the perfect-matchability check, then one matching per round
     assert tracer.count["popular.solve_hk_calls"] == report["iterations"] + 1
 

@@ -296,6 +296,9 @@ def test_pairs_are_lists_or_tuples_of_two():
         Instance(["a"], ["x", "y"], [("a", "x"), ("a", "y")], {"a": ["xy"]})
     with pytest.raises(MatchingError, match="not an \\(agent, object\\) pair"):
         Matching(["ab"])
+    for edge in (("a",), "ax", ("a", "x", "y")):
+        with pytest.raises(InstanceError, match="not an \\(agent, object\\) pair"):
+            lambda_feasible(Instance(["a"], ["x"], [("a", "x")]), [0], edge, 0)
     # either sequence type is a pair
     inst = Instance(["a"], ["x", "y"], [["a", "x"], ("a", "y")], {"a": [["x", "y"]]})
     assert inst.edges == (("a", "x"), ("a", "y")) and inst.prefers("a", "x", "y")

@@ -31,7 +31,6 @@ from popassign.popular import (
     _require_perfectly_matchable,
     _row_memo,
 )
-from popassign.variants import _twin_classes
 
 from helpers import (
     STYLES,
@@ -40,6 +39,7 @@ from helpers import (
     free_object_level_loop,
     plain_level_loop,
     reference_build_level_graph,
+    reference_twin_classes,
 )
 
 _loop = popular._run_level_loop
@@ -267,18 +267,18 @@ def _with_twins(doc):
     st.booleans(),
 )
 def test_memoised_rows_match_rows_built_afresh(n, style, density, seed, draw, twins):
-    """Eight builds share one memo, so later ones read rows that earlier ones
-    stored; with ``twins``, pairs of agents are twins and share their
-    entries.  Each build takes random levels -- fresh, the last ones raised,
-    or an earlier build's again -- with random ``allowed`` masks and load
-    allowances, and must return the rows and ``covered`` of the build
-    without a memo."""
+    """Eight builds share one memo from :func:`_row_memo`, so later ones
+    read rows that earlier ones stored; with ``twins``, pairs of agents are
+    twins and share their entries.  Each build takes random levels --
+    fresh, the last ones raised, or an earlier build's again -- with random
+    ``allowed`` masks and load allowances, and must return the rows and
+    ``covered`` of the build without a memo."""
     doc = random_instance_document(n, n, density, style, seed)
     if twins:
         doc = _with_twins(doc)
     instance = instance_from_document(doc)
     rng = random.Random(draw)
-    memo = _row_memo(instance, _twin_classes(instance) if twins else None)
+    memo = _row_memo(instance)
     history = [[rng.randint(0, 3) for _ in range(n)]]
     for _ in range(8):
         pick = rng.random()
@@ -308,11 +308,12 @@ def test_memoised_rows_match_rows_built_afresh(n, style, density, seed, draw, tw
 
 
 def test_dummies_share_one_row_memo_entry(monkeypatch):
-    """By default a padded instance's dummy agents -- indifferent, with the
-    same neighbours -- get one shared memo dict, and every agent with
-    preferences her own.  Plain and constrained level loops on padded
-    instances, with that memo, end as the loop without memo or stop rule
-    does, or stop earlier on its way."""
+    """A row memo gives two agents one shared entry dict exactly when they
+    are twins by the per-neighbour reference key: the dummies of a padded
+    instance share one, and so do agents with preferences made twins.
+    Plain and constrained level loops on padded instances, with that memo,
+    end as the loop without memo or stop rule does, or stop earlier on its
+    way."""
     runs = []
 
     def checked(instance, cap, allowed=None, allowance=None, memo=None):
@@ -323,24 +324,31 @@ def test_dummies_share_one_row_memo_entry(monkeypatch):
 
     monkeypatch.setattr(popular, "_run_level_loop", checked)
     monkeypatch.setattr(variants, "_run_level_loop", checked)
-    shared = 0
+    shared = ranked = 0
     for i in range(300):
         n = 3 + i % 8
         density = (0.15, 0.3)[i % 2]
         document = random_instance_document(n, n + i % 4, density, STYLES[i % 3], 91_000 + i)
+        if i % 5 == 0:
+            document = _with_twins(document)
         padded, rmap = augment_to_perfect(instance_from_document(document))
         memo = _row_memo(padded)
-        dummies = [memo[padded.agent_index(d)] for d in rmap.added_agents]
-        assert all(entry is dummies[0] for entry in dummies)
+        classes = reference_twin_classes(padded)
+        assert all(entry is memo[c] for entry, c in zip(memo, classes))
+        assert len(set(map(id, memo))) == len(set(classes))
+        dummies = [padded.agent_index(d) for d in rmap.added_agents]
         shared += len(dummies) >= 2
-        own = [memo[ai] for ai in range(padded.n_agents) if not padded.indifferent(ai)]
-        assert len({*map(id, own), *map(id, dummies)}) == len(own) + bool(dummies)
+        ranked += any(
+            classes[ai] != ai and padded.preference_pairs(padded.agents[ai])
+            for ai in range(padded.n_agents)
+        )
         solve_popular_assignment(padded)
         try:
             solve_with_constraints(padded, _constraints(padded, i))
         except InstanceError:
             pass  # the constraint menu's forced edge meets a forbidden one
-    assert shared >= 100 and len(runs) >= 500 and runs.count(True) >= 200
+    assert shared >= 100 and ranked >= 100
+    assert len(runs) >= 500 and runs.count(True) >= 200
 
 
 def test_a_padded_strict_not_found_solve_at_500_is_pinned():

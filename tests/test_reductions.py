@@ -4,6 +4,7 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from popassign import (
     Allocation,
@@ -34,7 +35,10 @@ from popassign import (
     weak_to_strict,
 )
 
+from popassign.generate import random_instance_document, random_market_document
+
 from helpers import (
+    STYLES,
     brute_margin_of,
     brute_min_margin,
     brute_popular_allocations,
@@ -44,6 +48,7 @@ from helpers import (
     market_corpus,
     milp_min_margin,
     reference_pad,
+    reference_twin_classes,
 )
 
 
@@ -164,6 +169,55 @@ def test_index_level_padding_matches_the_name_level_reference():
     assert cases["sources"] >= 200
     assert cases["no neighbors"] >= 50
     assert cases["dummies only"] >= 20 and cases["artificials only"] >= 20
+
+
+def _twin_outputs(instance):
+    """``instance`` and every reduction of it that builds an instance."""
+    yield instance
+    yield from padded_targets(instance)
+    if instance.has_weak_rankings():
+        yield weak_to_strict(instance)[0]
+
+
+def test_twin_classes_match_the_per_neighbour_reference():
+    """:meth:`Instance.twin_classes`, keyed by the stored worse masks, gives
+    the classes of the key with one worse mask per neighbour: on the
+    corpus, on the output of every reduction, and on housing instances."""
+    targets = twins = 0
+    for instance in padding_sources():
+        for target in _twin_outputs(instance):
+            classes = target.twin_classes()
+            assert classes == reference_twin_classes(target)
+            targets += 1
+            twins += classes != list(range(target.n_agents))
+    for market in market_corpus(100):
+        target = housing_to_assignment(market)
+        assert target.twin_classes() == reference_twin_classes(target)
+    assert targets >= 1800 and twins >= 900
+
+
+@given(
+    st.integers(1, 7),
+    st.integers(1, 7),
+    st.sampled_from(STYLES),
+    st.sampled_from((0.3, 0.6, 1.0)),
+    st.integers(0, 10**6),
+)
+def test_no_stored_worse_mask_is_empty(n_agents, n_objects, style, density, seed):
+    """The key of :meth:`Instance.twin_classes` rests on this: the parser's
+    pairs and tiers, the constructor, the padding reductions,
+    :func:`weak_to_strict` and :func:`housing_to_assignment` store only the
+    non-empty worse masks."""
+    instance = inst(random_instance_document(n_agents, n_objects, density, style, seed))
+    pairs = {a: instance.preference_pairs(a) for a in instance.agents}
+    market = market_from_document(random_market_document(n_agents, density, seed))
+    built = [
+        *_twin_outputs(instance),
+        Instance(instance.agents, instance.objects, instance.edges, pairs),
+        housing_to_assignment(market),
+    ]
+    for target in built:
+        assert all(mask for worse in target._worse for mask in worse.values())
 
 
 def test_padding_ranks_added_objects_tied_worst():
@@ -458,6 +512,25 @@ def test_diversity_bounds_validation():
         reduce_diversity(instance, dict(colors, a4=7), [(1, 2), (0, 1)])
     with pytest.raises(InstanceError):  # unknown agent
         reduce_diversity(instance, dict(colors, zz=0), [(1, 2), (0, 1)])
+
+
+@pytest.mark.parametrize(
+    "colors, bounds",
+    [
+        ({"a1": 0, "a2": 0, "a3": True, "a4": 1}, [(1, 2), (0, 1)]),
+        ({"a1": 0, "a2": 0, "a3": 1.0, "a4": 1}, [(1, 2), (0, 1)]),
+        ({"a1": 0, "a2": 0, "a3": 0, "a4": 0}, [(0.5, 1.5)]),
+        ({"a1": 0, "a2": 0, "a3": 0, "a4": 0}, [(0, 1, 2)]),
+        ({"a1": 0, "a2": 0, "a3": 0, "a4": 0}, [[0, "1"]]),
+        ({"a1": 0, "a2": 0, "a3": 0, "a4": 0}, [(False, True)]),
+        ({"a1": 0, "a2": 0, "a3": 0, "a4": 0}, [3]),
+    ],
+    ids=["bool-color", "float-color", "float-bounds", "triple", "str-bound", "bool-bounds",
+         "int-bound"],
+)
+def test_diversity_colors_and_bounds_are_plain_ints(colors, bounds):
+    with pytest.raises(InstanceError):
+        reduce_diversity(inst(DIVERSITY), colors, bounds)
 
 
 # -- housing markets ------------------------------------------------------------------

@@ -38,7 +38,7 @@ from popassign import (
 
 from popassign import variants
 from popassign.generate import random_instance_document
-from popassign.variants import _run_margin_branch, _twin_classes
+from popassign.variants import _run_margin_branch
 
 from helpers import (
     STYLES,
@@ -754,7 +754,7 @@ def _classes(edges, preferences):
     agents = sorted(preferences)
     objects = sorted({b for _, b in edges})
     doc = {"agents": agents, "objects": objects, "edges": edges, "preferences": preferences}
-    return _twin_classes(inst(doc))
+    return inst(doc).twin_classes()
 
 
 def test_twins_have_the_same_neighbours_and_the_same_order():
@@ -779,7 +779,7 @@ def test_twins_have_the_same_neighbours_and_the_same_order():
         "a2": {"pairs": [["b1", "b2"]]},
         "a3": {"pairs": [["b1", "b2"]]},
     }) == [0, 1, 0]
-    assert _twin_classes(_unanimous(5)) == [0] * 5
+    assert _unanimous(5).twin_classes() == [0] * 5
 
 
 @given(
