@@ -3,17 +3,20 @@
 This module is purely index-based: vertices on each side are numbered from
 zero, and callers translate between names and indices.  Both algorithms here
 are deterministic -- given the same graph (including adjacency order) they
-return the same matching.  Hopcroft--Karp runs in O(m sqrt(n)); the
-maximum-weight perfect matching starts from one Hopcroft--Karp pass over
-each row's heaviest edges, then alternates one Dijkstra search from every
-row still free with one more pass, O(n m log n) at worst.
+return the same matching.  Hopcroft--Karp runs in O(m sqrt(n)) with one
+augmenting search, an iterative walk down each phase's layers that scans
+rows in their stored order, so it needs no recursion at any depth; it can
+grow a given matching instead of the empty one.  The maximum-weight perfect
+matching starts from one Hopcroft--Karp pass over each row's heaviest
+edges, then alternates one Dijkstra search from every row still free with
+one more pass, O(n m log n) at worst.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Dict, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Sequence, Tuple
 
 INF = float("inf")
 
@@ -96,11 +99,6 @@ def _bad_right_vertex(i: int, r: Any) -> ValueError:
     return ValueError(f"right vertex {r} of left vertex {i} out of range")
 
 
-#: Deepest Hopcroft--Karp layer searched by recursion; deeper phases use an
-#: explicit stack, so no graph's shape can hit the interpreter's recursion limit.
-RECURSION_DEPTH = 500
-
-
 def maximum_matching(
     graph: BipartiteGraph, start: Tuple[List[int], List[int]] | None = None
 ) -> Tuple[List[int], List[int]]:
@@ -112,21 +110,22 @@ def maximum_matching(
     in that form, is grown in place instead of the empty one: its lists are
     the ones returned, and every vertex it matches stays matched.
 
-    The search is deterministic: breadth-first layers grow from free left
-    vertices in index order and the augmenting depth-first search scans
-    adjacency lists in their stored order, so lower indices win ties.  The
-    layers bound the depth of that search: a phase whose deepest layer is
-    below :data:`RECURSION_DEPTH` recurses, a deeper one walks an explicit
-    stack in the same scan order, so both return the same matching.
+    The search is deterministic.  Each phase lays out breadth-first layers
+    from the free left vertices, then walks down them from each free left
+    vertex in index order, scanning every row in its stored order and taking
+    the first edge to a free right vertex or to a vertex one layer down, so
+    lower indices win ties.  The walk keeps its path on an explicit stack,
+    not in recursion, so no graph's shape can hit the interpreter's
+    recursion limit.
     """
-    n_left, n_right = graph.n_left, graph.n_right
+    n_left = graph.n_left
     adjacency = graph.adjacency
-    match_l, match_r = start or ([-1] * n_left, [-1] * n_right)
+    match_l, match_r = start or ([-1] * n_left, [-1] * graph.n_right)
     dist: List[float] = [INF] * n_left
 
-    def bfs() -> float:
-        """Lay out the phase's layers; returns the deepest one, or INF when
-        no free right vertex is reachable."""
+    def free_reachable() -> bool:
+        """Lay out the phase's layers; tells whether they reach a free
+        right vertex."""
         queue = deque()
         for i in range(n_left):
             if match_l[i] == -1:
@@ -134,77 +133,48 @@ def maximum_matching(
                 queue.append(i)
             else:
                 dist[i] = INF
-        reachable_free = False
-        i = 0  # ends as the last vertex dequeued, one of the deepest layer
+        reachable = False
         while queue:
             i = queue.popleft()
             for r in adjacency[i]:
                 i2 = match_r[r]
                 if i2 == -1:
-                    reachable_free = True
+                    reachable = True
                 elif dist[i2] == INF:
                     dist[i2] = dist[i] + 1
                     queue.append(i2)
-        return dist[i] if reachable_free else INF
+        return reachable
 
-    def dfs(i: int) -> bool:
-        for r in adjacency[i]:
-            i2 = match_r[r]
-            if i2 == -1 or (dist[i2] == dist[i] + 1 and dfs(i2)):
-                match_l[i] = r
-                match_r[r] = i
-                return True
-        dist[i] = INF
-        return False
-
-    while True:
-        depth = bfs()
-        if depth == INF:
-            break
-        for i in range(n_left):
-            if match_l[i] == -1:
-                if depth < RECURSION_DEPTH:
-                    dfs(i)
-                else:
-                    _augment_by_stack(i, adjacency, match_l, match_r, dist)
-    return match_l, match_r
-
-
-def _augment_by_stack(
-    root: int,
-    adjacency: Sequence[Sequence[int]],
-    match_l: List[int],
-    match_r: List[int],
-    dist: List[float],
-) -> bool:
-    """Hopcroft--Karp's depth-first search from free left vertex ``root``,
-    on an explicit stack with one adjacency iterator per frame: the same
-    scan, and the same augmentation, as the recursive search."""
-    path = [root]  # left vertices from the root down
-    via: List[int] = []  # via[k]: the edge from path[k] to path[k + 1]
-    scans = [iter(adjacency[root])]
-    while path:
-        i = path[-1]
-        for r in scans[-1]:
-            i2 = match_r[r]
-            if i2 == -1:
-                via.append(r)
-                for i, r in zip(path, via):
+    while free_reachable():
+        for root in range(n_left):
+            if match_l[root] != -1:
+                continue
+            # (vertex, its row's iterator, edge taken down) above vertex i;
+            # ``down`` is the layer one below i's
+            stack: List[Tuple[int, Iterator[int], int]] = []
+            i, scan, down = root, iter(adjacency[root]), 1
+            while True:
+                for r in scan:
+                    i2 = match_r[r]
+                    if i2 == -1 or dist[i2] == down:
+                        break
+                else:  # a dead end: no path through i this phase
+                    dist[i] = INF
+                    if not stack:
+                        break
+                    i, scan, _ = stack.pop()
+                    down -= 1
+                    continue
+                if i2 == -1:  # flip the path
                     match_l[i] = r
                     match_r[r] = i
-                return True
-            if dist[i2] == dist[i] + 1:
-                path.append(i2)
-                via.append(r)
-                scans.append(iter(adjacency[i2]))
-                break
-        else:
-            dist[i] = INF
-            path.pop()
-            scans.pop()
-            if via:
-                via.pop()
-    return False
+                    for i, _, r in stack:
+                        match_l[i] = r
+                        match_r[r] = i
+                    break
+                stack.append((i, scan, r))
+                i, scan, down = i2, iter(adjacency[i2]), down + 1
+    return match_l, match_r
 
 
 def alternating_reach(
@@ -224,14 +194,20 @@ def alternating_reach(
 
     Two breadth-first searches, O(n + m) in all, without recursion.
     """
-    columns: List[List[int]] = [[] for _ in range(graph.n_right)]
-    for i, row in enumerate(graph.adjacency):
-        for r in row:
-            columns[r].append(i)
     return (
         even_reach(graph.adjacency, match_l, match_r),
-        even_reach(columns, match_r, match_l),
+        even_reach(columns(graph), match_r, match_l),
     )
+
+
+def columns(graph: BipartiteGraph) -> List[List[int]]:
+    """The graph seen from the right: ``columns(graph)[r]`` lists the left
+    neighbours of right vertex ``r`` in index order."""
+    cols: List[List[int]] = [[] for _ in range(graph.n_right)]
+    for i, row in enumerate(graph.adjacency):
+        for r in row:
+            cols[r].append(i)
+    return cols
 
 
 def even_reach(

@@ -43,7 +43,7 @@ from .instance import (
     bits,
     check_assignment,
 )
-from .matching import BipartiteGraph, even_reach, maximum_matching
+from .matching import BipartiteGraph, columns, even_reach, maximum_matching
 
 
 class NoPerfectMatchingError(ValueError):
@@ -279,11 +279,8 @@ def _even_objects(
             break
     else:
         return free
-    columns: list[list[int]] = [[] for _ in match_r]
-    for ai, row in enumerate(graph.adjacency):
-        for bj in row:
-            columns[bj].append(ai)
-    return [bj for bj, even in enumerate(even_reach(columns, match_r, match_l)) if even]
+    reached = even_reach(columns(graph), match_r, match_l)
+    return [bj for bj, even in enumerate(reached) if even]
 
 
 def certificate_from_levels(

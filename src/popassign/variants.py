@@ -182,18 +182,16 @@ class KMarginOutcome:
 
 
 def _run_margin_branch(
-    instance: Instance, combo: tuple[int, ...], memo: RowMemo
+    instance: Instance, guess: tuple[tuple[int, int], ...], memo: RowMemo
 ) -> SolveOutcome:
-    """Run the level loop for one load guess, a multiset of edge indices
-    whose distinct edges form a matching, with the search's row ``memo``.
-    A guess whose loaded edges leave no perfect matching needs no test of
-    its own: no level function is feasible for it, so its loop ends
-    not-found."""
-    edge_indices = instance.edge_indices
+    """Run the level loop for one load guess, a multiset of ``(agent,
+    object)`` index pairs whose distinct edges form a matching, with the
+    search's row ``memo``.  A guess whose loaded edges leave no perfect
+    matching needs no test of its own: no level function is feasible for
+    it, so its loop ends not-found."""
     allowed = [instance.neighbor_mask(ai) for ai in range(instance.n_agents)]
     allowance: dict[int, int] = {}
-    for idx in combo:
-        ai, bj = edge_indices[idx]
+    for ai, bj in guess:
         # a loaded edge acts as a forced edge
         allowed[ai] = 1 << bj
         allowance[ai] = allowance.get(ai, 0) + 1
@@ -201,21 +199,19 @@ def _run_margin_branch(
 
 
 def _orbit_key(
-    instance: Instance, combo: tuple[int, ...], twin_class: Sequence[int]
+    guess: tuple[tuple[int, int], ...], twin_class: Sequence[int]
 ) -> tuple | None:
-    """None if the distinct edges of ``combo`` share an agent or an object.
+    """None if the distinct edges of ``guess`` share an agent or an object.
     Otherwise the key of its twin-swap orbit: the sorted ``(twin class,
     object, load)`` of its distinct edges."""
-    edge_indices = instance.edge_indices
     agents = objects = 0
     key = []
-    for idx in dict.fromkeys(combo):
-        ai, bj = edge_indices[idx]
+    for ai, bj in dict.fromkeys(guess):
         if agents >> ai & 1 or objects >> bj & 1:
             return None
         agents |= 1 << ai
         objects |= 1 << bj
-        key.append((twin_class[ai], bj, combo.count(idx)))
+        key.append((twin_class[ai], bj, guess.count((ai, bj))))
     return tuple(sorted(key))
 
 
@@ -249,27 +245,30 @@ def solve_k_margin(instance: Instance, k: int) -> KMarginOutcome:
     if type(k) is not int or k < 0:
         raise ValueError("k must be a non-negative integer")
     _require_perfectly_matchable(instance)
-    m = len(instance.edge_indices)
-    combos = itertools.chain.from_iterable(
-        itertools.combinations_with_replacement(range(m), t) for t in range(k + 1)
+    # the edge tuple is read only once a guess loads an edge
+    guesses = itertools.chain(
+        [()],
+        itertools.chain.from_iterable(
+            itertools.combinations_with_replacement(instance.edge_indices, t)
+            for t in range(1, k + 1)
+        ),
     )
     twin_class = instance.twin_classes()
     # every branch reads the same instance, so one memo serves them all
     memo = _row_memo(instance)
     seen: set[tuple] = set()
     branches = 0
-    for combo in combos:
-        key = _orbit_key(instance, combo, twin_class)
+    for guess in guesses:
+        key = _orbit_key(guess, twin_class)
         if key is None or key in seen:
             continue
         seen.add(key)
         branches += 1
-        outcome = _run_margin_branch(instance, combo, memo)
+        outcome = _run_margin_branch(instance, guess, memo)
         if outcome.found:
             agents, objects = instance.agents, instance.objects
-            loaded = [instance.edge_indices[idx] for idx in combo]
             loads = LoadCapacity(
-                {(agents[ai], objects[bj]): loaded.count((ai, bj)) for ai, bj in loaded}
+                {(agents[ai], objects[bj]): guess.count((ai, bj)) for ai, bj in guess}
             )
             certificate = outcome.certificate
             return KMarginOutcome(

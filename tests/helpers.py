@@ -6,12 +6,15 @@ solver's loop is tested against; the k-margin branch with its
 perfect-matching pre-check, the reference of the branch without it; twin
 classes read one worse mask per edge, the reference of the instance's; the
 dense Hungarian method and the one-search-per-row shortest-paths method, the
-references of the weighted-matching kernel; and the set-based preference
-parser, the reference of the instance parser."""
+references of the weighted-matching kernel; Hopcroft--Karp with a recursive
+search and an explicit-stack one chosen by depth, the reference of the
+one-search kernel; and the set-based preference parser, the reference of the
+instance parser."""
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from heapq import heappop, heappush
 
@@ -260,6 +263,111 @@ def ssp_max_weight_perfect_matching(
             match_r[j] = i
             match_l[i], j = j, match_l[i]
     return match_l, sum(edges[i][j] for i, j in enumerate(match_l))
+
+
+# -- Hopcroft--Karp with two augmenting searches ------------------------------------
+#
+# ``matching.maximum_matching`` as it was before one iterative walk replaced
+# its recursive search and explicit-stack fallback, copied verbatim but for
+# the depth switch, a module constant there and a parameter here.
+
+INF = float("inf")
+
+
+def reference_maximum_matching(
+    graph: BipartiteGraph,
+    start: tuple[list[int], list[int]] | None = None,
+    recursion_depth: int = 500,
+) -> tuple[list[int], list[int]]:
+    """Hopcroft--Karp maximum matching: a phase whose deepest layer is below
+    ``recursion_depth`` recurses, a deeper one walks an explicit stack in
+    the same scan order."""
+    n_left, n_right = graph.n_left, graph.n_right
+    adjacency = graph.adjacency
+    match_l, match_r = start or ([-1] * n_left, [-1] * n_right)
+    dist: list[float] = [INF] * n_left
+
+    def bfs() -> float:
+        """Lay out the phase's layers; returns the deepest one, or INF when
+        no free right vertex is reachable."""
+        queue = deque()
+        for i in range(n_left):
+            if match_l[i] == -1:
+                dist[i] = 0
+                queue.append(i)
+            else:
+                dist[i] = INF
+        reachable_free = False
+        i = 0  # ends as the last vertex dequeued, one of the deepest layer
+        while queue:
+            i = queue.popleft()
+            for r in adjacency[i]:
+                i2 = match_r[r]
+                if i2 == -1:
+                    reachable_free = True
+                elif dist[i2] == INF:
+                    dist[i2] = dist[i] + 1
+                    queue.append(i2)
+        return dist[i] if reachable_free else INF
+
+    def dfs(i: int) -> bool:
+        for r in adjacency[i]:
+            i2 = match_r[r]
+            if i2 == -1 or (dist[i2] == dist[i] + 1 and dfs(i2)):
+                match_l[i] = r
+                match_r[r] = i
+                return True
+        dist[i] = INF
+        return False
+
+    while True:
+        depth = bfs()
+        if depth == INF:
+            break
+        for i in range(n_left):
+            if match_l[i] == -1:
+                if depth < recursion_depth:
+                    dfs(i)
+                else:
+                    _reference_augment_by_stack(i, adjacency, match_l, match_r, dist)
+    return match_l, match_r
+
+
+def _reference_augment_by_stack(
+    root: int,
+    adjacency: Sequence[Sequence[int]],
+    match_l: list[int],
+    match_r: list[int],
+    dist: list[float],
+) -> bool:
+    """Hopcroft--Karp's depth-first search from free left vertex ``root``,
+    on an explicit stack with one adjacency iterator per frame: the same
+    scan, and the same augmentation, as the recursive search."""
+    path = [root]  # left vertices from the root down
+    via: list[int] = []  # via[k]: the edge from path[k] to path[k + 1]
+    scans = [iter(adjacency[root])]
+    while path:
+        i = path[-1]
+        for r in scans[-1]:
+            i2 = match_r[r]
+            if i2 == -1:
+                via.append(r)
+                for i, r in zip(path, via):
+                    match_l[i] = r
+                    match_r[r] = i
+                return True
+            if dist[i2] == dist[i] + 1:
+                path.append(i2)
+                via.append(r)
+                scans.append(iter(adjacency[i2]))
+                break
+        else:
+            dist[i] = INF
+            path.pop()
+            scans.pop()
+            if via:
+                via.pop()
+    return False
 
 
 # -- the set-based preference parser ----------------------------------------------
@@ -696,17 +804,15 @@ def reference_perfect_without(instance: Instance, allowed: Sequence[int]) -> boo
 
 
 def reference_run_margin_branch(
-    instance: Instance, combo: tuple[int, ...], memo: RowMemo
+    instance: Instance, guess: tuple[tuple[int, int], ...], memo: RowMemo
 ) -> SolveOutcome | None:
-    """Run the level loop for one load guess, a multiset of edge indices
-    whose distinct edges form a matching, with the search's row ``memo``.
-    Returns the loop's outcome, or None if the guess leaves no perfect
-    matching at all."""
-    edge_indices = instance.edge_indices
+    """Run the level loop for one load guess, a multiset of ``(agent,
+    object)`` index pairs whose distinct edges form a matching, with the
+    search's row ``memo``.  Returns the loop's outcome, or None if the guess
+    leaves no perfect matching at all."""
     allowed = [instance.neighbor_mask(ai) for ai in range(instance.n_agents)]
     allowance: dict[int, int] = {}
-    for idx in combo:
-        ai, bj = edge_indices[idx]
+    for ai, bj in guess:
         # a loaded edge acts as a forced edge
         allowed[ai] = 1 << bj
         allowance[ai] = allowance.get(ai, 0) + 1

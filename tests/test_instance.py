@@ -26,6 +26,7 @@ from popassign import (
     parse_instance,
     parse_market,
     serialize_instance,
+    solve_k_margin,
     solve_popular_assignment,
     solve_with_constraints,
     validate,
@@ -681,13 +682,14 @@ def _accessors(instance):
 def test_the_edge_tuple_reads_the_same_whenever_it_is_built():
     """``edge_indices`` is built on first read.  Read first or after
     ``edges``, ``repr`` and ``to_document``, it and they come out the same,
-    on parsed instances and on padded ones; and solving a padded instance
-    does not build it."""
+    on parsed instances and on padded ones; and solving a padded instance,
+    or searching it at margin budget 0, does not build it."""
     padded_solves = 0
     for instance in corpus(60, 1, 6, seed0=4400, square=False):
         padded, _ = augment_to_perfect(instance)
         if padded is not instance:
             solve_popular_assignment(padded)
+            solve_k_margin(padded, 0)
             assert padded._edges is None
             padded_solves += 1
         for build in (lambda: inst(instance.to_document()), lambda: augment_to_perfect(instance)[0]):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,10 +12,13 @@ from popassign import (
     max_weight_perfect_matching,
     maximum_matching,
 )
-from popassign import matching
 from popassign.matching import alternating_reach
 
-from helpers import dense_max_weight_perfect_matching, ssp_max_weight_perfect_matching
+from helpers import (
+    dense_max_weight_perfect_matching,
+    reference_maximum_matching,
+    ssp_max_weight_perfect_matching,
+)
 
 
 def brute_max_matching_size(adjacency: list[list[int]], n_right: int) -> int:
@@ -117,9 +121,22 @@ def test_alternating_reach_marks_what_some_maximum_matching_leaves_free(data):
         assert alternating_reach(graph, match_l, match_r) == (left, right)
 
 
-def test_stack_search_returns_the_recursive_matching(monkeypatch):
-    """With every phase forced onto the explicit stack, Hopcroft--Karp
-    returns the same matching as with the recursive search."""
+def _greedy_start(adj: list[list[int]], n_right: int) -> tuple[list[int], list[int]]:
+    """Each row in turn takes its first free column."""
+    match_l, match_r = [-1] * len(adj), [-1] * n_right
+    for i, row in enumerate(adj):
+        for r in row:
+            if match_r[r] == -1:
+                match_l[i], match_r[r] = r, i
+                break
+    return match_l, match_r
+
+
+def test_the_one_search_returns_both_searches_matchings():
+    """Hopcroft--Karp returns the same lists as the kernel it replaced, with
+    every phase on its recursive search (switch at 500) and with every phase
+    on its explicit stack (switch at 0), from the empty matching and from a
+    greedy one."""
     rng = random.Random(5)
     for _ in range(400):
         n_left, n_right = rng.randint(1, 40), rng.randint(1, 40)
@@ -130,10 +147,26 @@ def test_stack_search_returns_the_recursive_matching(monkeypatch):
             rng.shuffle(row)
             adj.append(row)
         graph = BipartiteGraph(n_left, n_right, adj)
-        recursive = maximum_matching(graph)
-        with monkeypatch.context() as patch:
-            patch.setattr(matching, "RECURSION_DEPTH", 0)
-            assert maximum_matching(graph) == recursive
+        for depth in (500, 0):
+            assert maximum_matching(graph) == reference_maximum_matching(
+                graph, recursion_depth=depth
+            )
+            assert maximum_matching(graph, _greedy_start(adj, n_right)) == (
+                reference_maximum_matching(
+                    graph, _greedy_start(adj, n_right), recursion_depth=depth
+                )
+            )
+
+
+def test_an_augmenting_path_deeper_than_the_recursion_limit():
+    """Left ``i`` lists columns ``i + 1`` and ``i``, the last row column
+    ``n - 1`` alone.  The first phase matches every row but the last to the
+    column after its own, and the second flips one augmenting path through
+    all ``n`` rows, more than the interpreter's recursion limit."""
+    n = sys.getrecursionlimit() + 100
+    adj = [[i + 1, i] for i in range(n - 1)] + [[n - 1]]
+    graph = BipartiteGraph(n, n, adj)
+    assert maximum_matching(graph) == (list(range(n)), list(range(n)))
 
 
 def test_maximum_matching_deterministic():

@@ -569,7 +569,8 @@ def _search_every_guess(instance, k):
             ) < len(support):
                 continue
             branches += 1
-            out = _run_margin_branch(instance, combo, [{} for _ in range(instance.n_agents)])
+            guess = tuple(edge_indices[idx] for idx in combo)
+            out = _run_margin_branch(instance, guess, [{} for _ in range(instance.n_agents)])
             if out.found:
                 loads = {instance.edges[idx]: combo.count(idx) for idx in combo}
                 return (True, out.assignment, loads, out.levels, out.certificate), branches
@@ -656,10 +657,10 @@ def test_unmatchable_guesses_end_not_found(monkeypatch):
     run_branch = variants._run_margin_branch
     unmatchable = []
 
-    def recording(instance, combo, memo):
-        outcome = run_branch(instance, combo, memo)
+    def recording(instance, guess, memo):
+        outcome = run_branch(instance, guess, memo)
         fresh = [{} for _ in range(instance.n_agents)]
-        if reference_run_margin_branch(instance, combo, fresh) is None:
+        if reference_run_margin_branch(instance, guess, fresh) is None:
             unmatchable.append(outcome)
         return outcome
 
@@ -731,10 +732,10 @@ def test_margin_search_matches_the_search_with_its_matching_pre_check(monkeypatc
     branches first test the guess for a perfect matching."""
     dropped = []
 
-    def screened(instance, combo, memo):
-        outcome = reference_run_margin_branch(instance, combo, memo)
+    def screened(instance, guess, memo):
+        outcome = reference_run_margin_branch(instance, guess, memo)
         if outcome is None:
-            dropped.append(combo)
+            dropped.append(guess)
             return _UNMATCHABLE
         return outcome
 
