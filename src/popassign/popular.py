@@ -16,6 +16,14 @@ bound of :func:`_run_level_loop`), no popular assignment exists.  If some
 level reaches a lower caller-supplied truncation cap first, none exists with
 a certificate whose object values stay within the cap.
 
+The solve functions warm-start the loop: each round after the first grows
+the last round's matched edges that its level graph still has, and the found
+round is matched once more from the empty matching, so the assignment is the
+one a loop matching every round from scratch returns.  They test only the
+sides' sizes before the loop; a found run proves that a perfect matching
+exists, and a not-found run looks for one at its end, so a solve still
+computes ``iterations + 1`` maximum matchings (see :func:`_solve_level_loop`).
+
 An edge ``(a, b)`` is admissible at levels ``l`` when, writing ``L`` for the
 highest level among ``a``'s neighbors, either ``b`` sits at level ``L`` and no
 neighbor at level ``L`` beats it, or ``b`` sits at level ``L - 1``, beats
@@ -142,23 +150,30 @@ def _admissible_mask(
     ai: int,
     top_level: int,
     lam: int = 0,
+    candidates: int | None = None,
 ) -> int:
     """All objects admissible for ``ai`` with load allowance ``lam``, as a
     mask.  Writing ``L`` for ``top_level``: every neighbor at a level of at
     least ``L - lam + 1``; the neighbors at level ``L - lam`` that no
     top-level neighbor beats; and the neighbors at level ``L - lam - 1``
     that beat every top-level neighbor and that no level ``L - 1`` neighbor
-    beats."""
+    beats.  ``candidates``, a mask of objects (default: all of them),
+    limits the answer to its members; they are tested against all of
+    ``ai``'s neighbours, so the answer is the unlimited one masked by
+    ``candidates``, found without testing the others."""
     nbr = instance.neighbor_mask(ai)
     top = masks.get(top_level, 0) & nbr
     below = masks.get(top_level - 1, 0) & nbr
+    candidates = nbr if candidates is None else candidates & nbr
     if not lam:
-        return _admissible_in(instance, ai, top, below, top, below)
+        return _admissible_in(
+            instance, ai, top, below, top & candidates, below & candidates
+        )
     upper = 0
     for level in range(max(top_level - lam + 1, 0), top_level + 1):
-        upper |= masks.get(level, 0) & nbr
-    middle = masks.get(top_level - lam, 0) & nbr
-    low = masks.get(top_level - lam - 1, 0) & nbr
+        upper |= masks.get(level, 0) & candidates
+    middle = masks.get(top_level - lam, 0) & candidates
+    low = masks.get(top_level - lam - 1, 0) & candidates
     return upper | _admissible_in(instance, ai, top, below, middle, low)
 
 
@@ -170,7 +185,7 @@ def _admissible_in(
     of ``below`` beats: the core of :func:`_admissible_mask`, on ``ai``'s
     neighbours at her top level, one level below it, and at the levels a
     load allowance shifts those two to."""
-    admissible = middle & ~instance.dominated(ai, top)
+    admissible = middle & ~instance.dominated(ai, top) if middle else 0
     if low:
         candidates = low & ~instance.dominated(ai, below)
         while candidates:
@@ -218,7 +233,8 @@ def _build_level_graph(
     :func:`_admissible_mask` reads nothing else of the levels, so such a row
     is a function of the agent and her window alone, and ``memo`` may serve
     every level loop on the same instance.  A miss stores the row with its
-    mask.  Other rows are built afresh."""
+    mask.  Other rows are built afresh, by a kernel call that tests only the
+    agent's allowed objects as candidates."""
     rows = []
     covered = 0
     shift = instance.n_objects
@@ -226,9 +242,8 @@ def _build_level_graph(
         nbr = instance.neighbor_mask(ai)
         lam = allowance.get(ai, 0) if allowance else 0
         if lam or allowed is not None and allowed[ai] != nbr:
-            admissible = _admissible_mask(instance, masks, ai, tops[ai], lam)
-            if allowed is not None:
-                admissible &= allowed[ai]
+            candidates = None if allowed is None else allowed[ai]
+            admissible = _admissible_mask(instance, masks, ai, tops[ai], lam, candidates)
             covered |= admissible
             rows.append(bits(admissible))
             continue
@@ -336,14 +351,34 @@ def _match_instance(instance: Instance) -> list[int]:
     return maximum_matching(graph)[0]
 
 
-def _require_perfectly_matchable(instance: Instance) -> None:
+def _require_square(instance: Instance) -> None:
     if instance.n_agents != instance.n_objects:
         raise NoPerfectMatchingError(
             f"instance has {instance.n_agents} agents but {instance.n_objects} "
             "objects, so no perfect matching exists"
         )
+
+
+def _require_perfectly_matchable(instance: Instance) -> None:
+    _require_square(instance)
     if -1 in _match_instance(instance):
         raise NoPerfectMatchingError("instance admits no perfect matching")
+
+
+def _kept_edges(
+    graph: BipartiteGraph, match_l: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """The edges of the matching ``match_l`` that ``graph`` has, as a new
+    matching of ``graph`` in :func:`maximum_matching`'s form; ``match_l``
+    itself is left as it is."""
+    kept_l = [-1] * graph.n_left
+    kept_r = [-1] * graph.n_right
+    adjacency = graph.adjacency
+    for ai, bj in enumerate(match_l):
+        if bj != -1 and bj in adjacency[ai]:
+            kept_l[ai] = bj
+            kept_r[bj] = ai
+    return kept_l, kept_r
 
 
 def _too_few_below(masks: Mapping[int, int], gap: int) -> bool:
@@ -365,6 +400,8 @@ def _run_level_loop(
     allowed: Sequence[int] | None = None,
     allowance: Mapping[int, int] | None = None,
     memo: RowMemo | None = None,
+    *,
+    warm: bool = False,
 ) -> SolveOutcome:
     """The solver core.  Runs until the level graph has a perfect matching,
     some object's level reaches ``cap``, or the counting bound below proves
@@ -422,7 +459,18 @@ def _run_level_loop(
     stops with reason ``"level-overflow"`` -- under a lower ``cap`` too, as
     it proves more than the cap does.  A found run never meets the bound,
     and the bound reads the levels alone, so the round counts stay fixed by
-    the instance."""
+    the instance.
+
+    With ``warm``, each round after the first grows the last round's matched
+    edges that its level graph still has (:func:`_kept_edges`) instead of
+    the empty matching; most survive a raise, so Hopcroft--Karp starts near
+    a maximum matching.  The even set does not depend on which maximum
+    matching a round finds, so the levels, the round count and a not-found
+    stop are those of the cold loop.  The assignment is not: a found run
+    matches its last level graph once more from the empty matching, and
+    returns what the cold loop returns.  That pass runs even when the first
+    round is found, so a warm run calls :func:`maximum_matching` once per
+    round and once more when found."""
     n_objects = instance.n_objects
     levels = [0] * n_objects
     # levels only ever rise, so the objects at each level, each agent's
@@ -435,11 +483,13 @@ def _run_level_loop(
     gap = 2 + max(allowance.values(), default=0) if allowance else 2
     if memo is None:
         memo = _row_memo(instance)
+    match_l: list[int] = []
     while highest < cap and not _too_few_below(masks, gap):
         graph, covered = _build_level_graph(
             instance, masks, tops, memo, allowed, allowance
         )
-        match_l, match_r = maximum_matching(graph)
+        start = _kept_edges(graph, match_l) if warm and iterations else None
+        match_l, match_r = maximum_matching(graph, start)
         iterations += 1
         if -1 not in match_l:
             break
@@ -463,6 +513,8 @@ def _run_level_loop(
         reason = "truncation-cap" if capped else "level-overflow"
         level_function = LevelFunction(tuple(levels), tuple(tops))
         return SolveOutcome(False, None, level_function, None, reason, iterations)
+    if warm:
+        match_l, _ = maximum_matching(graph)
     level_function = LevelFunction(tuple(levels), tuple(tops))
     agents, objects = instance.agents, instance.objects
     assignment = Matching((agents[ai], objects[bj]) for ai, bj in enumerate(match_l))
@@ -472,13 +524,33 @@ def _run_level_loop(
     return SolveOutcome(True, assignment, level_function, certificate, None, iterations)
 
 
+def _solve_level_loop(
+    instance: Instance, cap: int, allowed: Sequence[int] | None = None
+) -> SolveOutcome:
+    """The warm-started level loop of a solve, with the perfect-matching
+    test a solve owes its caller.  Unequal sides are refused before the
+    loop.  A found run proves that a perfect matching exists, so only a
+    not-found run then looks for one, and raises
+    :class:`NoPerfectMatchingError` if there is none.  Each round matches
+    once, and the found round's cold pass or the not-found run's test adds
+    one more :func:`maximum_matching` call, so a solve makes
+    ``iterations + 1`` of them, as it did when the test ran first."""
+    _require_square(instance)
+    outcome = _run_level_loop(instance, cap, allowed, warm=True)
+    if not outcome.found:
+        _require_perfectly_matchable(instance)
+    return outcome
+
+
 def solve_popular_assignment(instance: Instance) -> SolveOutcome:
     """Find a popular assignment together with its dual certificate, or
     report that none exists.
 
     Raises :class:`NoPerfectMatchingError` if the instance admits no perfect
     matching at all (the popularity question is then vacuous; pad the
-    instance first if maximum matchings are the intended universe).
+    instance first if maximum matchings are the intended universe).  Unequal
+    sides raise at once; otherwise the level loop runs first, and the
+    perfect-matching test runs only if it finds nothing.
     """
     return solve_truncated(instance, instance.n_objects)
 
@@ -492,8 +564,11 @@ def solve_truncated(instance: Instance, max_level: int) -> SolveOutcome:
     ``"truncation-cap"`` only rules out popular assignments with such bounded
     certificates; one with ``"level-overflow"`` rules out all of them.  With ``max_level`` at least
     the number of objects this is exactly :func:`solve_popular_assignment`.
+
+    Raises :class:`NoPerfectMatchingError` if the instance admits no perfect
+    matching, at any ``max_level``: at once if its sides differ, else after
+    a level loop that found nothing.
     """
     if type(max_level) is not int or max_level < 0:
         raise ValueError("max_level must be a non-negative integer")
-    _require_perfectly_matchable(instance)
-    return _run_level_loop(instance, min(max_level, instance.n_objects))
+    return _solve_level_loop(instance, min(max_level, instance.n_objects))

@@ -43,6 +43,7 @@ from .popular import (
     _require_perfectly_matchable,
     _row_memo,
     _run_level_loop,
+    _solve_level_loop,
     make_level_function,
     solve_truncated,
 )
@@ -98,11 +99,14 @@ def solve_with_constraints(
     :func:`popassign.popular.solve_truncated`.  Unsatisfiable constraints
     (including a forced edge that is also forbidden) surface as a not-found
     outcome, not an error.
+
+    Raises :class:`popassign.popular.NoPerfectMatchingError` if the instance
+    admits no perfect matching, constraints aside: at once if its sides
+    differ, else after a level loop that found nothing.
     """
     if max_level is not None and (type(max_level) is not int or max_level < 0):
         raise ValueError("max_level must be a non-negative integer")
     _check_constraints(instance, constraints)
-    _require_perfectly_matchable(instance)
     allowed = None
     if constraints.forced or constraints.forbidden:
         allowed = [instance.neighbor_mask(ai) for ai in range(instance.n_agents)]
@@ -111,7 +115,7 @@ def solve_with_constraints(
         for a, b in constraints.forbidden:
             allowed[instance.agent_index(a)] &= ~(1 << instance.object_index(b))
     cap = instance.n_objects if max_level is None else min(max_level, instance.n_objects)
-    return _run_level_loop(instance, cap, allowed)
+    return _solve_level_loop(instance, cap, allowed)
 
 
 def lambda_feasible(

@@ -9,7 +9,14 @@ import sys
 from pathlib import Path
 
 import popassign.cli
-from popassign import EdgeConstraints, NoPerfectMatchingError, popular, solve_with_constraints
+from popassign import (
+    EdgeConstraints,
+    NoPerfectMatchingError,
+    popular,
+    solve_popular_assignment,
+    solve_truncated,
+    solve_with_constraints,
+)
 
 from helpers import corpus
 
@@ -50,14 +57,16 @@ def test_traced_padded_solve_counts(tmp_path, capsys):
     # the padding matches the source through popular.maximum_matching too
     assert tracer.calls["matching.hk@instance"] == 0
     assert tracer.calls["matching.hk@popular"] == report["iterations"] + 2
-    # the perfect-matchability check, then one matching per round
+    # one matching per round, then the found round's cold pass
     assert tracer.count["popular.solve_hk_calls"] == report["iterations"] + 1
 
 
 def test_a_solve_calls_popular_maximum_matching_iterations_plus_one_times(monkeypatch):
     """The traced self-check counts Hopcroft--Karp calls in a solve through
-    ``popular.maximum_matching``: one perfect-matchability check, then one
-    matching per round built, found and not-found runs alike."""
+    ``popular.maximum_matching``: one matching per round built, then one
+    more -- the found round's cold pass, or the perfect-matching test of a
+    run that found nothing -- in plain, truncated and constrained solves,
+    found and not-found alike, also when the first round is found."""
     calls = []
     matching = popular.maximum_matching
 
@@ -66,20 +75,28 @@ def test_a_solve_calls_popular_maximum_matching_iterations_plus_one_times(monkey
         return matching(*args, **kwargs)
 
     monkeypatch.setattr(popular, "maximum_matching", counting)
-    solves = not_found = 0
+    solves = not_found = first_round = 0
     for instance in corpus(60, min_n=2, max_n=7, seed0=4400):
         a, b = instance.edges[0]
+        runs = [
+            lambda: solve_popular_assignment(instance),
+            lambda: solve_truncated(instance, 0),
+            lambda: solve_truncated(instance, 2),
+        ]
         for constraints in (
             EdgeConstraints(),
             EdgeConstraints.of(forced=[(a, b)]),
             EdgeConstraints.of(forbidden=[(a, b)]),
         ):
+            runs.append(lambda c=constraints: solve_with_constraints(instance, c))
+        for run in runs:
             calls.clear()
             try:
-                outcome = solve_with_constraints(instance, constraints)
+                outcome = run()
             except NoPerfectMatchingError:
                 break
             assert len(calls) == outcome.iterations + 1
             solves += 1
             not_found += not outcome.found
-    assert solves > 90 and not_found > 10
+            first_round += outcome.found and outcome.iterations == 1
+    assert solves > 250 and not_found > 70 and first_round > 80

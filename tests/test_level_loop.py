@@ -1,12 +1,16 @@
 """The even-object level loop against the free-object loop it replaced, its
 counting-bound stop against the loop without it and against brute force, its
-memoised level-graph rows against rows built afresh, and its independence
-from how agents and objects are named and ordered."""
+memoised level-graph rows against rows built afresh, its warm start against
+the cold loop, and its independence from how agents and objects are named
+and ordered."""
 
 import dataclasses
 import hashlib
 import random
+import sys
+from pathlib import Path
 
+import pytest
 from hypothesis import given, strategies as st
 
 from popassign import (
@@ -25,6 +29,7 @@ from popassign import (
 )
 from popassign import popular, variants
 from popassign.generate import random_instance_document
+from popassign.instance import bits
 from popassign.popular import (
     _build_level_graph,
     _level_masks,
@@ -38,6 +43,7 @@ from helpers import (
     corpus,
     free_object_level_loop,
     plain_level_loop,
+    reference_admissible_mask,
     reference_build_level_graph,
     reference_twin_classes,
 )
@@ -62,9 +68,10 @@ def _constraints(instance, i):
     return menu[i % len(menu)]
 
 
-def _free_object_loop(instance, cap, allowed=None, allowance=None, memo=None):
+def _free_object_loop(instance, cap, allowed=None, allowance=None, memo=None, *, warm=False):
     """The free-object loop in the place of ``_run_level_loop``; it builds
-    every row afresh, so it has no use for the row memo."""
+    every row afresh and matches every round cold, so it has no use for the
+    row memo or a warm start."""
     return free_object_level_loop(instance, cap, allowed, allowance)
 
 
@@ -138,8 +145,8 @@ def test_stop_rule_matches_the_plain_loop(monkeypatch):
     early = []
     margin_early = []
 
-    def checked(instance, cap, allowed=None, allowance=None, memo=None):
-        out = _loop(instance, cap, allowed, allowance, memo)
+    def checked(instance, cap, allowed=None, allowance=None, memo=None, *, warm=False):
+        out = _loop(instance, cap, allowed, allowance, memo, warm=warm)
         stopped = _stopped_early(out, instance, cap, allowed, allowance)
         early.append(stopped)
         if memo is not None:
@@ -316,8 +323,8 @@ def test_dummies_share_one_row_memo_entry(monkeypatch):
     way."""
     runs = []
 
-    def checked(instance, cap, allowed=None, allowance=None, memo=None):
-        out = _loop(instance, cap, allowed, allowance, memo)
+    def checked(instance, cap, allowed=None, allowance=None, memo=None, *, warm=False):
+        out = _loop(instance, cap, allowed, allowance, memo, warm=warm)
         _stopped_early(out, instance, cap, allowed, allowance)
         runs.append(out.found)
         return out
@@ -438,3 +445,222 @@ def test_the_reversed_path_solves_in_one_round():
     out = solve_popular_assignment(instance)
     assert out.found and out.iterations == 1
     assert dict(out.assignment.pairs) == dict(zip(agents, objects))
+
+
+def _warm_cases():
+    """Level-loop inputs for the warm start: tier-1 corpus instances and
+    padded rectangular ones, each bare, with a forced edge and with a
+    forbidden one, at the full cap, at cap 2 and at a random cap."""
+    rng = random.Random(25)
+    sources = list(corpus(300, 2, 14, seed0=125_000))
+    sources += [
+        augment_to_perfect(rectangular)[0]
+        for rectangular in corpus(100, 2, 12, seed0=126_000, square=False)
+    ]
+    for instance in sources:
+        if instance.n_agents != instance.n_objects:
+            continue
+        n = instance.n_agents
+        masks = [instance.neighbor_mask(ai) for ai in range(n)]
+        ai = rng.randrange(n)
+        neighbors = instance.adj_indices(ai)
+        if not neighbors:
+            continue
+        forced = list(masks)
+        forced[ai] = 1 << rng.choice(neighbors)
+        forbidden = list(masks)
+        forbidden[ai] &= ~(1 << rng.choice(neighbors))
+        for allowed in (None, forced, forbidden):
+            for cap in (n, 2, rng.randint(0, n)):
+                yield instance, cap, allowed
+
+
+def test_warm_loop_matches_the_cold_and_the_plain_loop(monkeypatch):
+    """The warm-started loop ends exactly as the cold one does -- found
+    runs in assignment, levels, certificate and ``iterations``, not-found
+    runs in levels, reason and ``iterations`` -- and as the loop without a
+    stop rule or memo does, or stops earlier on its way.  Every start that
+    ``maximum_matching`` receives is a matching of the round's graph, in
+    new lists: the lists an earlier round returned keep their edges."""
+    matching = popular.maximum_matching
+    returned = []  # (lists a call returned, a copy of them as returned)
+    starts = grown = 0
+
+    def checking(graph, start=None):
+        nonlocal starts, grown
+        if start is not None:
+            kept_l, kept_r = start
+            assert len(kept_l) == graph.n_left and len(kept_r) == graph.n_right
+            for ai, bj in enumerate(kept_l):
+                if bj != -1:
+                    assert bj in graph.adjacency[ai] and kept_r[bj] == ai
+            assert all(ai == -1 or kept_l[ai] == bj for bj, ai in enumerate(kept_r))
+            assert all(kept_l is not lists[0] for lists, _ in returned)
+            starts += 1
+            grown += kept_l.count(-1) < len(kept_l)
+        result = matching(graph, start)
+        returned.append((result, (list(result[0]), list(result[1]))))
+        return result
+
+    monkeypatch.setattr(popular, "maximum_matching", checking)
+    found = not_found = 0
+    for instance, cap, allowed in _warm_cases():
+        returned.clear()
+        warm = _loop(instance, cap, allowed, warm=True)
+        for lists, copy in returned:
+            assert (lists[0], lists[1]) == copy
+        cold = _loop(instance, cap, allowed)
+        assert warm == cold
+        _stopped_early(warm, instance, cap, allowed)
+        found += warm.found
+        not_found += not warm.found
+    assert found > 1000 and not_found > 1000
+    assert starts > 2000 and grown > 2000
+
+
+def test_every_warm_solve_matches_its_last_graph_cold(monkeypatch):
+    """A found warm run returns what matching its last level graph from
+    the empty matching returns, also when its first round is found."""
+    matching = popular.maximum_matching
+    calls = []
+
+    def recording(graph, start=None):
+        result = matching(graph, start)
+        calls.append((graph, start is None, list(result[0])))
+        return result
+
+    monkeypatch.setattr(popular, "maximum_matching", recording)
+    first_round = 0
+    for instance in corpus(200, 2, 10, seed0=127_000):
+        calls.clear()
+        try:
+            out = solve_popular_assignment(instance)
+        except NoPerfectMatchingError:
+            continue
+        if not out.found:
+            continue
+        (graph, _, _), (last, cold, match_l) = calls[-2], calls[-1]
+        assert last is graph and cold
+        assert match_l == matching(graph)[0]
+        agents, objects = instance.agents, instance.objects
+        assert dict(out.assignment.pairs) == {
+            agents[ai]: objects[bj] for ai, bj in enumerate(match_l)
+        }
+        first_round += out.iterations == 1
+    assert first_round > 20
+
+
+def _unmatchable_square():
+    """A 3 x 3 instance whose agents a1 and a2 both accept b1 alone."""
+    return instance_from_document(
+        {
+            "agents": ["a1", "a2", "a3"],
+            "objects": ["b1", "b2", "b3"],
+            "edges": [["a1", "b1"], ["a2", "b1"], ["a3", "b1"], ["a3", "b2"], ["a3", "b3"]],
+            "preferences": {"a3": {"tiers": [["b2"], ["b1", "b3"]]}},
+        }
+    )
+
+
+def test_unmatchable_instances_still_raise(monkeypatch):
+    """Every solve refuses an instance with no perfect matching with the
+    message it always gave: after a level loop that finds nothing when the
+    sides are equal, and before any matching is computed when they are
+    not.  Corpus instances without a perfect matching raise too."""
+    solves = [
+        solve_popular_assignment,
+        lambda i: solve_truncated(i, 0),
+        lambda i: solve_truncated(i, 1),
+        lambda i: solve_truncated(i, 2),
+        lambda i: solve_truncated(i, i.n_objects + 5),
+        lambda i: solve_with_constraints(i, EdgeConstraints()),
+        lambda i: solve_with_constraints(i, EdgeConstraints(), 1),
+        lambda i: solve_with_constraints(i, EdgeConstraints.of(forced=[("a3", "b2")])),
+        lambda i: solve_with_constraints(i, EdgeConstraints.of(forbidden=[("a3", "b3")])),
+    ]
+    square = _unmatchable_square()
+    for solve in solves:
+        with pytest.raises(NoPerfectMatchingError) as raised:
+            solve(square)
+        assert str(raised.value) == "instance admits no perfect matching"
+    unmatchable = 0
+    for instance in corpus(200, 2, 8, seed0=128_000):
+        if -1 not in popular._match_instance(instance):
+            continue
+        unmatchable += 1
+        for solve in solves[:6]:
+            with pytest.raises(NoPerfectMatchingError, match="admits no perfect matching"):
+                solve(instance)
+    assert unmatchable > 20
+
+    def no_matching(*args, **kwargs):
+        raise AssertionError("matched before the sides were compared")
+
+    monkeypatch.setattr(popular, "maximum_matching", no_matching)
+    wide = instance_from_document(
+        {"agents": ["a1", "a2"], "objects": ["b1"], "edges": [["a1", "b1"], ["a2", "b1"]]}
+    )
+    tall = instance_from_document(
+        {"agents": ["a1"], "objects": ["b1", "b2"], "edges": [["a1", "b1"], ["a1", "b2"]]}
+    )
+    for instance in (wide, tall):
+        sides = f"{instance.n_agents} agents but {instance.n_objects} objects"
+        for solve in solves[:7] + [
+            lambda i: solve_with_constraints(i, EdgeConstraints.of(forced=[("a1", "b1")]))
+        ]:
+            with pytest.raises(NoPerfectMatchingError, match=sides):
+                solve(instance)
+
+
+def _master_list_instances():
+    """The benchmark generator's master-list instances at n = 5..7 and the
+    sparse one of the margin ops, each with the budget to search."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import gen
+
+    for n in (5, 6, 7):
+        yield instance_from_document(gen.master_list_instance(n)), 3
+        for seed in range(2):
+            doc = gen.master_list_instance(n, random.Random(seed))
+            yield instance_from_document(doc), 2
+            doc = gen.sparse_master_list_instance(random.Random(seed), n, 0.5)
+            yield instance_from_document(doc), 3
+    doc = gen.sparse_master_list_instance(random.Random(64), 10, 0.4)
+    yield instance_from_document(doc), 2
+
+
+def test_restricted_rows_test_only_their_allowed_objects(monkeypatch):
+    """Every row built with a load allowance or a restricted ``allowed``
+    mask, whose kernel call tests only the allowed objects, equals the full
+    kernel's row masked by ``allowed``: in constrained solves on the corpus
+    and in every k-margin guess on corpus and master-list instances."""
+    build = popular._build_level_graph
+    rows = loaded = 0
+
+    def checked(instance, masks, tops, memo, allowed=None, allowance=None):
+        nonlocal rows, loaded
+        graph, covered = build(instance, masks, tops, memo, allowed, allowance)
+        for ai in range(instance.n_agents):
+            lam = allowance.get(ai, 0) if allowance else 0
+            nbr = instance.neighbor_mask(ai)
+            if not lam and (allowed is None or allowed[ai] == nbr):
+                continue
+            full = reference_admissible_mask(instance, masks, ai, tops[ai], lam)
+            if allowed is not None:
+                full &= allowed[ai]
+            assert graph.adjacency[ai] == tuple(bits(full))
+            rows += 1
+            loaded += lam > 0
+        return graph, covered
+
+    monkeypatch.setattr(popular, "_build_level_graph", checked)
+    for i, instance in enumerate(corpus(300, 2, 9, seed0=129_000)):
+        try:
+            solve_with_constraints(instance, _constraints(instance, i))
+        except (InstanceError, NoPerfectMatchingError):
+            continue
+        if instance.n_agents <= 5:
+            solve_k_margin(instance, 1 + i % 2)
+    for instance, k in _master_list_instances():
+        solve_k_margin(instance, k)
+    assert rows > 10_000 and loaded > 9_000
