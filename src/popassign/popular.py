@@ -16,13 +16,13 @@ bound of :func:`_run_level_loop`), no popular assignment exists.  If some
 level reaches a lower caller-supplied truncation cap first, none exists with
 a certificate whose object values stay within the cap.
 
-The solve functions warm-start the loop: each round after the first grows
-the last round's matched edges that its level graph still has, and the found
-round is matched once more from the empty matching, so the assignment is the
-one a loop matching every round from scratch returns.  They test only the
-sides' sizes before the loop; a found run proves that a perfect matching
-exists, and a not-found run looks for one at its end, so a solve still
-computes ``iterations + 1`` maximum matchings (see :func:`_solve_level_loop`).
+Every loop is warm-started: each round after the first grows the last
+round's matched edges that its level graph still has, and the found round is
+matched once more from the empty matching, so the assignment is the one a
+loop matching every round from scratch returns.  Solves and the margin
+search compare only the sides' sizes before their loops; a found run proves
+that a perfect matching exists, and only a run that finds nothing looks for
+one (see :func:`_solve_level_loop`).
 
 An edge ``(a, b)`` is admissible at levels ``l`` when, writing ``L`` for the
 highest level among ``a``'s neighbors, either ``b`` sits at level ``L`` and no
@@ -400,8 +400,6 @@ def _run_level_loop(
     allowed: Sequence[int] | None = None,
     allowance: Mapping[int, int] | None = None,
     memo: RowMemo | None = None,
-    *,
-    warm: bool = False,
 ) -> SolveOutcome:
     """The solver core.  Runs until the level graph has a perfect matching,
     some object's level reaches ``cap``, or the counting bound below proves
@@ -461,16 +459,15 @@ def _run_level_loop(
     and the bound reads the levels alone, so the round counts stay fixed by
     the instance.
 
-    With ``warm``, each round after the first grows the last round's matched
-    edges that its level graph still has (:func:`_kept_edges`) instead of
-    the empty matching; most survive a raise, so Hopcroft--Karp starts near
-    a maximum matching.  The even set does not depend on which maximum
-    matching a round finds, so the levels, the round count and a not-found
-    stop are those of the cold loop.  The assignment is not: a found run
-    matches its last level graph once more from the empty matching, and
-    returns what the cold loop returns.  That pass runs even when the first
-    round is found, so a warm run calls :func:`maximum_matching` once per
-    round and once more when found."""
+    Each round after the first grows the last round's matched edges that
+    its level graph still has (:func:`_kept_edges`) instead of the empty
+    matching; most survive a raise, so Hopcroft--Karp starts near a maximum
+    matching.  The even set does not depend on which maximum matching a
+    round finds, so the levels, the round count and a not-found stop are
+    those of a loop matching every round cold.  A found run matches its
+    last level graph once more from the empty matching, also after one
+    round, so it returns that cold loop's assignment, after one
+    :func:`maximum_matching` call per round and one more."""
     n_objects = instance.n_objects
     levels = [0] * n_objects
     # levels only ever rise, so the objects at each level, each agent's
@@ -488,7 +485,7 @@ def _run_level_loop(
         graph, covered = _build_level_graph(
             instance, masks, tops, memo, allowed, allowance
         )
-        start = _kept_edges(graph, match_l) if warm and iterations else None
+        start = _kept_edges(graph, match_l) if iterations else None
         match_l, match_r = maximum_matching(graph, start)
         iterations += 1
         if -1 not in match_l:
@@ -513,8 +510,7 @@ def _run_level_loop(
         reason = "truncation-cap" if capped else "level-overflow"
         level_function = LevelFunction(tuple(levels), tuple(tops))
         return SolveOutcome(False, None, level_function, None, reason, iterations)
-    if warm:
-        match_l, _ = maximum_matching(graph)
+    match_l, _ = maximum_matching(graph)
     level_function = LevelFunction(tuple(levels), tuple(tops))
     agents, objects = instance.agents, instance.objects
     assignment = Matching((agents[ai], objects[bj]) for ai, bj in enumerate(match_l))
@@ -527,16 +523,14 @@ def _run_level_loop(
 def _solve_level_loop(
     instance: Instance, cap: int, allowed: Sequence[int] | None = None
 ) -> SolveOutcome:
-    """The warm-started level loop of a solve, with the perfect-matching
-    test a solve owes its caller.  Unequal sides are refused before the
-    loop.  A found run proves that a perfect matching exists, so only a
-    not-found run then looks for one, and raises
-    :class:`NoPerfectMatchingError` if there is none.  Each round matches
-    once, and the found round's cold pass or the not-found run's test adds
-    one more :func:`maximum_matching` call, so a solve makes
-    ``iterations + 1`` of them, as it did when the test ran first."""
+    """The level loop of a solve, with the perfect-matching test a solve
+    owes its caller.  Unequal sides are refused before the loop.  Only a
+    run that finds nothing then looks for a perfect matching, and raises
+    :class:`NoPerfectMatchingError` if there is none; so a solve calls
+    :func:`maximum_matching` ``iterations + 1`` times, the found round's
+    cold pass or that test included."""
     _require_square(instance)
-    outcome = _run_level_loop(instance, cap, allowed, warm=True)
+    outcome = _run_level_loop(instance, cap, allowed)
     if not outcome.found:
         _require_perfectly_matchable(instance)
     return outcome

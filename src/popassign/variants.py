@@ -17,7 +17,8 @@ All of these reuse the level loop from :mod:`popassign.popular`:
   swapping twins turns into an earlier guess is skipped, since both get the
   same verdict.  Every other guess runs its loop; a guess that leaves no
   perfect matching has no feasible level function, so its loop ends
-  not-found.
+  not-found.  Only when the empty guess finds nothing does the search test
+  the whole instance for a perfect matching, as the solves do.
 * An assignment popular with penalty ``kappa`` (unmatched agents in rival
   matchings count ``kappa`` votes instead of one) is exactly what the level
   loop truncated at ``kappa + 1`` decides, so that variant is a direct
@@ -41,6 +42,7 @@ from .popular import (
     _admissible_mask,
     _level_masks,
     _require_perfectly_matchable,
+    _require_square,
     _row_memo,
     _run_level_loop,
     _solve_level_loop,
@@ -190,9 +192,9 @@ def _run_margin_branch(
 ) -> SolveOutcome:
     """Run the level loop for one load guess, a multiset of ``(agent,
     object)`` index pairs whose distinct edges form a matching, with the
-    search's row ``memo``.  A guess whose loaded edges leave no perfect
-    matching needs no test of its own: no level function is feasible for
-    it, so its loop ends not-found."""
+    search's row ``memo``, warm-started as every level loop is.  A guess
+    whose loaded edges leave no perfect matching needs no test of its own:
+    no level function is feasible for it, so its loop ends not-found."""
     allowed = [instance.neighbor_mask(ai) for ai in range(instance.n_agents)]
     allowance: dict[int, int] = {}
     for ai, bj in guess:
@@ -234,21 +236,22 @@ def solve_k_margin(instance: Instance, k: int) -> KMarginOutcome:
     them maps the instance onto itself.  So a swap maps a guess onto a
     guess whose level loop is the same up to renaming agents, and whether
     that loop finds an assignment -- whether a feasible level function
-    exists for the guess -- does not depend on names.  Every guess of one orbit gets the same verdict.  A
-    guess loads at most one edge per agent, so two guesses lie in one orbit
-    exactly when they have the same sorted ``(twin class, object, load)``
-    over their loaded edges.  The first hit in enumeration order is the
-    first of its orbit, since an earlier member would have hit first, so it
-    still runs: the outcome -- assignment, loads, levels and certificate --
-    is the one the search without skipping returns, and only ``branches``
-    falls.
+    exists for the guess -- does not depend on names.  Every guess of one
+    orbit gets the same verdict.  A guess loads at most one edge per agent,
+    so two guesses lie in one orbit exactly when they have the same sorted
+    ``(twin class, object, load)`` over their loaded edges.  The first hit
+    in enumeration order is the first of its orbit, since an earlier member
+    would have hit first, so it still runs: the outcome -- assignment,
+    loads, levels and certificate -- is the one the search without skipping
+    returns, and only ``branches`` falls.
 
     Raises :class:`popassign.popular.NoPerfectMatchingError` if the instance
-    admits no perfect matching at all.
+    admits no perfect matching: at once if its sides differ, else once the
+    empty guess has found nothing, before any loaded guess runs.
     """
     if type(k) is not int or k < 0:
         raise ValueError("k must be a non-negative integer")
-    _require_perfectly_matchable(instance)
+    _require_square(instance)
     # the edge tuple is read only once a guess loads an edge
     guesses = itertools.chain(
         [()],
@@ -279,6 +282,8 @@ def solve_k_margin(instance: Instance, k: int) -> KMarginOutcome:
                 True, outcome.assignment, loads, outcome.levels, certificate,
                 certificate.total(), branches,
             )
+        if not guess:
+            _require_perfectly_matchable(instance)
     return KMarginOutcome(False, None, None, None, None, None, branches)
 
 

@@ -6,6 +6,7 @@ and ordered."""
 
 import dataclasses
 import hashlib
+import itertools
 import random
 import sys
 from pathlib import Path
@@ -68,10 +69,10 @@ def _constraints(instance, i):
     return menu[i % len(menu)]
 
 
-def _free_object_loop(instance, cap, allowed=None, allowance=None, memo=None, *, warm=False):
+def _free_object_loop(instance, cap, allowed=None, allowance=None, memo=None):
     """The free-object loop in the place of ``_run_level_loop``; it builds
     every row afresh and matches every round cold, so it has no use for the
-    row memo or a warm start."""
+    row memo."""
     return free_object_level_loop(instance, cap, allowed, allowance)
 
 
@@ -145,8 +146,8 @@ def test_stop_rule_matches_the_plain_loop(monkeypatch):
     early = []
     margin_early = []
 
-    def checked(instance, cap, allowed=None, allowance=None, memo=None, *, warm=False):
-        out = _loop(instance, cap, allowed, allowance, memo, warm=warm)
+    def checked(instance, cap, allowed=None, allowance=None, memo=None):
+        out = _loop(instance, cap, allowed, allowance, memo)
         stopped = _stopped_early(out, instance, cap, allowed, allowance)
         early.append(stopped)
         if memo is not None:
@@ -323,8 +324,8 @@ def test_dummies_share_one_row_memo_entry(monkeypatch):
     way."""
     runs = []
 
-    def checked(instance, cap, allowed=None, allowance=None, memo=None, *, warm=False):
-        out = _loop(instance, cap, allowed, allowance, memo, warm=warm)
+    def checked(instance, cap, allowed=None, allowance=None, memo=None):
+        out = _loop(instance, cap, allowed, allowance, memo)
         _stopped_early(out, instance, cap, allowed, allowance)
         runs.append(out.found)
         return out
@@ -447,11 +448,40 @@ def test_the_reversed_path_solves_in_one_round():
     assert dict(out.assignment.pairs) == dict(zip(agents, objects))
 
 
+def _margin_guesses(instances, searches):
+    """The level-loop inputs of k-margin branches: of every guess of total
+    1, and of total 2 up to four agents, whose loaded edges form a matching,
+    on each of ``instances``; and of every branch that ``solve_k_margin``
+    runs in ``searches``, pairs of an instance and a budget."""
+    recorded = []
+
+    def recording(instance, cap, allowed=None, allowance=None, memo=None):
+        recorded.append((instance, cap, allowed, allowance))
+        return _loop(instance, cap, allowed, allowance, memo)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(variants, "_run_level_loop", recording)
+        for instance in instances:
+            agents = range(instance.n_agents)
+            for t in range(1, 2 + (instance.n_agents <= 4)):
+                for guess in itertools.combinations_with_replacement(
+                    instance.edge_indices, t
+                ):
+                    if variants._orbit_key(guess, agents) is not None:
+                        variants._run_margin_branch(instance, guess, _row_memo(instance))
+        for instance, k in searches:
+            solve_k_margin(instance, k)
+    return recorded
+
+
 def _warm_cases():
     """Level-loop inputs for the warm start: tier-1 corpus instances and
     padded rectangular ones, each bare, with a forced edge and with a
-    forbidden one, at the full cap, at cap 2 and at a random cap."""
+    forbidden one, at the full cap, at cap 2 and at a random cap; then the
+    loaded branches of k-margin searches on small corpus instances and on
+    the master-list instances."""
     rng = random.Random(25)
+    cases = []
     sources = list(corpus(300, 2, 14, seed0=125_000))
     sources += [
         augment_to_perfect(rectangular)[0]
@@ -472,16 +502,24 @@ def _warm_cases():
         forbidden[ai] &= ~(1 << rng.choice(neighbors))
         for allowed in (None, forced, forbidden):
             for cap in (n, 2, rng.randint(0, n)):
-                yield instance, cap, allowed
+                cases.append((instance, cap, allowed, None))
+    small = [
+        instance
+        for instance in corpus(200, 2, 6, seed0=125_500)
+        if -1 not in popular._match_instance(instance)
+    ]
+    return cases + _margin_guesses(small, _master_list_instances())
 
 
 def test_warm_loop_matches_the_cold_and_the_plain_loop(monkeypatch):
-    """The warm-started loop ends exactly as the cold one does -- found
-    runs in assignment, levels, certificate and ``iterations``, not-found
-    runs in levels, reason and ``iterations`` -- and as the loop without a
-    stop rule or memo does, or stops earlier on its way.  Every start that
-    ``maximum_matching`` receives is a matching of the round's graph, in
-    new lists: the lists an earlier round returned keep their edges."""
+    """The level loop, warm-started, ends exactly as the cold loop without
+    a stop rule or memo (``plain_level_loop``) does -- found runs in
+    assignment, levels, certificate and ``iterations`` -- or, not found,
+    stops earlier on its way; also in the loaded branches of k-margin
+    searches.  Every start that ``maximum_matching`` receives is a matching
+    of the round's graph, in new lists: the lists an earlier round returned
+    keep their edges."""
+    cases = _warm_cases()
     matching = popular.maximum_matching
     returned = []  # (lists a call returned, a copy of them as returned)
     starts = grown = 0
@@ -503,24 +541,27 @@ def test_warm_loop_matches_the_cold_and_the_plain_loop(monkeypatch):
         return result
 
     monkeypatch.setattr(popular, "maximum_matching", checking)
-    found = not_found = 0
-    for instance, cap, allowed in _warm_cases():
+    found = not_found = loaded_found = loaded_not_found = 0
+    for instance, cap, allowed, allowance in cases:
         returned.clear()
-        warm = _loop(instance, cap, allowed, warm=True)
+        out = _loop(instance, cap, allowed, allowance)
         for lists, copy in returned:
             assert (lists[0], lists[1]) == copy
-        cold = _loop(instance, cap, allowed)
-        assert warm == cold
-        _stopped_early(warm, instance, cap, allowed)
-        found += warm.found
-        not_found += not warm.found
+        _stopped_early(out, instance, cap, allowed, allowance)
+        found += out.found
+        not_found += not out.found
+        if allowance:
+            loaded_found += out.found
+            loaded_not_found += not out.found
     assert found > 1000 and not_found > 1000
+    assert loaded_found > 3000 and loaded_not_found > 2000
     assert starts > 2000 and grown > 2000
 
 
 def test_every_warm_solve_matches_its_last_graph_cold(monkeypatch):
     """A found warm run returns what matching its last level graph from
-    the empty matching returns, also when its first round is found."""
+    the empty matching returns, also when its first round is found: in
+    solves, and in the branch that ends a k-margin search with a hit."""
     matching = popular.maximum_matching
     calls = []
 
@@ -528,6 +569,15 @@ def test_every_warm_solve_matches_its_last_graph_cold(monkeypatch):
         result = matching(graph, start)
         calls.append((graph, start is None, list(result[0])))
         return result
+
+    def check_last_calls(instance, assignment):
+        (graph, _, _), (last, cold, match_l) = calls[-2], calls[-1]
+        assert last is graph and cold
+        assert match_l == matching(graph)[0]
+        agents, objects = instance.agents, instance.objects
+        assert dict(assignment.pairs) == {
+            agents[ai]: objects[bj] for ai, bj in enumerate(match_l)
+        }
 
     monkeypatch.setattr(popular, "maximum_matching", recording)
     first_round = 0
@@ -539,15 +589,21 @@ def test_every_warm_solve_matches_its_last_graph_cold(monkeypatch):
             continue
         if not out.found:
             continue
-        (graph, _, _), (last, cold, match_l) = calls[-2], calls[-1]
-        assert last is graph and cold
-        assert match_l == matching(graph)[0]
-        agents, objects = instance.agents, instance.objects
-        assert dict(out.assignment.pairs) == {
-            agents[ai]: objects[bj] for ai, bj in enumerate(match_l)
-        }
+        check_last_calls(instance, out.assignment)
         first_round += out.iterations == 1
     assert first_round > 20
+    hits = loaded_hits = 0
+    for square in (True, False):
+        for source in corpus(300, 4, 9, seed0=127_500, square=square):
+            instance, _ = augment_to_perfect(source)
+            calls.clear()
+            hit = solve_k_margin(instance, 1)
+            if not hit.found:
+                continue
+            check_last_calls(instance, hit.assignment)
+            hits += 1
+            loaded_hits += hit.certified_bound > 0
+    assert hits > 500 and loaded_hits > 30
 
 
 def _unmatchable_square():
@@ -597,19 +653,64 @@ def test_unmatchable_instances_still_raise(monkeypatch):
         raise AssertionError("matched before the sides were compared")
 
     monkeypatch.setattr(popular, "maximum_matching", no_matching)
-    wide = instance_from_document(
-        {"agents": ["a1", "a2"], "objects": ["b1"], "edges": [["a1", "b1"], ["a2", "b1"]]}
-    )
-    tall = instance_from_document(
-        {"agents": ["a1"], "objects": ["b1", "b2"], "edges": [["a1", "b1"], ["a1", "b2"]]}
-    )
-    for instance in (wide, tall):
+    for instance in _unequal_sides():
         sides = f"{instance.n_agents} agents but {instance.n_objects} objects"
         for solve in solves[:7] + [
             lambda i: solve_with_constraints(i, EdgeConstraints.of(forced=[("a1", "b1")]))
         ]:
             with pytest.raises(NoPerfectMatchingError, match=sides):
                 solve(instance)
+
+
+def _unequal_sides():
+    """Two agents sharing one object, and one agent with two objects."""
+    wide = instance_from_document(
+        {"agents": ["a1", "a2"], "objects": ["b1"], "edges": [["a1", "b1"], ["a2", "b1"]]}
+    )
+    tall = instance_from_document(
+        {"agents": ["a1"], "objects": ["b1", "b2"], "edges": [["a1", "b1"], ["a1", "b2"]]}
+    )
+    return wide, tall
+
+
+def test_the_margin_search_raises_on_unmatchable_instances(monkeypatch):
+    """At every budget, the k-margin search refuses an instance with no
+    perfect matching with the solves' message, once the empty guess's
+    branch has found nothing and before any loaded guess runs.  Unequal
+    sides raise before any matching is computed and any branch runs."""
+    branch = variants._run_margin_branch
+    guesses = []
+
+    def counting(instance, guess, memo):
+        guesses.append(guess)
+        return branch(instance, guess, memo)
+
+    monkeypatch.setattr(variants, "_run_margin_branch", counting)
+    unmatchable = [_unmatchable_square()] + [
+        instance
+        for instance in corpus(200, 2, 8, seed0=128_000)
+        if -1 in popular._match_instance(instance)
+    ]
+    assert len(unmatchable) > 20
+    for instance in unmatchable:
+        for k in (0, 1, 2):
+            guesses.clear()
+            with pytest.raises(NoPerfectMatchingError) as raised:
+                solve_k_margin(instance, k)
+            assert str(raised.value) == "instance admits no perfect matching"
+            assert guesses == [()]
+
+    def no_matching(*args, **kwargs):
+        raise AssertionError("matched before the sides were compared")
+
+    monkeypatch.setattr(popular, "maximum_matching", no_matching)
+    guesses.clear()
+    for instance in _unequal_sides():
+        sides = f"{instance.n_agents} agents but {instance.n_objects} objects"
+        for k in (0, 1, 2):
+            with pytest.raises(NoPerfectMatchingError, match=sides):
+                solve_k_margin(instance, k)
+    assert guesses == []
 
 
 def _master_list_instances():
