@@ -36,7 +36,8 @@ is admissible outright; ``b`` at level ``L - lam`` is admissible when no
 neighbor at level ``L`` beats it; and ``b`` at level ``L - lam - 1`` is
 admissible when it beats every neighbor at level ``L`` and no neighbor at
 level ``L - 1`` beats it.  :func:`_admissible_mask` is the one
-implementation of this test.
+implementation of this test.  Forced, forbidden and loaded edges restrict
+the same loop, through one sparse :data:`Restrictions` map.
 """
 
 from __future__ import annotations
@@ -149,26 +150,20 @@ def _admissible_mask(
     masks: Mapping[int, int],
     ai: int,
     top_level: int,
-    lam: int = 0,
-    candidates: int | None = None,
+    lam: int,
+    candidates: int,
 ) -> int:
-    """All objects admissible for ``ai`` with load allowance ``lam``, as a
-    mask.  Writing ``L`` for ``top_level``: every neighbor at a level of at
-    least ``L - lam + 1``; the neighbors at level ``L - lam`` that no
-    top-level neighbor beats; and the neighbors at level ``L - lam - 1``
-    that beat every top-level neighbor and that no level ``L - 1`` neighbor
-    beats.  ``candidates``, a mask of objects (default: all of them),
-    limits the answer to its members; they are tested against all of
-    ``ai``'s neighbours, so the answer is the unlimited one masked by
-    ``candidates``, found without testing the others."""
+    """The members of ``candidates``, a mask of ``ai``'s neighbours, that
+    are admissible for her with load allowance ``lam``.  Writing ``L`` for
+    ``top_level``: every neighbor at a level of at least ``L - lam + 1``;
+    the neighbors at level ``L - lam`` that no top-level neighbor beats; and
+    the neighbors at level ``L - lam - 1`` that beat every top-level
+    neighbor and that no level ``L - 1`` neighbor beats.  The candidates are
+    tested against all of ``ai``'s neighbours, so the answer is the full row
+    masked by ``candidates``, found without testing the others."""
     nbr = instance.neighbor_mask(ai)
     top = masks.get(top_level, 0) & nbr
     below = masks.get(top_level - 1, 0) & nbr
-    candidates = nbr if candidates is None else candidates & nbr
-    if not lam:
-        return _admissible_in(
-            instance, ai, top, below, top & candidates, below & candidates
-        )
     upper = 0
     for level in range(max(top_level - lam + 1, 0), top_level + 1):
         upper |= masks.get(level, 0) & candidates
@@ -200,6 +195,11 @@ def _admissible_in(
 #: :func:`_build_level_graph`.
 RowMemo = list[dict[int, tuple[int, tuple[int, ...]]]]
 
+#: Agent index to ``(allowed, lam)``: the mask of her neighbours that her row
+#: may hold, and her load allowance.  An agent absent from the map is
+#: unrestricted.
+Restrictions = Mapping[int, tuple[int, int]]
+
 
 def _row_memo(instance: Instance) -> RowMemo:
     """An empty row memo for ``instance``'s agents, one entry dict per twin
@@ -216,37 +216,34 @@ def _build_level_graph(
     masks: Mapping[int, int],
     tops: Sequence[int],
     memo: RowMemo,
-    allowed: Sequence[int] | None = None,
-    allowance: Mapping[int, int] | None = None,
+    restrictions: Restrictions,
 ) -> tuple[BipartiteGraph, int]:
     """Build the level graph, and the mask of objects it has an edge to.
     ``masks`` maps each level to the mask of its objects (as
     :func:`_level_masks` gives it), and ``tops`` carries each agent's
-    maximum neighbor level.  ``allowed``, if given, is each agent's mask of
-    usable objects (default: every neighbor); ``allowance`` maps an agent to
-    the positive load allowance of her row.  Rows list objects in index
-    order, which is the instance's adjacency order.
+    maximum neighbor level.  ``restrictions`` holds the allowed objects and
+    the load allowance of each restricted agent's row.  Rows list objects in
+    index order, which is the instance's adjacency order.
 
-    The row of an agent with no allowance and every neighbour allowed comes
-    from ``memo``, keyed by her *window*: the masks of her neighbours at her
-    top level and at the level below it.  With no allowance,
+    A restricted agent's row is built afresh, by a kernel call that tests
+    only her allowed objects as candidates.  Every other row comes from
+    ``memo``, keyed by the agent's *window*: the masks of her neighbours at
+    her top level and at the level below it.  With no load,
     :func:`_admissible_mask` reads nothing else of the levels, so such a row
     is a function of the agent and her window alone, and ``memo`` may serve
     every level loop on the same instance.  A miss stores the row with its
-    mask.  Other rows are built afresh, by a kernel call that tests only the
-    agent's allowed objects as candidates."""
+    mask."""
     rows = []
     covered = 0
     shift = instance.n_objects
     for ai in range(instance.n_agents):
-        nbr = instance.neighbor_mask(ai)
-        lam = allowance.get(ai, 0) if allowance else 0
-        if lam or allowed is not None and allowed[ai] != nbr:
-            candidates = None if allowed is None else allowed[ai]
-            admissible = _admissible_mask(instance, masks, ai, tops[ai], lam, candidates)
+        if ai in restrictions:
+            allowed, lam = restrictions[ai]
+            admissible = _admissible_mask(instance, masks, ai, tops[ai], lam, allowed)
             covered |= admissible
             rows.append(bits(admissible))
             continue
+        nbr = instance.neighbor_mask(ai)
         top_level = tops[ai]
         top = masks.get(top_level, 0) & nbr
         below = masks.get(top_level - 1, 0) & nbr
@@ -276,6 +273,7 @@ def induced_subgraph(
         _level_masks(level_function.levels),
         level_function.max_neighbor_level,
         _row_memo(instance),
+        {},
     )
     return graph
 
@@ -305,7 +303,7 @@ def certificate_from_levels(
     loads: Mapping[tuple[str, str], int] | None = None,
 ) -> DualCertificate:
     """Read off the dual certificate from an assignment that is perfect in
-    the level graph widened by ``loads`` (positive loads on matched edges):
+    the level graph widened by ``loads`` (non-negative loads on matched edges):
     ``alpha[b] = -level(b)`` for every object and
     ``alpha[a] = level(M(a)) + load(a, M(a))`` for every agent, so the total
     is the total load.
@@ -334,7 +332,7 @@ def certificate_from_levels(
         bj = instance.object_index(b)
         load = loads.get((a, b), 0) if loads else 0
         top_level = level_function.max_neighbor_level[ai]
-        if not _admissible_mask(instance, masks, ai, top_level, load) >> bj & 1:
+        if not _admissible_mask(instance, masks, ai, top_level, load, 1 << bj):
             raise InstanceError(
                 f"matched edge ({a!r}, {b!r}) with load {load} is not admissible "
                 "at the given levels"
@@ -397,30 +395,29 @@ def _too_few_below(masks: Mapping[int, int], gap: int) -> bool:
 def _run_level_loop(
     instance: Instance,
     cap: int,
-    allowed: Sequence[int] | None = None,
-    allowance: Mapping[int, int] | None = None,
+    restrictions: Restrictions | None = None,
     memo: RowMemo | None = None,
 ) -> SolveOutcome:
     """The solver core.  Runs until the level graph has a perfect matching,
     some object's level reaches ``cap``, or the counting bound below proves
-    that no feasible level function exists.  ``allowed`` and ``allowance``
-    restrict and widen each agent's row as in :func:`_build_level_graph`; a
-    found assignment matches each agent with an allowance along the single
-    object she is allowed, which carries that allowance as its load.
-    ``memo`` is the row memo of :func:`_build_level_graph`, as
-    :func:`_row_memo` makes it; by default the loop starts its own.
+    that no feasible level function exists.  ``restrictions`` restricts and
+    widens rows as in :func:`_build_level_graph`; a found assignment matches
+    each restricted agent with a load allowance along an allowed object,
+    which carries that allowance as its load.  ``memo`` is the row memo of
+    :func:`_build_level_graph`, as :func:`_row_memo` makes it; by default
+    the loop starts its own.
 
     The memo is exact.  With no load allowance, :func:`_admissible_mask`
     reads the levels only through two masks: the agent's neighbours at her
     top level, and those one level below it.  So the row of an agent with
-    no allowance and no restriction is a function of the agent, her top
-    mask and her below mask -- not of the round, the levels' offset, the
-    cap or the other agents' rows -- and a row stored under those two masks
-    is the row any later round would build from them, in this loop or in
-    any other loop on the same instance.  Twins (same neighbours, same worse
-    masks; see :meth:`Instance.twin_classes`) compute the same function, so
-    every loop's memo shares one entry dict per twin class.  Rows with an
-    allowance or a restriction are built afresh every round.
+    no restriction is a function of the agent, her top mask and her below
+    mask -- not of the round, the levels' offset, the cap or the other
+    agents' rows -- and a row stored under those two masks is the row any
+    later round would build from them, in this loop or in any other loop on
+    the same instance.  Twins (same neighbours, same worse masks; see
+    :meth:`Instance.twin_classes`) compute the same function, so every
+    loop's memo shares one entry dict per twin class.  The rows of the
+    restricted agents are built afresh every round.
 
     Each round raises the even objects of the level graph (see
     :func:`_even_objects`).  This is exact.  The loop keeps the invariant
@@ -477,14 +474,13 @@ def _run_level_loop(
     tops = [0] * instance.n_agents
     highest = max(levels, default=-1)
     iterations = 0
-    gap = 2 + max(allowance.values(), default=0) if allowance else 2
+    restrictions = restrictions or {}
+    gap = 2 + max((lam for _, lam in restrictions.values()), default=0)
     if memo is None:
         memo = _row_memo(instance)
     match_l: list[int] = []
     while highest < cap and not _too_few_below(masks, gap):
-        graph, covered = _build_level_graph(
-            instance, masks, tops, memo, allowed, allowance
-        )
+        graph, covered = _build_level_graph(instance, masks, tops, memo, restrictions)
         start = _kept_edges(graph, match_l) if iterations else None
         match_l, match_r = maximum_matching(graph, start)
         iterations += 1
@@ -514,23 +510,24 @@ def _run_level_loop(
     level_function = LevelFunction(tuple(levels), tuple(tops))
     agents, objects = instance.agents, instance.objects
     assignment = Matching((agents[ai], objects[bj]) for ai, bj in enumerate(match_l))
-    allowance = allowance or {}
-    loads = {(agents[ai], objects[match_l[ai]]): lam for ai, lam in allowance.items()}
+    restricted = restrictions.items()
+    loads = {(agents[ai], objects[match_l[ai]]): lam for ai, (_, lam) in restricted}
     certificate = certificate_from_levels(instance, assignment, level_function, loads)
     return SolveOutcome(True, assignment, level_function, certificate, None, iterations)
 
 
 def _solve_level_loop(
-    instance: Instance, cap: int, allowed: Sequence[int] | None = None
+    instance: Instance, cap: int, restrictions: Restrictions | None = None
 ) -> SolveOutcome:
-    """The level loop of a solve, with the perfect-matching test a solve
-    owes its caller.  Unequal sides are refused before the loop.  Only a
+    """The level loop of a solve, restricted by ``restrictions`` (see
+    :func:`_run_level_loop`), with the perfect-matching test a solve owes
+    its caller.  Unequal sides are refused before the loop.  Only a
     run that finds nothing then looks for a perfect matching, and raises
     :class:`NoPerfectMatchingError` if there is none; so a solve calls
     :func:`maximum_matching` ``iterations + 1`` times, the found round's
     cold pass or that test included."""
     _require_square(instance)
-    outcome = _run_level_loop(instance, cap, allowed)
+    outcome = _run_level_loop(instance, cap, restrictions)
     if not outcome.found:
         _require_perfectly_matchable(instance)
     return outcome
@@ -556,8 +553,9 @@ def solve_truncated(instance: Instance, max_level: int) -> SolveOutcome:
     A found assignment is popular with a certificate whose object values all
     exceed ``-max_level``.  A not-found outcome with reason
     ``"truncation-cap"`` only rules out popular assignments with such bounded
-    certificates; one with ``"level-overflow"`` rules out all of them.  With ``max_level`` at least
-    the number of objects this is exactly :func:`solve_popular_assignment`.
+    certificates; one with ``"level-overflow"`` rules out all of them.  With
+    ``max_level`` at least the number of objects this is exactly
+    :func:`solve_popular_assignment`.
 
     Raises :class:`NoPerfectMatchingError` if the instance admits no perfect
     matching, at any ``max_level``: at once if its sides differ, else after

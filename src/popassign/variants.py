@@ -3,14 +3,15 @@ penalty-vote assignments.
 
 All of these reuse the level loop from :mod:`popassign.popular`:
 
-* Constraints restrict the level graph by a mask per agent of the objects
-  she may use: forcing ``(a, b)`` masks ``a`` down to ``b``, and forbidding
-  ``(a, b)`` clears ``b`` from ``a``'s mask.
+* Constraints restrict the level graph through the loop's sparse map of
+  restricted agents (:data:`popassign.popular.Restrictions`): forcing
+  ``(a, b)`` allows ``a`` only ``b``, and forbidding ``(a, b)`` clears ``b``
+  from the objects ``a`` may use.
 * The bounded-margin search guesses, for each total budget ``t <= k``, a
   multiset of edges carrying positive *load* whose distinct edges form a
-  matching, and runs the loop per guess.  A loaded edge is forced the same
-  way, and its agent's admissibility threshold relaxes by the load; the
-  loop's certificate adds each load to its agent's value.  Guesses are
+  matching, and runs the loop per guess.  A loaded edge enters the map as a
+  forced edge whose agent's admissibility threshold relaxes by the load;
+  the loop's certificate adds each load to its agent's value.  Guesses are
   enumerated in a fixed order -- ascending total load, then lexicographic by
   the edge-index multiset -- so the first hit is deterministic.  Agents with
   the same neighbours and the same order over them are *twins*; a guess that
@@ -109,15 +110,15 @@ def solve_with_constraints(
     if max_level is not None and (type(max_level) is not int or max_level < 0):
         raise ValueError("max_level must be a non-negative integer")
     _check_constraints(instance, constraints)
-    allowed = None
-    if constraints.forced or constraints.forbidden:
-        allowed = [instance.neighbor_mask(ai) for ai in range(instance.n_agents)]
-        for a, b in constraints.forced:
-            allowed[instance.agent_index(a)] = 1 << instance.object_index(b)
-        for a, b in constraints.forbidden:
-            allowed[instance.agent_index(a)] &= ~(1 << instance.object_index(b))
+    restrictions: dict[int, tuple[int, int]] = {}
+    for a, b in constraints.forced:
+        restrictions[instance.agent_index(a)] = (1 << instance.object_index(b), 0)
+    for a, b in constraints.forbidden:
+        ai = instance.agent_index(a)
+        allowed, _ = restrictions.get(ai, (instance.neighbor_mask(ai), 0))
+        restrictions[ai] = (allowed & ~(1 << instance.object_index(b)), 0)
     cap = instance.n_objects if max_level is None else min(max_level, instance.n_objects)
-    return _solve_level_loop(instance, cap, allowed)
+    return _solve_level_loop(instance, cap, restrictions)
 
 
 def lambda_feasible(
@@ -141,7 +142,7 @@ def lambda_feasible(
         raise InstanceError(f"({a!r}, {b!r}) is not an instance edge")
     masks = _level_masks(level_function.levels)
     top_level = level_function.max_neighbor_level[ai]
-    return bool(_admissible_mask(instance, masks, ai, top_level, load) >> bj & 1)
+    return bool(_admissible_mask(instance, masks, ai, top_level, load, 1 << bj))
 
 
 @dataclass(frozen=True)
@@ -192,16 +193,13 @@ def _run_margin_branch(
 ) -> SolveOutcome:
     """Run the level loop for one load guess, a multiset of ``(agent,
     object)`` index pairs whose distinct edges form a matching, with the
-    search's row ``memo``, warm-started as every level loop is.  A guess
-    whose loaded edges leave no perfect matching needs no test of its own:
-    no level function is feasible for it, so its loop ends not-found."""
-    allowed = [instance.neighbor_mask(ai) for ai in range(instance.n_agents)]
-    allowance: dict[int, int] = {}
-    for ai, bj in guess:
-        # a loaded edge acts as a forced edge
-        allowed[ai] = 1 << bj
-        allowance[ai] = allowance.get(ai, 0) + 1
-    return _run_level_loop(instance, instance.n_objects, allowed, allowance, memo)
+    search's row ``memo``, warm-started as every level loop is.  A loaded
+    agent may use her loaded object alone, with her load as its allowance.
+    A guess whose loaded edges leave no perfect matching needs no test of
+    its own: no level function is feasible for it, so its loop ends
+    not-found."""
+    restrictions = {ai: (1 << bj, guess.count((ai, bj))) for ai, bj in guess}
+    return _run_level_loop(instance, instance.n_objects, restrictions, memo)
 
 
 def _orbit_key(

@@ -2,14 +2,15 @@
 solver, all independent of the level-function machinery under test; the
 level-graph build without the row memo, and the free-object level loop and
 the level loop without a stop rule built on it, the references the
-solver's loop is tested against; the k-margin branch with its
-perfect-matching pre-check, the reference of the branch without it; twin
-classes read one worse mask per edge, the reference of the instance's; the
-dense Hungarian method and the one-search-per-row shortest-paths method, the
-references of the weighted-matching kernel; Hopcroft--Karp with a recursive
-search and an explicit-stack one chosen by depth, the reference of the
-one-search kernel; and the set-based preference parser, the reference of the
-instance parser."""
+solver's loop is tested against, with the dense form of its restrictions
+they take; the k-margin branch with its perfect-matching pre-check, the
+reference of the branch without it; twin classes read one worse mask per
+edge, the reference of the instance's; the dense Hungarian method and the
+one-search-per-row shortest-paths method, the references of the
+weighted-matching kernel; Hopcroft--Karp with a recursive search and an
+explicit-stack one chosen by depth, the reference of the one-search kernel;
+and the set-based preference parser, the reference of the instance
+parser."""
 
 from __future__ import annotations
 
@@ -618,6 +619,21 @@ def reference_build_level_graph(
     return graph, covered
 
 
+def dense_restrictions(
+    instance: Instance, restrictions: Mapping[int, tuple[int, int]] | None
+) -> tuple[list[int], dict[int, int]]:
+    """A restriction map of the level loop (``popular.Restrictions``; None
+    for none) in the dense form the references here take: every agent's
+    mask of allowed objects, and the positive load allowances."""
+    allowed = [instance.neighbor_mask(ai) for ai in range(instance.n_agents)]
+    allowance = {}
+    for ai, (mask, lam) in (restrictions or {}).items():
+        allowed[ai] = mask
+        if lam:
+            allowance[ai] = lam
+    return allowed, allowance
+
+
 # -- the name-level padding --------------------------------------------------------
 
 
@@ -821,7 +837,8 @@ def reference_run_margin_branch(
     restricted = any(allowed[ai] != instance.neighbor_mask(ai) for ai in allowance)
     if restricted and not reference_perfect_without(instance, allowed):
         return None
-    return _run_level_loop(instance, instance.n_objects, allowed, allowance, memo)
+    restrictions = {ai: (allowed[ai], lam) for ai, lam in allowance.items()}
+    return _run_level_loop(instance, instance.n_objects, restrictions, memo)
 
 
 # -- twin classes by one worse-mask read per edge ----------------------------------
@@ -878,11 +895,17 @@ def market_corpus(count: int, max_n: int = 5, seed0: int = 0) -> Iterator[Housin
 # -- exact minimum margin via integer programming --------------------------------
 
 
-def milp_min_margin(instance: Instance) -> int | None:
+def milp_min_margin(
+    instance: Instance, fixed: Mapping[tuple[int, int], int] | None = None
+) -> int | None:
     """Exact minimum unpopularity margin over all assignments, as an integer
     program: binary x picks a perfect matching, integer duals certify its
     margin, and the certificate total is minimized.  Independent of both the
-    level solver and the enumeration oracles.  None when no assignment exists.
+    level solver and the enumeration oracles.  ``fixed`` maps an edge
+    ``(ai, bj)`` by index to 1 or 0, pinning x on it: the minimum is then
+    over the assignments that keep the edges pinned to 1 and avoid those
+    pinned to 0, each still judged against every assignment.  None when no
+    such assignment exists.
     """
     n = instance.n_agents
     if n != instance.n_objects:
@@ -933,6 +956,8 @@ def milp_min_margin(instance: Instance) -> int | None:
             mat[r, col] = val
     lower = np.concatenate([np.zeros(m), np.zeros(n), -np.full(n, n - 1)])
     upper = np.concatenate([np.ones(m), np.full(n, n), np.zeros(n)])
+    for edge, value in (fixed or {}).items():
+        lower[edge_pos[edge]] = upper[edge_pos[edge]] = value
     result = milp(
         c,
         constraints=LinearConstraint(mat.tocsr(), np.array(lo), np.array(hi)),

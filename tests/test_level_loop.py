@@ -32,6 +32,7 @@ from popassign import popular, variants
 from popassign.generate import random_instance_document
 from popassign.instance import bits
 from popassign.popular import (
+    _admissible_mask,
     _build_level_graph,
     _level_masks,
     _require_perfectly_matchable,
@@ -42,6 +43,7 @@ from helpers import (
     STYLES,
     brute_popular_exists,
     corpus,
+    dense_restrictions,
     free_object_level_loop,
     plain_level_loop,
     reference_admissible_mask,
@@ -69,11 +71,13 @@ def _constraints(instance, i):
     return menu[i % len(menu)]
 
 
-def _free_object_loop(instance, cap, allowed=None, allowance=None, memo=None):
+def _free_object_loop(instance, cap, restrictions=None, memo=None):
     """The free-object loop in the place of ``_run_level_loop``; it builds
     every row afresh and matches every round cold, so it has no use for the
     row memo."""
-    return free_object_level_loop(instance, cap, allowed, allowance)
+    return free_object_level_loop(
+        instance, cap, *dense_restrictions(instance, restrictions)
+    )
 
 
 def test_found_outcomes_match_the_free_object_loop(monkeypatch):
@@ -114,13 +118,15 @@ def test_found_outcomes_match_the_free_object_loop(monkeypatch):
     assert solved >= 1000 and found > 1000 and searched > 300
 
 
-def _stopped_early(out, instance, cap, allowed=None, allowance=None):
-    """Check ``out`` against the loop without a stop rule, and say whether
-    it stopped before that loop did.  The verdicts agree, and a found run
-    agrees in everything, ``iterations`` included.  A not-found run stops
-    after at most the reference's rounds, with the reference's levels after
-    as many rounds; it reads ``"level-overflow"`` if it stopped early, and
-    the reference's reason otherwise."""
+def _stopped_early(out, instance, cap, restrictions=None):
+    """Check ``out``, the outcome of a level loop under ``restrictions``,
+    against the loop without a stop rule, and say whether it stopped before
+    that loop did.  The verdicts agree, and a found run agrees in
+    everything, ``iterations`` included.  A not-found run stops after at
+    most the reference's rounds, with the reference's levels after as many
+    rounds; it reads ``"level-overflow"`` if it stopped early, and the
+    reference's reason otherwise."""
+    allowed, allowance = dense_restrictions(instance, restrictions)
     reference = plain_level_loop(instance, cap, allowed, allowance)
     assert out.found == reference.found
     if out.found:
@@ -146,9 +152,9 @@ def test_stop_rule_matches_the_plain_loop(monkeypatch):
     early = []
     margin_early = []
 
-    def checked(instance, cap, allowed=None, allowance=None, memo=None):
-        out = _loop(instance, cap, allowed, allowance, memo)
-        stopped = _stopped_early(out, instance, cap, allowed, allowance)
+    def checked(instance, cap, restrictions=None, memo=None):
+        out = _loop(instance, cap, restrictions, memo)
+        stopped = _stopped_early(out, instance, cap, restrictions)
         early.append(stopped)
         if memo is not None:
             margin_early.append(stopped)
@@ -197,19 +203,17 @@ def test_stop_rule_keeps_runs_under_masks_and_allowances(n, style, density, seed
     except NoPerfectMatchingError:
         return
     rng = random.Random(draw)
-    allowed = [instance.neighbor_mask(ai) for ai in range(n)]
-    allowance = {}
+    restrictions = {}
     for ai in rng.sample(range(n), rng.randint(0, n)):
-        neighbors = instance.adj_indices(ai)
+        bit = 1 << rng.choice(instance.adj_indices(ai))
         if rng.random() < 0.5:
-            allowed[ai] = 1 << rng.choice(neighbors)  # forced
-            if rng.random() < 0.5:
-                allowance[ai] = rng.randint(1, 3)  # and loaded
+            # forced, and loaded half of the time
+            restrictions[ai] = (bit, rng.randint(1, 3) if rng.random() < 0.5 else 0)
         else:
-            allowed[ai] &= ~(1 << rng.choice(neighbors))  # forbidden
+            restrictions[ai] = (instance.neighbor_mask(ai) & ~bit, 0)  # forbidden
     cap = rng.choice((n, 2, rng.randint(1, n)))
-    out = _loop(instance, cap, allowed, allowance)
-    _stopped_early(out, instance, cap, allowed, allowance)
+    out = _loop(instance, cap, restrictions)
+    _stopped_early(out, instance, cap, restrictions)
 
 
 def test_not_found_agrees_with_brute_force():
@@ -278,9 +282,11 @@ def test_memoised_rows_match_rows_built_afresh(n, style, density, seed, draw, tw
     """Eight builds share one memo from :func:`_row_memo`, so later ones
     read rows that earlier ones stored; with ``twins``, pairs of agents are
     twins and share their entries.  Each build takes random levels --
-    fresh, the last ones raised, or an earlier build's again -- with random
-    ``allowed`` masks and load allowances, and must return the rows and
-    ``covered`` of the build without a memo."""
+    fresh, the last ones raised, or an earlier build's again -- and a random
+    restriction map, whose entries may allow every neighbour and may carry
+    load 0, and must return the rows and ``covered`` of the build without a
+    memo.  At the last levels, the kernel tests each single edge at loads 0
+    to 3 as the reference row has it."""
     doc = random_instance_document(n, n, density, style, seed)
     if twins:
         doc = _with_twins(doc)
@@ -301,18 +307,27 @@ def test_memoised_rows_match_rows_built_afresh(n, style, density, seed, draw, tw
             max((levels[bj] for bj in instance.adj_indices(ai)), default=0)
             for ai in range(n)
         ]
-        allowed = allowance = None
+        restrictions = {}
         if rng.random() < 0.5:
-            allowed = [instance.neighbor_mask(ai) for ai in range(n)]
             for ai in rng.sample(range(n), rng.randint(0, n)):
-                allowed[ai] &= rng.getrandbits(n)
-        if rng.random() < 0.5:
-            allowance = {ai: rng.randint(1, 3) for ai in rng.sample(range(n), rng.randint(0, n))}
+                allowed = instance.neighbor_mask(ai)
+                if rng.random() < 0.5:
+                    allowed &= rng.getrandbits(n)
+                restrictions[ai] = (allowed, rng.randint(0, 3))
         masks = _level_masks(levels)
-        graph, covered = _build_level_graph(instance, masks, tops, memo, allowed, allowance)
-        want, want_covered = reference_build_level_graph(instance, masks, tops, allowed, allowance)
+        graph, covered = _build_level_graph(instance, masks, tops, memo, restrictions)
+        want, want_covered = reference_build_level_graph(
+            instance, masks, tops, *dense_restrictions(instance, restrictions)
+        )
         assert graph.adjacency == want.adjacency
         assert covered == want_covered
+    for ai in range(n):
+        top = tops[ai]
+        for lam in range(4):
+            row = reference_admissible_mask(instance, masks, ai, top, lam)
+            for bj in instance.adj_indices(ai):
+                bit = 1 << bj
+                assert _admissible_mask(instance, masks, ai, top, lam, bit) == row & bit
 
 
 def test_dummies_share_one_row_memo_entry(monkeypatch):
@@ -324,9 +339,9 @@ def test_dummies_share_one_row_memo_entry(monkeypatch):
     way."""
     runs = []
 
-    def checked(instance, cap, allowed=None, allowance=None, memo=None):
-        out = _loop(instance, cap, allowed, allowance, memo)
-        _stopped_early(out, instance, cap, allowed, allowance)
+    def checked(instance, cap, restrictions=None, memo=None):
+        out = _loop(instance, cap, restrictions, memo)
+        _stopped_early(out, instance, cap, restrictions)
         runs.append(out.found)
         return out
 
@@ -455,9 +470,9 @@ def _margin_guesses(instances, searches):
     runs in ``searches``, pairs of an instance and a budget."""
     recorded = []
 
-    def recording(instance, cap, allowed=None, allowance=None, memo=None):
-        recorded.append((instance, cap, allowed, allowance))
-        return _loop(instance, cap, allowed, allowance, memo)
+    def recording(instance, cap, restrictions=None, memo=None):
+        recorded.append((instance, cap, restrictions))
+        return _loop(instance, cap, restrictions, memo)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(variants, "_run_level_loop", recording)
@@ -491,18 +506,16 @@ def _warm_cases():
         if instance.n_agents != instance.n_objects:
             continue
         n = instance.n_agents
-        masks = [instance.neighbor_mask(ai) for ai in range(n)]
         ai = rng.randrange(n)
         neighbors = instance.adj_indices(ai)
         if not neighbors:
             continue
-        forced = list(masks)
-        forced[ai] = 1 << rng.choice(neighbors)
-        forbidden = list(masks)
-        forbidden[ai] &= ~(1 << rng.choice(neighbors))
-        for allowed in (None, forced, forbidden):
+        forced = {ai: (1 << rng.choice(neighbors), 0)}
+        kept = instance.neighbor_mask(ai) & ~(1 << rng.choice(neighbors))
+        forbidden = {ai: (kept, 0)}
+        for restrictions in (None, forced, forbidden):
             for cap in (n, 2, rng.randint(0, n)):
-                cases.append((instance, cap, allowed, None))
+                cases.append((instance, cap, restrictions))
     small = [
         instance
         for instance in corpus(200, 2, 6, seed0=125_500)
@@ -542,15 +555,15 @@ def test_warm_loop_matches_the_cold_and_the_plain_loop(monkeypatch):
 
     monkeypatch.setattr(popular, "maximum_matching", checking)
     found = not_found = loaded_found = loaded_not_found = 0
-    for instance, cap, allowed, allowance in cases:
+    for instance, cap, restrictions in cases:
         returned.clear()
-        out = _loop(instance, cap, allowed, allowance)
+        out = _loop(instance, cap, restrictions)
         for lists, copy in returned:
             assert (lists[0], lists[1]) == copy
-        _stopped_early(out, instance, cap, allowed, allowance)
+        _stopped_early(out, instance, cap, restrictions)
         found += out.found
         not_found += not out.found
-        if allowance:
+        if restrictions and any(lam for _, lam in restrictions.values()):
             loaded_found += out.found
             loaded_not_found += not out.found
     assert found > 1000 and not_found > 1000
@@ -731,25 +744,19 @@ def _master_list_instances():
 
 
 def test_restricted_rows_test_only_their_allowed_objects(monkeypatch):
-    """Every row built with a load allowance or a restricted ``allowed``
-    mask, whose kernel call tests only the allowed objects, equals the full
-    kernel's row masked by ``allowed``: in constrained solves on the corpus
-    and in every k-margin guess on corpus and master-list instances."""
+    """Every row of a restricted agent, whose kernel call tests only her
+    allowed objects, equals the full kernel's row masked by them: in
+    constrained solves on the corpus and in every k-margin guess on corpus
+    and master-list instances."""
     build = popular._build_level_graph
     rows = loaded = 0
 
-    def checked(instance, masks, tops, memo, allowed=None, allowance=None):
+    def checked(instance, masks, tops, memo, restrictions):
         nonlocal rows, loaded
-        graph, covered = build(instance, masks, tops, memo, allowed, allowance)
-        for ai in range(instance.n_agents):
-            lam = allowance.get(ai, 0) if allowance else 0
-            nbr = instance.neighbor_mask(ai)
-            if not lam and (allowed is None or allowed[ai] == nbr):
-                continue
+        graph, covered = build(instance, masks, tops, memo, restrictions)
+        for ai, (allowed, lam) in restrictions.items():
             full = reference_admissible_mask(instance, masks, ai, tops[ai], lam)
-            if allowed is not None:
-                full &= allowed[ai]
-            assert graph.adjacency[ai] == tuple(bits(full))
+            assert graph.adjacency[ai] == tuple(bits(full & allowed))
             rows += 1
             loaded += lam > 0
         return graph, covered
