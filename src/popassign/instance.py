@@ -12,6 +12,12 @@ as per-agent neighbor bitmasks; dominance and tiers are read off those.  That
 representation makes the edge tests performed by the level-based solvers
 constant-time, which matters for dense instances with a couple hundred nodes
 per side.
+
+Parsing reads a row at a time -- the edge list, one agent's preference pairs,
+one agent's tiers -- in bulk, with no check per item.  Only a row that the
+bulk read refuses goes through the per-item checks, the one place that words
+a problem; so a clean document pays for none of them, and a faulty one gets
+the same problems, in the same order, as if every row were checked.
 """
 
 from __future__ import annotations
@@ -91,6 +97,92 @@ def _index_names(names: list[str], what: str, report: Report) -> dict[str, int]:
     return index
 
 
+# -- bulk reads ---------------------------------------------------------------
+#
+# Each returns None for a row it refuses.  It must accept exactly the rows
+# that the per-item checks accept without a report, and build the same thing.
+
+#: How a bulk read refuses a row: an unknown, non-string or unhashable name
+#: fails its lookup, and an item that is not two long fails its unpacking.
+_REFUSED = (KeyError, TypeError, ValueError)
+_PAIR_TYPES = frozenset((list, tuple))
+
+
+def _pair_typed(items: list | tuple) -> bool:
+    """Whether every item is a list or a tuple, one check over the whole
+    row.  With the unpacking into two names that follows it, a bulk read
+    accepts only what :func:`_is_pair` accepts: a two-character string or
+    a two-key object would unpack too, so it must be refused first.  (A
+    subclass of either is refused too, and left to the checks.)"""
+    return _PAIR_TYPES.issuperset(map(type, items))
+
+
+def _edge_sets(
+    edges: list | tuple, agent_index: dict[str, int], object_index: dict[str, int]
+) -> list[set[int]] | None:
+    """Each agent's neighbor indices, read from the whole edge list in bulk,
+    or None if some edge is not an edge of known names or repeats one."""
+    if not _pair_typed(edges):
+        return None
+    rows: list[list[int]] = [[] for _ in agent_index]
+    try:
+        for a, b in edges:
+            rows[agent_index[a]].append(object_index[b])
+    except _REFUSED:
+        return None
+    adj_sets = list(map(set, rows))
+    # a repeated edge is read twice but kept once
+    return adj_sets if sum(map(len, adj_sets)) == len(edges) else None
+
+
+def _successor_masks(pairs: list | tuple, neighbors: dict[str, int]) -> dict[int, int] | None:
+    """One agent's ``(better, worse)`` pairs read in bulk, as a successor
+    mask per better object's index; ``neighbors`` maps each of the agent's
+    neighbors to its bit.  None if some pair is not two neighbors, or
+    compares an object with itself, which puts its own bit in its mask."""
+    if not _pair_typed(pairs):
+        return None
+    by_name: dict[str, int] = {}
+    below_of = by_name.get
+    succ: dict[int, int] = {}
+    try:
+        for b, c in pairs:
+            by_name[b] = below_of(b, 0) | neighbors[c]
+        for b, below in by_name.items():
+            bit = neighbors[b]
+            if below & bit:
+                return None
+            succ[bit.bit_length() - 1] = below
+    except _REFUSED:
+        return None
+    return succ
+
+
+def _tiered_worse(tiers: list, object_index: dict[str, int], nbr: int) -> dict[int, int] | None:
+    """One agent's tier list read in bulk, from the worst tier up, as a
+    worse mask per object: the union of the tiers below its own.  None if
+    some tier is not a non-empty list, or some entry is not a neighbor (a
+    bit of ``nbr``) or repeats one."""
+    worse: dict[int, int] = {}
+    below = entries = 0
+    try:
+        for tier in reversed(tiers):
+            if type(tier) is not list or not tier:
+                return None
+            mask = 0
+            for b in tier:
+                bj = object_index[b]
+                if below:
+                    worse[bj] = below
+                mask |= 1 << bj
+            below |= mask
+            entries += len(tier)
+    except _REFUSED:
+        return None
+    # a repeated entry sets no bit of its own
+    return worse if below.bit_count() == entries and not (below & ~nbr) else None
+
+
 class Instance:
     """An immutable two-sided instance.
 
@@ -139,9 +231,14 @@ class Instance:
         edges: Iterable[tuple[str, str]],
         report: Report,
     ) -> None:
-        # Every check of the instance format below the document level, with
-        # _order's; a problem that ``report`` does not raise skips its name,
-        # edge, preference pair or (for a cycle) the agent's whole order.
+        """Names and edges.  With :meth:`_order` and :meth:`_tier_worse`,
+        every check of the instance format below the document level; a
+        problem that ``report`` does not raise skips its name, edge,
+        preference pair or (for a cycle) the agent's whole order.
+
+        The edge list is one row: it is read in bulk by :func:`_edge_sets`,
+        and only a list that read refuses goes through the per-edge checks,
+        which word each problem."""
         agent_names = _valid_names(agents, "agent", report)
         object_names = _valid_names(objects, "object", report)
         self._agent_index = agent_index = _index_names(agent_names, "agent", report)
@@ -149,7 +246,24 @@ class Instance:
         self._agents = tuple(agent_index)
         self._objects = tuple(object_index)
 
-        find_agent, find_object = agent_index.get, object_index.get
+        if not isinstance(edges, (list, tuple)):
+            edges = list(edges)  # a refused one-shot iterable is read twice
+        adj_sets = _edge_sets(edges, agent_index, object_index)
+        if adj_sets is None:
+            adj_sets = self._checked_edges(edges, report)
+        self._adj = adj = tuple(tuple(sorted(row)) for row in adj_sets)
+        object_adj: list[list[int]] = [[] for _ in self._objects]
+        for ai, row in enumerate(adj):
+            for bj in row:
+                object_adj[bj].append(ai)
+        self._object_adj = tuple(map(tuple, object_adj))
+        self._nbr_mask = tuple(sum(1 << j for j in row) for row in adj)
+        self._edges = None
+
+    def _checked_edges(self, edges: list | tuple, report: Report) -> list[set[int]]:
+        """Each agent's neighbor indices, from the edge list checked edge by
+        edge: the read of a list that :func:`_edge_sets` refuses."""
+        find_agent, find_object = self._agent_index.get, self._object_index.get
         adj_sets: list[set[int]] = [set() for _ in self._agents]
         for edge in edges:
             if not _is_pair(edge):
@@ -169,14 +283,7 @@ class Instance:
                 report(f"duplicate edge ({a!r}, {b!r})")
                 continue
             row.add(bj)
-        self._adj = adj = tuple(tuple(sorted(row)) for row in adj_sets)
-        object_adj: list[list[int]] = [[] for _ in self._objects]
-        for ai, row in enumerate(adj):
-            for bj in row:
-                object_adj[bj].append(ai)
-        self._object_adj = tuple(map(tuple, object_adj))
-        self._nbr_mask = tuple(sum(1 << j for j in row) for row in adj)
-        self._edges = None
+        return adj_sets
 
     @classmethod
     def _assemble(
@@ -210,13 +317,15 @@ class Instance:
         closed: Mapping[int, dict[int, int]] | None = None,
     ) -> None:
         """Resolve and close every agent's preferences.  Each agent's
-        ``(better, worse)`` pairs are read once, in one pass, through a
-        lookup of its own neighbors' indices, so that one probe per name
-        both finds the object and checks that it is adjacent; they become
-        successor masks, which :meth:`_close` closes.  Agents in ``closed``
-        (index to worse masks, as tiers give them) are taken as they are;
-        their entry in ``preferences`` is only checked to name a known
-        agent."""
+        ``(better, worse)`` pairs are one row, read in bulk by
+        :func:`_successor_masks` through a lookup of its own neighbors'
+        bits, so that one probe per name both finds the object and checks
+        that it is adjacent; an agent without pairs builds no lookup.  Only
+        a row that read refuses goes through the per-pair checks, which
+        word each problem and skip the pair at fault.  The successor masks
+        are closed by :meth:`_close`.  Agents in ``closed`` (index to worse
+        masks, as tiers give them) are taken as they are; their entry in
+        ``preferences`` is only checked to name a known agent."""
         objects = self._objects
         succ_by_agent: dict[int, dict[int, int]] = {}
         for agent_name, pairs in preferences.items():
@@ -224,31 +333,13 @@ class Instance:
             if ai is None:
                 report(f"preferences reference unknown agent {agent_name!r}")
                 continue
-            find_neighbor = {objects[j]: j for j in self._adj[ai]}.get
-            succ: dict[int, int] = {}
-            successors = succ.get
-            for pair in pairs:
-                if not _is_pair(pair):
-                    report(f"preference pair {pair!r} for agent {agent_name!r} is not a pair")
-                    continue
-                b, b2 = pair
-                bj = find_neighbor(b) if isinstance(b, str) else None
-                cj = find_neighbor(b2) if isinstance(b2, str) else None
-                if bj is None or cj is None:
-                    if not (self.has_object(b) and self.has_object(b2)):
-                        report(
-                            f"preference pair ({b!r}, {b2!r}) for agent {agent_name!r} "
-                            "references an unknown object"
-                        )
-                    else:
-                        report(
-                            f"preference pair ({b!r}, {b2!r}) for agent {agent_name!r} "
-                            "compares objects that are not both adjacent to the agent"
-                        )
-                elif bj == cj:
-                    report(f"agent {agent_name!r} declares {b!r} better than itself")
-                else:
-                    succ[bj] = successors(bj, 0) | 1 << cj
+            if not isinstance(pairs, (list, tuple)):
+                pairs = list(pairs)  # a refused one-shot iterable is read twice
+            if not pairs:
+                continue
+            succ = _successor_masks(pairs, {objects[j]: 1 << j for j in self._adj[ai]})
+            if succ is None:
+                succ = self._checked_pairs(ai, pairs, report)
             succ_by_agent[ai] = succ
 
         closed = closed or {}
@@ -262,6 +353,37 @@ class Instance:
                 worse = {}
             worse_by_agent.append(worse)
         self._worse = tuple(worse_by_agent)
+
+    def _checked_pairs(self, ai: int, pairs: list | tuple, report: Report) -> dict[int, int]:
+        """Agent ``ai``'s successor masks, from her pairs checked pair by
+        pair: the read of a row that :func:`_successor_masks` refuses."""
+        agent_name, objects = self._agents[ai], self._objects
+        find_neighbor = {objects[j]: j for j in self._adj[ai]}.get
+        succ: dict[int, int] = {}
+        successors = succ.get
+        for pair in pairs:
+            if not _is_pair(pair):
+                report(f"preference pair {pair!r} for agent {agent_name!r} is not a pair")
+                continue
+            b, b2 = pair
+            bj = find_neighbor(b) if isinstance(b, str) else None
+            cj = find_neighbor(b2) if isinstance(b2, str) else None
+            if bj is None or cj is None:
+                if not (self.has_object(b) and self.has_object(b2)):
+                    report(
+                        f"preference pair ({b!r}, {b2!r}) for agent {agent_name!r} "
+                        "references an unknown object"
+                    )
+                else:
+                    report(
+                        f"preference pair ({b!r}, {b2!r}) for agent {agent_name!r} "
+                        "compares objects that are not both adjacent to the agent"
+                    )
+            elif bj == cj:
+                report(f"agent {agent_name!r} declares {b!r} better than itself")
+            else:
+                succ[bj] = successors(bj, 0) | 1 << cj
+        return succ
 
     @staticmethod
     def _close(succ: Mapping[int, int]) -> dict[int, int] | None:
@@ -320,7 +442,17 @@ class Instance:
         out closed.  Each entry that is not an object adjacent to the agent
         is reported and left out, and so is a tier left empty by that.
         Tiers that are not non-empty lists of distinct strings give one
-        report and no order."""
+        report and no order.
+
+        The tier list is one row, read in bulk by :func:`_tiered_worse`;
+        only a row that read refuses goes through the per-entry checks,
+        which word each problem."""
+        worse = _tiered_worse(tiers, self._object_index, self._nbr_mask[ai])
+        return self._checked_tiers(ai, tiers, report) if worse is None else worse
+
+    def _checked_tiers(self, ai: int, tiers: list, report: Report) -> dict[int, int]:
+        """Agent ``ai``'s worse masks, from her tiers checked entry by
+        entry: the read of a row that :func:`_tiered_worse` refuses."""
         agent = self._agents[ai]
         find_object = self._object_index.get
         nbr = self._nbr_mask[ai]

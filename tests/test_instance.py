@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -712,14 +713,17 @@ def test_the_parser_matches_the_set_based_reference():
     assert kinds[True] >= 200 and kinds[False] >= 500
 
 
+def _pair_preferences(doc):
+    return {
+        a: spec["pairs"]
+        for a, spec in doc.get("preferences", {}).items()
+        if isinstance(spec, dict) and isinstance(spec.get("pairs"), list)
+    }
+
+
 def test_constructor_matches_the_set_based_reference():
     for doc in _parser_documents():
-        prefs = {
-            a: spec["pairs"]
-            for a, spec in doc.get("preferences", {}).items()
-            if isinstance(spec, dict) and isinstance(spec.get("pairs"), list)
-        }
-        args = (doc["agents"], doc["objects"], doc["edges"], prefs)
+        args = (doc["agents"], doc["objects"], doc["edges"], _pair_preferences(doc))
         try:
             want = ReferenceInstance(*args)
         except InstanceError as exc:
@@ -734,6 +738,118 @@ def test_constructor_matches_the_set_based_reference():
         closed = {a: got.preference_pairs(a) for a in got.agents}
         args = (doc["agents"], doc["objects"], doc["edges"], closed)
         assert Instance(*args)._worse == ReferenceInstance(*args)._worse == got._worse
+
+
+def _dense_documents():
+    """Complete documents of 30 to 60 agents in every style, each clean and
+    with faults injected at random places in its long rows."""
+    rng = random.Random(28)
+    for i, n in enumerate((30, 45, 60)):
+        for style in PREF_STYLES:
+            doc = random_instance_document(n, n, 1.0, style, 2800 + i)
+            yield doc
+            for _ in range(2):
+                yield _faulty(rng, doc)
+
+
+def _tupled(item):
+    return tuple(item) if isinstance(item, list) else item
+
+
+def test_faults_deep_in_long_rows_match_the_reference():
+    kinds = {True: 0, False: 0}
+    for doc in _dense_documents():
+        kinds[_same_parse(doc)] += 1
+        # the constructor reads lists, tuples and one-shot generators alike
+        prefs = _pair_preferences(doc)
+        listed = (doc["agents"], doc["objects"], doc["edges"], prefs)
+        tupled = (
+            doc["agents"],
+            doc["objects"],
+            tuple(map(_tupled, doc["edges"])),
+            {a: tuple(map(_tupled, pairs)) for a, pairs in prefs.items()},
+        )
+        once = (
+            iter(doc["agents"]),
+            iter(doc["objects"]),
+            (e for e in doc["edges"]),
+            {a: (p for p in pairs) for a, pairs in prefs.items()},
+        )
+        try:
+            want = ReferenceInstance(*listed)
+        except InstanceError:
+            # a message quotes the item at fault as it was given
+            for args, given in ((listed, listed), (tupled, tupled), (once, listed)):
+                with pytest.raises(InstanceError) as expected:
+                    ReferenceInstance(*given)
+                with pytest.raises(InstanceError) as err:
+                    Instance(*args)
+                assert str(err.value) == str(expected.value)
+            continue
+        for args in (listed, tupled, once):
+            got = Instance(*args)
+            assert got._adj == want._adj and got._worse == want._worse
+    assert kinds == {True: 9, False: 18}
+
+
+@pytest.fixture
+def checked_rows(monkeypatch):
+    """The rows that go through the per-item checks: ``("edges", None)``,
+    or the check's kind and the agent whose row it is."""
+    rows = []
+    for name in ("_checked_edges", "_checked_pairs", "_checked_tiers"):
+        check = getattr(Instance, name)
+
+        def spy(self, *args, _check=check, _kind=name.removeprefix("_checked_")):
+            rows.append((_kind, None if _kind == "edges" else self._agents[args[0]]))
+            return _check(self, *args)
+
+        monkeypatch.setattr(Instance, name, spy)
+    return rows
+
+
+def test_the_checks_stay_off_clean_rows(checked_rows):
+    for style in PREF_STYLES:
+        doc = random_instance_document(40, 40, 1.0, style, 41)
+        for parsed in (
+            instance_from_document(doc),
+            parse_instance(json.dumps(doc)),
+            Instance(doc["agents"], doc["objects"], doc["edges"], _pair_preferences(doc)),
+        ):
+            assert parsed.n_agents == 40
+        assert validate(doc).ok
+    assert checked_rows == []
+
+
+def _one_fault(kind):
+    """A complete document with one fault in one row, the row, and the
+    problem it gives."""
+    style = {"edges": "weak", "pairs": "partial", "tiers": "strict"}[kind]
+    doc = random_instance_document(30, 30, 1.0, style, 42)
+    agent = doc["agents"][17]
+    if kind == "edges":
+        edge = doc["edges"][500]
+        doc["edges"].insert(1200, edge)
+        return doc, ("edges", None), f"duplicate edge ({edge[0]!r}, {edge[1]!r})"
+    if kind == "pairs":
+        pairs = doc["preferences"][agent]["pairs"]
+        x = pairs[len(pairs) // 2][1]
+        pairs.insert(len(pairs) // 2, [x, x])
+        return doc, ("pairs", agent), f"agent {agent!r} declares {x!r} better than itself"
+    tiers = doc["preferences"][agent]["tiers"]
+    x = tiers[3][0]
+    tiers[20].append(x)
+    return doc, ("tiers", agent), f"object {x!r} appears twice in tiers of agent {agent!r}"
+
+
+@pytest.mark.parametrize("kind", ["edges", "pairs", "tiers"])
+def test_only_the_row_at_fault_is_checked(kind, checked_rows):
+    doc, row, problem = _one_fault(kind)
+    assert validate(doc).problems == (problem,)
+    assert checked_rows == [row]
+    with pytest.raises(InstanceError, match=re.escape(problem)):
+        instance_from_document(doc)
+    assert checked_rows == [row, row]
 
 
 def _chain(n):
