@@ -12,14 +12,14 @@ All of these reuse the level loop from :mod:`popassign.popular`:
   matching, and runs the loop per guess.  A loaded edge enters the map as a
   forced edge whose agent's admissibility threshold relaxes by the load;
   the loop's certificate adds each load to its agent's value.  Guesses are
-  enumerated in a fixed order -- ascending total load, then lexicographic by
-  the edge-index multiset -- so the first hit is deterministic.  Agents with
-  the same neighbours and the same order over them are *twins*; a guess that
-  swapping twins turns into an earlier guess is skipped, since both get the
-  same verdict.  Every other guess runs its loop; a guess that leaves no
-  perfect matching has no feasible level function, so its loop ends
-  not-found.  Only when the empty guess finds nothing does the search test
-  the whole instance for a perfect matching, as the solves do.
+  generated in a fixed order -- ascending total load, then lexicographic by
+  the edge-index multiset -- so the first hit is deterministic.  No guess
+  whose loaded edges share an endpoint is generated, nor one that swapping
+  *twins* (agents with the same neighbours and order over them) turns into
+  an earlier one, with the same verdict.  A guess leaving no perfect
+  matching has no feasible level function, so its loop ends not-found.
+  Only when the empty guess finds nothing does the search test the whole
+  instance for a perfect matching, as the solves do.
 * An assignment popular with penalty ``kappa`` (unmatched agents in rival
   matchings count ``kappa`` votes instead of one) is exactly what the level
   loop truncated at ``kappa + 1`` decides, so that variant is a direct
@@ -28,9 +28,8 @@ All of these reuse the level loop from :mod:`popassign.popular`:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from .instance import Instance, InstanceError, Matching, _is_pair
 # unused here, but perfbench/spans.py wraps maximum_matching in this namespace
@@ -171,12 +170,11 @@ class KMarginOutcome:
     assignment beats the returned one by more than that in a head-to-head
     vote, and :func:`popassign.oracle.verify_certificate` accepts the
     certificate at every budget from ``certified_bound`` up.  ``branches``
-    counts the guesses the search ran: the orbit representatives -- the
-    first guess of each twin-swap orbit, in enumeration order -- among the
-    load guesses whose loaded edges form a matching, up to and including the
-    successful one; each of them ran its level loop.  The other guesses are
-    skipped uncounted: they admit no assignment, or repeat the verdict of
-    their representative.
+    counts the guesses the search ran, up to and including the successful
+    one, each with its level loop: the first guess of each twin-swap orbit,
+    in enumeration order, among the load guesses whose loaded edges form a
+    matching.  No other guess is generated: it admits no assignment, or
+    repeats the verdict of its orbit's first guess.
     """
 
     found: bool
@@ -202,46 +200,61 @@ def _run_margin_branch(
     return _run_level_loop(instance, instance.n_objects, restrictions, memo)
 
 
-def _orbit_key(
-    guess: tuple[tuple[int, int], ...], twin_class: Sequence[int]
-) -> tuple | None:
-    """None if the distinct edges of ``guess`` share an agent or an object.
-    Otherwise the key of its twin-swap orbit: the sorted ``(twin class,
-    object, load)`` of its distinct edges."""
-    agents = objects = 0
-    key = []
-    for ai, bj in dict.fromkeys(guess):
-        if agents >> ai & 1 or objects >> bj & 1:
-            return None
-        agents |= 1 << ai
-        objects |= 1 << bj
-        key.append((twin_class[ai], bj, guess.count((ai, bj))))
-    return tuple(sorted(key))
+def _load_guesses(instance: Instance, k: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The guesses :func:`solve_k_margin` runs, in its order: ascending total
+    ``0..k``, then lexicographic by the sorted ``(agent, object)`` index
+    pairs, each edge repeated as often as its load.  Each total is walked
+    depth-first over ``edge_indices``, read only after the empty guess: a
+    guess repeats its last edge (one more unit of load, the least next
+    element) or takes a later edge whose agent and object are both free.
+
+    An agent may take a new edge only when her next-lower twin is already
+    loaded, on a lower object: in each twin class a prefix is loaded, on
+    rising objects.  Each twin-swap orbit has one such member, and it is its
+    first, since any other member can be made smaller at its first changed
+    agent: move a loaded twin's edge to an unused lower twin, or swap two
+    twins' objects, with their loads, into increasing order."""
+    yield ()
+    if not k:
+        return
+    edges = instance.edge_indices
+    # each agent's next-lower twin, or -1
+    lower, last = [], {}
+    for ai, c in enumerate(instance.twin_classes()):
+        lower.append(last.get(c, -1))
+        last[c] = ai
+    for total in range(1, k + 1):
+        stack = [((), -1)]
+        while stack:
+            guess, p = stack.pop()
+            if len(guess) == total:
+                yield guess
+                continue
+            held = dict(guess)
+            used = set(held.values())
+            children = [(guess + (edges[p],), p)] if guess else []
+            for q in range(p + 1, len(edges)):
+                ai, bj = edges[q]
+                twin = lower[ai]
+                if ai not in held and bj not in used and (twin < 0 or held.get(twin, bj) < bj):
+                    children.append((guess + (edges[q],), q))
+            stack.extend(reversed(children))
 
 
 def solve_k_margin(instance: Instance, k: int) -> KMarginOutcome:
     """Find an assignment whose unpopularity margin is at most ``k``, or
     report that none exists.
 
-    Enumerates load guesses of total ``0..k`` over the edges (ascending
-    total, then lexicographic by edge-index multiset), skipping every guess
-    whose loaded edges share an agent or an object: such a guess admits no
-    assignment.  The first successful branch in that order wins.
-
-    Of the remaining guesses, only the first of each twin-swap orbit runs.
-    Two agents are twins when they have the same neighbours and the same
-    worse mask at every neighbour (:meth:`Instance.twin_classes`); swapping
-    them maps the instance onto itself.  So a swap maps a guess onto a
-    guess whose level loop is the same up to renaming agents, and whether
-    that loop finds an assignment -- whether a feasible level function
-    exists for the guess -- does not depend on names.  Every guess of one
-    orbit gets the same verdict.  A guess loads at most one edge per agent,
-    so two guesses lie in one orbit exactly when they have the same sorted
-    ``(twin class, object, load)`` over their loaded edges.  The first hit
-    in enumeration order is the first of its orbit, since an earlier member
-    would have hit first, so it still runs: the outcome -- assignment,
-    loads, levels and certificate -- is the one the search without skipping
-    returns, and only ``branches`` falls.
+    Runs the guesses of :func:`_load_guesses` in order; the first successful
+    branch wins.  Guesses whose loaded edges share an endpoint admit no
+    assignment and are never generated, nor is any guess but the first of
+    its twin-swap orbit.  Twins have the same neighbours and the same worse
+    mask at each (:meth:`Instance.twin_classes`), so swapping them maps the
+    instance, and a guess's level loop, onto itself up to names: every guess
+    of an orbit gets the same verdict.  The first hit is the first of its
+    orbit, since an earlier member would have hit first, so the outcome --
+    assignment, loads, levels and certificate -- is the one the search over
+    every guess returns, and only ``branches`` falls.
 
     Raises :class:`popassign.popular.NoPerfectMatchingError` if the instance
     admits no perfect matching: at once if its sides differ, else once the
@@ -250,24 +263,10 @@ def solve_k_margin(instance: Instance, k: int) -> KMarginOutcome:
     if type(k) is not int or k < 0:
         raise ValueError("k must be a non-negative integer")
     _require_square(instance)
-    # the edge tuple is read only once a guess loads an edge
-    guesses = itertools.chain(
-        [()],
-        itertools.chain.from_iterable(
-            itertools.combinations_with_replacement(instance.edge_indices, t)
-            for t in range(1, k + 1)
-        ),
-    )
-    twin_class = instance.twin_classes()
     # every branch reads the same instance, so one memo serves them all
     memo = _row_memo(instance)
-    seen: set[tuple] = set()
     branches = 0
-    for guess in guesses:
-        key = _orbit_key(guess, twin_class)
-        if key is None or key in seen:
-            continue
-        seen.add(key)
+    for guess in _load_guesses(instance, k):
         branches += 1
         outcome = _run_margin_branch(instance, guess, memo)
         if outcome.found:

@@ -4,8 +4,9 @@ level-graph build without the row memo, and the free-object level loop and
 the level loop without a stop rule built on it, the references the
 solver's loop is tested against, with the dense form of its restrictions
 they take; the k-margin branch with its perfect-matching pre-check, the
-reference of the branch without it; twin classes read one worse mask per
-edge, the reference of the instance's; the dense Hungarian method and the
+reference of the branch without it; the k-margin guesses listed and then
+filtered, the reference of the search's generator; twin classes read one
+worse mask per edge, the reference of the instance's; the dense Hungarian method and the
 one-search-per-row shortest-paths method, the references of the
 weighted-matching kernel; Hopcroft--Karp with a recursive search and an
 explicit-stack one chosen by depth, the reference of the one-search kernel;
@@ -857,6 +858,60 @@ def reference_twin_classes(instance: Instance) -> list[int]:
         worse = tuple(instance.worse_mask(ai, bj) for bj in bits(neighbors))
         classes.append(first.setdefault((neighbors, worse), ai))
     return classes
+
+
+# -- the k-margin guesses, listed and then filtered --------------------------------
+#
+# ``variants.solve_k_margin``'s enumeration before ``variants._load_guesses``:
+# every edge multiset of each total, less those whose loaded edges share an
+# endpoint and those whose twin-swap orbit has already run.
+
+
+def reference_orbit_key(
+    guess: tuple[tuple[int, int], ...], twin_class: Sequence[int]
+) -> tuple | None:
+    """None if the distinct edges of ``guess`` share an agent or an object.
+    Otherwise the key of its twin-swap orbit: the sorted ``(twin class,
+    object, load)`` of its distinct edges."""
+    agents = objects = 0
+    key = []
+    for ai, bj in dict.fromkeys(guess):
+        if agents >> ai & 1 or objects >> bj & 1:
+            return None
+        agents |= 1 << ai
+        objects |= 1 << bj
+        key.append((twin_class[ai], bj, guess.count((ai, bj))))
+    return tuple(sorted(key))
+
+
+def reference_load_guesses(
+    instance: Instance, k: int, twin_class: Sequence[int] | None = None
+) -> tuple[list[tuple[tuple[int, int], ...]], int]:
+    """The guesses of total ``0..k`` the margin search runs, in its order,
+    and how many matching guesses were skipped as twin repeats.  With
+    ``twin_class`` given (``range(n)`` for none), it stands in for the
+    instance's twin classes."""
+    if twin_class is None:
+        twin_class = instance.twin_classes()
+    guesses = itertools.chain(
+        [()],
+        itertools.chain.from_iterable(
+            itertools.combinations_with_replacement(instance.edge_indices, t)
+            for t in range(1, k + 1)
+        ),
+    )
+    seen: set[tuple] = set()
+    kept, skips = [], 0
+    for guess in guesses:
+        key = reference_orbit_key(guess, twin_class)
+        if key is None:
+            continue
+        if key in seen:
+            skips += 1
+            continue
+        seen.add(key)
+        kept.append(guess)
+    return kept, skips
 
 
 # -- corpus builders -------------------------------------------------------------

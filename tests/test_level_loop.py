@@ -6,7 +6,6 @@ and ordered."""
 
 import dataclasses
 import hashlib
-import itertools
 import random
 import sys
 from pathlib import Path
@@ -48,6 +47,7 @@ from helpers import (
     plain_level_loop,
     reference_admissible_mask,
     reference_build_level_graph,
+    reference_load_guesses,
     reference_twin_classes,
 )
 
@@ -477,13 +477,11 @@ def _margin_guesses(instances, searches):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(variants, "_run_level_loop", recording)
         for instance in instances:
-            agents = range(instance.n_agents)
-            for t in range(1, 2 + (instance.n_agents <= 4)):
-                for guess in itertools.combinations_with_replacement(
-                    instance.edge_indices, t
-                ):
-                    if variants._orbit_key(guess, agents) is not None:
-                        variants._run_margin_branch(instance, guess, _row_memo(instance))
+            top = 1 + (instance.n_agents <= 4)
+            # no twin classes: every guess whose loaded edges form a matching
+            guesses, _ = reference_load_guesses(instance, top, range(instance.n_agents))
+            for guess in guesses[1:]:
+                variants._run_margin_branch(instance, guess, _row_memo(instance))
         for instance, k in searches:
             solve_k_margin(instance, k)
     return recorded

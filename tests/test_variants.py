@@ -38,7 +38,8 @@ from popassign import (
 
 from popassign import variants
 from popassign.generate import random_instance_document
-from popassign.variants import _run_margin_branch
+from popassign.popular import _row_memo
+from popassign.variants import _load_guesses, _run_margin_branch
 
 from helpers import (
     STYLES,
@@ -47,6 +48,7 @@ from helpers import (
     complete_doc,
     corpus,
     inst,
+    reference_load_guesses,
     reference_run_margin_branch,
 )
 
@@ -501,7 +503,7 @@ PINNED_MARGIN_SEARCHES = {
             # all agents are twins: one single load per object runs
             (False, 5, None, None),
             # the total-2 guesses that load two edges at one agent or one
-            # object are skipped: only (a1, b1) twice precedes the hit
+            # object are never generated: only (a1, b1) twice precedes the hit
             (True, 7, {("a1", "b1"): 1, ("a2", "b2"): 1}, (0, 0, 1, 2)),
         ],
     ),
@@ -647,6 +649,48 @@ def test_branch_counts_of_two_benchmark_margin_searches_are_pinned():
     for instance, k, branches, bound in ((master, 2, 168, 2), (swapped, 3, 378, 3)):
         out = solve_k_margin(instance, k)
         assert (out.found, out.branches, out.certified_bound) == (True, branches, bound)
+
+
+def test_the_guess_generator_matches_the_listed_and_filtered_guesses():
+    """``_load_guesses`` yields exactly the guesses of the old search, which
+    listed every edge multiset of each total and dropped those whose loaded
+    edges share an endpoint or whose twin-swap orbit had already run: on
+    random instances, on padded ones, whose dummy agents are twins, and on
+    unanimous and swapped master lists up to seven agents."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import gen
+
+    cases = [(instance, 3) for instance in corpus(300, 2, 6)]
+    cases += [
+        (augment_to_perfect(rectangular)[0], 2)
+        for rectangular in corpus(60, 2, 6, seed0=5000, square=False)
+    ]
+    for n in range(3, 8):
+        for swaps in (None, random.Random(n)):
+            cases.append((inst(gen.master_list_instance(n, swaps)), 4 if n == 7 else 3))
+    skips = 0
+    for instance, top in cases:
+        expected, skipped = reference_load_guesses(instance, top)
+        skips += skipped
+        for k in range(1, top + 1):
+            want = [guess for guess in expected if len(guess) <= k]
+            assert list(_load_guesses(instance, k)) == want, (instance, k)
+    assert skips > 10_000
+
+
+def test_a_load_of_two_finds_where_a_load_of_one_does_not():
+    """A branch loads each edge as often as the guess repeats it: on random
+    instances, many an edge carrying load 2 admits an assignment that the
+    same edge with load 1 does not."""
+    cases = 0
+    for instance in corpus(200, 2, 6, seed0=777):
+        memo = _row_memo(instance)
+        for edge in instance.edge_indices:
+            twice = _run_margin_branch(instance, (edge, edge), memo)
+            if twice.found and not _run_margin_branch(instance, (edge,), memo).found:
+                assert twice.certificate.total() == 2
+                cases += 1
+    assert cases > 300
 
 
 def test_unmatchable_guesses_end_not_found(monkeypatch):
