@@ -212,6 +212,7 @@ class Instance:
         "_nbr_mask",
         "_edges",
         "_worse",
+        "_twin_padding",
     )
 
     def __init__(
@@ -259,6 +260,7 @@ class Instance:
         self._object_adj = tuple(map(tuple, object_adj))
         self._nbr_mask = tuple(sum(1 << j for j in row) for row in adj)
         self._edges = None
+        self._twin_padding = (range(0), range(0))
 
     def _checked_edges(self, edges: list | tuple, report: Report) -> list[set[int]]:
         """Each agent's neighbor indices, from the edge list checked edge by
@@ -294,10 +296,12 @@ class Instance:
         object_adj: tuple[tuple[int, ...], ...],
         nbr_mask: tuple[int, ...],
         worse: tuple[dict[int, int], ...],
+        twin_padding: tuple[range, range] = (range(0), range(0)),
     ) -> Instance:
         """An instance from index data that is already consistent and
         closed, as :func:`popassign.reductions._pad` derives it from a
-        checked instance.  Nothing is checked again."""
+        checked instance, with the padding's twin classes it records (see
+        :attr:`twin_padding`).  Nothing is checked again."""
         instance = cls.__new__(cls)
         instance._agent_index = agent_index
         instance._object_index = object_index
@@ -308,6 +312,7 @@ class Instance:
         instance._nbr_mask = nbr_mask
         instance._edges = None
         instance._worse = worse
+        instance._twin_padding = twin_padding
         return instance
 
     def _order(
@@ -563,6 +568,18 @@ class Instance:
 
     def neighbor_mask(self, ai: int) -> int:
         return self._nbr_mask[ai]
+
+    @property
+    def twin_padding(self) -> tuple[range, range]:
+        """The padding's twin classes, as :func:`popassign.reductions._pad`
+        records them: a range of agents with one neighbour mask and no
+        preferences (the dummies), and a range of objects, the last ones,
+        that every source agent ranks tied last and no added agent accepts
+        (the artificial objects).  Each is empty where the padding has no
+        such class of two or more, and both are on an instance that was not
+        padded, a parsed one included.  The level loop matches each class
+        as one capacitated vertex (see :mod:`popassign.popular`)."""
+        return self._twin_padding
 
     def twin_classes(self) -> list[int]:
         """Each agent's twin class: the index of the first agent with the

@@ -6,7 +6,11 @@ are deterministic -- given the same graph (including adjacency order) they
 return the same matching.  Hopcroft--Karp runs in O(m sqrt(n)) with one
 augmenting search, an iterative walk down each phase's layers that scans
 rows in their stored order, so it needs no recursion at any depth; it can
-grow a given matching instead of the empty one.  The maximum-weight perfect
+grow a given matching instead of the empty one.  A graph may carry one
+capacitated *class vertex* per side, standing for that many interchangeable
+copies (the level loop's dummies and artificial objects); Hopcroft--Karp and
+the alternating reach then work on the b-matchings of the copies without
+listing them.  The maximum-weight perfect
 matching starts from one Hopcroft--Karp pass over each row's heaviest
 edges, then alternates one Dijkstra search from every row still free with
 one more pass, O(n m log n) at worst.
@@ -25,17 +29,35 @@ class InfeasibleMatchingError(ValueError):
     """Raised when a perfect matching is required but none exists."""
 
 
+#: ``(x, x_capacity, y, y_capacity)``: see :class:`BipartiteGraph`.
+Classes = Tuple[int, int, int, int]
+
+
 class BipartiteGraph:
     """An unweighted bipartite graph in adjacency-list form.
 
     ``adjacency[i]`` lists the right-side neighbors of left vertex ``i``.
     The adjacency order is preserved; it determines the order in which
     augmenting searches scan edges.
+
+    ``classes``, if not None, is ``(x, x_capacity, y, y_capacity)``: left
+    vertex ``x`` stands for ``x_capacity`` copies with its row, and right
+    vertex ``y`` for ``y_capacity`` copies with its column (``-1`` for a
+    side without a class vertex).  No edge may join ``x`` and ``y``.  The
+    graph then stands for its *copy graph*, and its matchings are those of
+    the copy graph, a class vertex matched to as many partners as it has
+    copies (see :func:`maximum_matching`).
     """
 
-    __slots__ = ("n_left", "n_right", "adjacency")
+    __slots__ = ("n_left", "n_right", "adjacency", "classes")
 
-    def __init__(self, n_left: int, n_right: int, adjacency: Sequence[Sequence[int]]) -> None:
+    def __init__(
+        self,
+        n_left: int,
+        n_right: int,
+        adjacency: Sequence[Sequence[int]],
+        classes: Classes | None = None,
+    ) -> None:
         if len(adjacency) != n_left:
             raise ValueError(
                 f"adjacency has {len(adjacency)} rows for {n_left} left vertices"
@@ -44,22 +66,39 @@ class BipartiteGraph:
             for r in row:
                 if type(r) is not int or not 0 <= r < n_right:
                     raise _bad_right_vertex(i, r)
+        if classes is not None:
+            x, x_cap, y, y_cap = classes
+            for v, cap, n in ((x, x_cap, n_left), (y, y_cap, n_right)):
+                if type(v) is not int or not -1 <= v < n:
+                    raise ValueError(f"class vertex {v!r} out of range")
+                if type(cap) is not int or cap < 0:
+                    raise ValueError(f"class capacity {cap!r} is not a non-negative integer")
+            if x != -1 and y in adjacency[x]:
+                raise ValueError("an edge joins the two class vertices")
+            classes = (x, x_cap, y, y_cap)
         self.n_left = n_left
         self.n_right = n_right
         self.adjacency = tuple(tuple(row) for row in adjacency)
+        self.classes = classes
 
     @classmethod
     def unchecked(
-        cls, n_left: int, n_right: int, adjacency: Tuple[Tuple[int, ...], ...]
+        cls,
+        n_left: int,
+        n_right: int,
+        adjacency: Tuple[Tuple[int, ...], ...],
+        classes: Classes | None = None,
     ) -> "BipartiteGraph":
         """A graph whose rows are already tuples of in-range ``int`` right
         indices, as a caller that takes them from an instance's index data
         (its adjacency rows, or the bits of its masks) knows they are; they
-        are kept as given, with no check and no copy."""
+        are kept as given, with no check and no copy, and so are
+        ``classes``."""
         graph = cls.__new__(cls)
         graph.n_left = n_left
         graph.n_right = n_right
         graph.adjacency = adjacency
+        graph.classes = classes
         return graph
 
 
@@ -117,7 +156,28 @@ def maximum_matching(
     lower indices win ties.  The walk keeps its path on an explicit stack,
     not in recursion, so no graph's shape can hit the interpreter's
     recursion limit.
+
+    On a graph with class vertices the result is a maximum matching of the
+    copy graph, in the same two lists: the partners of a class vertex name
+    it, and its own entry reads ``-1`` while it has a free copy and, once it
+    has none, one past the other side's last index (where
+    :func:`even_reach` puts the hub of its partners).  In ``start`` only the
+    partners count; the class vertices' own entries are set from them.
+    Copies share their row or column, so the search needs no copy of its
+    own.  A free copy of ``x`` is a root until ``x`` is full or a dead end,
+    and a matched one is reached through any vertex it holds; all of them
+    take one layer, since from a copy at a deeper layer a path could as
+    well start at a free copy, or leave from the shallowest matched one.
+    A full ``y`` is matched to a *hub*, left vertex ``n_left``, whose row
+    lists ``y``'s copies as right vertices from ``n_right`` on, each matched
+    to one partner: a path into a full ``y`` goes on from any partner.
+    After each augmenting path the copies are settled: ``x`` counts its free
+    copies, and the partner a path brings to ``y`` takes the copy it frees
+    or a free one.  The per-edge test is the plain search's, and a graph
+    without class vertices runs the plain search alone.
     """
+    if graph.classes is not None:
+        return _class_matching(graph, start)
     n_left = graph.n_left
     adjacency = graph.adjacency
     match_l, match_r = start or ([-1] * n_left, [-1] * graph.n_right)
@@ -177,6 +237,113 @@ def maximum_matching(
     return match_l, match_r
 
 
+def _class_matching(
+    graph: BipartiteGraph, start: Tuple[List[int], List[int]] | None
+) -> Tuple[List[int], List[int]]:
+    """:func:`maximum_matching` on a graph with class vertices: the plain
+    search, with the hub of ``y``, the roots of :func:`_roots` and the
+    copies settled after each augmenting path."""
+    n_left, n_right = graph.n_left, graph.n_right
+    adjacency = graph.adjacency
+    match_l, match_r = start or ([-1] * n_left, [-1] * n_right)
+    x, x_cap, y, y_cap = graph.classes
+    if x != -1:
+        x_free = x_cap - match_r.count(x)
+        match_l[x] = -1 if x_free > 0 else n_right
+    if y != -1:
+        held = [i for i, r in enumerate(match_l) if r == y]
+        y_used = len(held)
+        match_l.append(y)  # the hub, matched to y for good
+        match_r += held + [-1] * (y_cap - y_used)
+        match_r[y] = -1 if y_used < y_cap else n_left
+        adjacency = (*adjacency, tuple(range(n_right, n_right + y_cap)))
+    n = len(match_l)
+    dist: List[float] = [INF] * n
+
+    def free_reachable() -> bool:
+        """Lay out the phase's layers; tells whether they reach a free
+        right vertex."""
+        queue = deque()
+        for i in range(n):
+            if match_l[i] == -1:
+                dist[i] = 0
+                queue.append(i)
+            else:
+                dist[i] = INF
+        reachable = False
+        while queue:
+            i = queue.popleft()
+            for r in adjacency[i]:
+                i2 = match_r[r]
+                if i2 == -1:
+                    reachable = True
+                elif dist[i2] == INF:
+                    dist[i2] = dist[i] + 1
+                    queue.append(i2)
+        return reachable
+
+    while free_reachable():
+        roots = range(n_left) if x == -1 else _roots(n_left, x, match_l, dist)
+        for root in roots:
+            if match_l[root] != -1:
+                continue
+            # (vertex, its row's iterator, edge taken down) above vertex i;
+            # ``down`` is the layer one below i's
+            stack: List[Tuple[int, Iterator[int], int]] = []
+            i, scan, down = root, iter(adjacency[root]), 1
+            while True:
+                for r in scan:
+                    i2 = match_r[r]
+                    if i2 == -1 or dist[i2] == down:
+                        break
+                else:  # a dead end: no path through i this phase
+                    dist[i] = INF
+                    if not stack:
+                        break
+                    i, scan, _ = stack.pop()
+                    down -= 1
+                    continue
+                if i2 == -1:  # flip the path
+                    match_l[i] = r
+                    match_r[r] = i
+                    for i, _, r in stack:
+                        match_l[i] = r
+                        match_r[r] = i
+                    if x != -1:
+                        if root == x:
+                            x_free -= 1
+                        match_l[x] = -1 if x_free > 0 else n_right
+                    if y != -1 and match_r[y] not in (-1, n_left):
+                        # the path ends at y or passes the hub: the left
+                        # vertex it brings to y takes the copy the hub gave
+                        # up, or a free one
+                        copy = match_l[n_left]
+                        if copy == y:
+                            copy = n_right + y_used
+                            y_used += 1
+                        match_r[copy] = match_r[y]
+                        match_l[n_left] = y
+                        match_r[y] = -1 if y_used < y_cap else n_left
+                    break
+                stack.append((i, scan, r))
+                i, scan, down = i2, iter(adjacency[i2]), down + 1
+    if y != -1:
+        del match_l[n_left:]
+        del match_r[n_right:]
+    return match_l, match_r
+
+
+def _roots(
+    n_left: int, x: int, match_l: List[int], dist: List[float]
+) -> Iterator[int]:
+    """The roots of a Hopcroft--Karp phase on a graph whose left class
+    vertex is ``x``: ``x`` once per free copy that finds a path."""
+    yield from range(x)
+    while match_l[x] == -1 and dist[x] == 0:
+        yield x
+    yield from range(x + 1, n_left)
+
+
 def alternating_reach(
     graph: BipartiteGraph, match_l: Sequence[int], match_r: Sequence[int]
 ) -> Tuple[List[bool], List[bool]]:
@@ -190,13 +357,16 @@ def alternating_reach(
     returns it.  Then a vertex is reached exactly when some maximum
     matching leaves it free, so the answer does not depend on which maximum
     matching is passed in (the even set of the Gallai--Edmonds, or
-    Dulmage--Mendelsohn, decomposition).
+    Dulmage--Mendelsohn, decomposition).  A class vertex's copies are
+    twins, which some automorphism of the copy graph swaps, so they are
+    even together; its entry tells for all of them.
 
     Two breadth-first searches, O(n + m) in all, without recursion.
     """
+    x, _, y, _ = graph.classes or (-1, 0, -1, 0)
     return (
-        even_reach(graph.adjacency, match_l, match_r),
-        even_reach(columns(graph), match_r, match_l),
+        even_reach(graph.adjacency, match_l, match_r, y),
+        even_reach(columns(graph), match_r, match_l, x),
     )
 
 
@@ -211,7 +381,10 @@ def columns(graph: BipartiteGraph) -> List[List[int]]:
 
 
 def even_reach(
-    adjacency: Sequence[Sequence[int]], match_own: Sequence[int], match_other: Sequence[int]
+    adjacency: Sequence[Sequence[int]],
+    match_own: Sequence[int],
+    match_other: Sequence[int],
+    far_class: int = -1,
 ) -> List[bool]:
     """One side's vertices reached from that side's free vertices: leave a
     reached vertex by any edge, come back along the far end's matched edge.
@@ -219,7 +392,20 @@ def even_reach(
     ``adjacency[i]`` lists the far-side neighbours of own-side vertex ``i``,
     ``match_own`` and ``match_other`` are a maximum matching seen from the
     two sides.  This is one side of :func:`alternating_reach`; the level
-    loop calls it on the object side alone."""
+    loop calls it on the object side alone.  ``far_class`` is the far
+    side's class vertex, if any.  Once full it names the *hub*, own-side
+    vertex ``len(match_own)``, and the search gives the hub a row of one
+    far-side copy per partner, each matched back to its partner, so that
+    coming back along a copy of the class reaches every partner.  While it
+    has a free copy no reached vertex has an edge to it: that edge would
+    lengthen the maximum matching."""
+    n = len(match_own)
+    if far_class != -1:
+        held = [i for i, m in enumerate(match_own) if m == far_class]
+        m = len(match_other)
+        adjacency = [*adjacency, range(m, m + len(held))]
+        match_own = [*match_own, far_class]
+        match_other = [*match_other, *held]
     reached = [m == -1 for m in match_own]
     queue = deque(i for i, free in enumerate(reached) if free)
     while queue:
@@ -228,6 +414,7 @@ def even_reach(
             if i != -1 and not reached[i]:
                 reached[i] = True
                 queue.append(i)
+    del reached[n:]
     return reached
 
 

@@ -16,13 +16,24 @@ bound of :func:`_run_level_loop`), no popular assignment exists.  If some
 level reaches a lower caller-supplied truncation cap first, none exists with
 a certificate whose object values stay within the cap.
 
+On a padded instance each round matches the level graph's *quotient* by
+the padding's twin classes (:attr:`Instance.twin_padding`): the dummies are
+one left vertex with a copy each, and the artificial objects one right vertex
+with a copy each (see :mod:`popassign.matching`).  Twins have equal rows
+(agents) or columns (objects), and swapping two of them maps the level graph
+onto itself; so twin objects start level and stay level, the even set holds
+all of a twin class or none of it, and the levels, rounds and stops are
+those of the whole level graph.  A restricted dummy leaves its class, and the
+artificial objects are no class in a loop where some restricted row holds
+only part of them.
+
 Every loop is warm-started: each round after the first grows the last
-round's matched edges that its level graph still has, and the found round is
-matched once more from the empty matching, so the assignment is the one a
-loop matching every round from scratch returns.  Solves and the margin
-search compare only the sides' sizes before their loops; a found run proves
-that a perfect matching exists, and only a run that finds nothing looks for
-one (see :func:`_solve_level_loop`).
+round's matched edges that its level graph still has, and the found round's
+whole level graph is matched once more from the empty matching, so the
+assignment is the one a loop matching every round from scratch returns.
+Solves and the margin search compare only the sides' sizes before their
+loops; a found run proves that a perfect matching exists, and only a run
+that finds nothing looks for one (see :func:`_solve_level_loop`).
 
 An edge ``(a, b)`` is admissible at levels ``l`` when, writing ``L`` for the
 highest level among ``a``'s neighbors, either ``b`` sits at level ``L`` and no
@@ -43,7 +54,7 @@ the same loop, through one sparse :data:`Restrictions` map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .instance import (
     Instance,
@@ -211,6 +222,52 @@ def _row_memo(instance: Instance) -> RowMemo:
     return [shared.setdefault(c, {}) for c in instance.twin_classes()]
 
 
+class _Quotient(NamedTuple):
+    """How a level loop under some restrictions matches the padding's twin
+    classes (:attr:`Instance.twin_padding`): see :func:`_quotient`."""
+
+    #: the agent of each left vertex, the agent class as its first member
+    order: Sequence[int]
+    #: the ``classes`` of the graph, or None
+    classes: tuple[int, int, int, int] | None
+    #: the right vertices: the objects up to the object class's first
+    n_right: int
+    #: the mask of the objects a row lists
+    keep: int
+
+
+def _splits(instance: Instance, restrictions: Restrictions) -> bool:
+    """Does some restricted row hold only part of the artificial objects?
+    Then they are no class: see :func:`_quotient`."""
+    arts = instance.twin_padding[1]
+    span = (1 << arts.stop) - (1 << arts.start)
+    return any(0 != allowed & span != span for allowed, _ in restrictions.values())
+
+
+def _quotient(instance: Instance, restrictions: Restrictions) -> _Quotient:
+    """The quotient of the level graph under ``restrictions``.  The
+    unrestricted dummies are one left vertex, at the first one's place, with
+    a copy each; a restricted dummy stays a vertex of its own.  The
+    artificial objects are one right vertex, their first, with a copy each,
+    unless some restricted row holds only part of them (:func:`_splits`):
+    then each is a vertex of its own."""
+    dummies, arts = instance.twin_padding
+    n_agents = instance.n_agents
+    members = [ai for ai in dummies if ai not in restrictions]
+    order = [
+        *range(dummies.start),
+        *members[:1],
+        *(ai for ai in dummies if ai in restrictions),
+        *range(dummies.stop, n_agents),
+    ]
+    x = dummies.start if members else -1
+    if not arts or _splits(instance, restrictions):
+        classes = None if x == -1 else (x, len(members), -1, 0)
+        return _Quotient(order, classes, instance.n_objects, -1)
+    y = arts.start
+    return _Quotient(order, (x, len(members), y, len(arts)), y + 1, (2 << y) - 1)
+
+
 def _build_level_graph(
     instance: Instance,
     masks: Mapping[int, int],
@@ -218,12 +275,14 @@ def _build_level_graph(
     memo: RowMemo,
     restrictions: Restrictions,
 ) -> tuple[BipartiteGraph, int]:
-    """Build the level graph, and the mask of objects it has an edge to.
-    ``masks`` maps each level to the mask of its objects (as
-    :func:`_level_masks` gives it), and ``tops`` carries each agent's
-    maximum neighbor level.  ``restrictions`` holds the allowed objects and
-    the load allowance of each restricted agent's row.  Rows list objects in
-    index order, which is the instance's adjacency order.
+    """Build the level graph's quotient (see :func:`_quotient`), and the
+    mask of objects the level graph has an edge to.  ``masks`` maps each
+    level to the mask of its objects (as :func:`_level_masks` gives it), and
+    ``tops`` carries each agent's maximum neighbor level.  ``restrictions``
+    holds the allowed objects and the load allowance of each restricted
+    agent's row.  Rows list objects in index order, which is the instance's
+    adjacency order, the object class as its first object; on an instance
+    that was not padded the quotient is the level graph itself.
 
     A restricted agent's row is built afresh, by a kernel call that tests
     only her allowed objects as candidates.  Every other row comes from
@@ -231,17 +290,22 @@ def _build_level_graph(
     her top level and at the level below it.  With no load,
     :func:`_admissible_mask` reads nothing else of the levels, so such a row
     is a function of the agent and her window alone, and ``memo`` may serve
-    every level loop on the same instance.  A miss stores the row with its
-    mask."""
+    every level loop on the same instance whose quotient lists the objects
+    as this one's does, which :func:`_run_level_loop` sees to.  A miss
+    stores the row's mask and its quotient row."""
+    shift = instance.n_objects
+    if any(instance.twin_padding):
+        order, classes, n_right, keep = _quotient(instance, restrictions)
+    else:
+        order, classes, n_right, keep = range(instance.n_agents), None, shift, -1
     rows = []
     covered = 0
-    shift = instance.n_objects
-    for ai in range(instance.n_agents):
+    for ai in order:
         if ai in restrictions:
             allowed, lam = restrictions[ai]
             admissible = _admissible_mask(instance, masks, ai, tops[ai], lam, allowed)
             covered |= admissible
-            rows.append(bits(admissible))
+            rows.append(bits(admissible & keep))
             continue
         nbr = instance.neighbor_mask(ai)
         top_level = tops[ai]
@@ -253,11 +317,33 @@ def _build_level_graph(
         entry = seen.get(key)
         if entry is None:
             admissible = _admissible_in(instance, ai, top, below, top, below)
-            entry = seen[key] = (admissible, bits(admissible))
+            entry = seen[key] = (admissible, bits(admissible & keep))
         covered |= entry[0]
         rows.append(entry[1])
-    graph = BipartiteGraph.unchecked(instance.n_agents, instance.n_objects, tuple(rows))
+    graph = BipartiteGraph.unchecked(len(order), n_right, tuple(rows), classes)
     return graph, covered
+
+
+def _expanded(
+    instance: Instance, graph: BipartiteGraph, restrictions: Restrictions
+) -> BipartiteGraph:
+    """The level graph of which ``graph`` is the quotient, as
+    :func:`_build_level_graph` built it under ``restrictions``: every agent
+    of the agent class gets its row, and the object class's vertex becomes
+    all of its objects."""
+    if graph.classes is None:
+        return graph
+    x, _, y, _ = graph.classes
+    position = {ai: q for q, ai in enumerate(_quotient(instance, restrictions).order)}
+    arts = tuple(instance.twin_padding[1])
+    adjacency = graph.adjacency
+    rows = []
+    for ai in range(instance.n_agents):
+        row = adjacency[position.get(ai, x)]
+        if row and row[-1] == y:
+            row = row[:-1] + arts
+        rows.append(row)
+    return BipartiteGraph.unchecked(instance.n_agents, instance.n_objects, tuple(rows))
 
 
 def induced_subgraph(
@@ -275,7 +361,7 @@ def induced_subgraph(
         _row_memo(instance),
         {},
     )
-    return graph
+    return _expanded(instance, graph, {})
 
 
 def _even_objects(
@@ -292,7 +378,8 @@ def _even_objects(
             break
     else:
         return free
-    reached = even_reach(columns(graph), match_r, match_l)
+    x = graph.classes[0] if graph.classes else -1
+    reached = even_reach(columns(graph), match_r, match_l, x)
     return [bj for bj, even in enumerate(reached) if even]
 
 
@@ -364,11 +451,12 @@ def _require_perfectly_matchable(instance: Instance) -> None:
 
 
 def _kept_edges(
-    graph: BipartiteGraph, match_l: Sequence[int]
+    graph: BipartiteGraph, match_l: Sequence[int], match_r: Sequence[int]
 ) -> tuple[list[int], list[int]]:
-    """The edges of the matching ``match_l`` that ``graph`` has, as a new
-    matching of ``graph`` in :func:`maximum_matching`'s form; ``match_l``
-    itself is left as it is."""
+    """The edges of the matching ``match_l``/``match_r`` that ``graph`` has,
+    as a new matching of ``graph`` in :func:`maximum_matching`'s form, the
+    copies of its class vertices included; the matching itself is left as
+    it is."""
     kept_l = [-1] * graph.n_left
     kept_r = [-1] * graph.n_right
     adjacency = graph.adjacency
@@ -376,6 +464,12 @@ def _kept_edges(
         if bj != -1 and bj in adjacency[ai]:
             kept_l[ai] = bj
             kept_r[bj] = ai
+    if graph.classes and graph.classes[0] != -1:
+        x = graph.classes[0]
+        row = set(adjacency[x])
+        for bj, ai in enumerate(match_r):
+            if ai == x and bj in row:
+                kept_r[bj] = x
     return kept_l, kept_r
 
 
@@ -405,7 +499,9 @@ def _run_level_loop(
     each restricted agent with a load allowance along an allowed object,
     which carries that allowance as its load.  ``memo`` is the row memo of
     :func:`_build_level_graph`, as :func:`_row_memo` makes it; by default
-    the loop starts its own.
+    the loop starts its own, and so does a loop whose restrictions split
+    the artificial objects (:func:`_splits`), whose rows list them one by
+    one.
 
     The memo is exact.  With no load allowance, :func:`_admissible_mask`
     reads the levels only through two masks: the agent's neighbours at her
@@ -456,15 +552,32 @@ def _run_level_loop(
     and the bound reads the levels alone, so the round counts stay fixed by
     the instance.
 
+    Each round matches the quotient that :func:`_build_level_graph`
+    builds: on a padded instance, the unrestricted dummies as one vertex of
+    capacity d and the artificial objects as one of capacity d' (see
+    :func:`_quotient`).  This is exact.  Twins -- agents with equal rows,
+    objects with equal columns and equal places in every order -- are
+    swapped by an automorphism of each round's level graph, as long as they
+    are level; so a maximum matching that leaves one twin object free can be
+    turned into one that leaves any other free, and the even set holds all
+    of a twin class or none.  Twin objects start at level 0, so they rise
+    together and stay level, round after round.  The quotient's maximum
+    matchings are those of the copy graph, which is the level graph, so its
+    even objects, with the class vertex standing for all of its objects, are
+    the level graph's: levels, round counts, stops and certificates are
+    those of the loop on the whole level graph.  A raise of the class moves
+    its objects' levels together, and its column once.
+
     Each round after the first grows the last round's matched edges that
     its level graph still has (:func:`_kept_edges`) instead of the empty
     matching; most survive a raise, so Hopcroft--Karp starts near a maximum
     matching.  The even set does not depend on which maximum matching a
     round finds, so the levels, the round count and a not-found stop are
     those of a loop matching every round cold.  A found run matches its
-    last level graph once more from the empty matching, also after one
-    round, so it returns that cold loop's assignment, after one
-    :func:`maximum_matching` call per round and one more."""
+    last level graph, whole (:func:`_expanded`), once more from the empty
+    matching, also after one round, so it returns that cold loop's
+    assignment, after one :func:`maximum_matching` call per round and one
+    more."""
     n_objects = instance.n_objects
     levels = [0] * n_objects
     # levels only ever rise, so the objects at each level, each agent's
@@ -476,12 +589,19 @@ def _run_level_loop(
     iterations = 0
     restrictions = restrictions or {}
     gap = 2 + max((lam for _, lam in restrictions.values()), default=0)
-    if memo is None:
+    arts = instance.twin_padding[1]
+    split = arts and _splits(instance, restrictions)
+    if memo is None or split:
+        # a memo that other loops share lists the artificial objects as one
         memo = _row_memo(instance)
+    # the object class's vertex, as _quotient places it, and its objects
+    y = arts.start if arts and not split else -1
+    span = (1 << arts.stop) - (1 << arts.start)
     match_l: list[int] = []
+    match_r: list[int] = []
     while highest < cap and not _too_few_below(masks, gap):
         graph, covered = _build_level_graph(instance, masks, tops, memo, restrictions)
-        start = _kept_edges(graph, match_l) if iterations else None
+        start = _kept_edges(graph, match_l, match_r) if iterations else None
         match_l, match_r = maximum_matching(graph, start)
         iterations += 1
         if -1 not in match_l:
@@ -490,11 +610,14 @@ def _run_level_loop(
         # moves none of them
         floor = min(tops)
         for bj in _even_objects(graph, covered, match_l, match_r):
-            bit = 1 << bj
+            bit = 1 << bj if bj != y else span
             masks[levels[bj]] ^= bit
             levels[bj] += 1
             new_level = levels[bj]
             masks[new_level] = masks.get(new_level, 0) | bit
+            if bj == y:
+                for twin in arts:
+                    levels[twin] = new_level
             if new_level > highest:
                 highest = new_level
             if new_level > floor:
@@ -506,7 +629,7 @@ def _run_level_loop(
         reason = "truncation-cap" if capped else "level-overflow"
         level_function = LevelFunction(tuple(levels), tuple(tops))
         return SolveOutcome(False, None, level_function, None, reason, iterations)
-    match_l, _ = maximum_matching(graph)
+    match_l, _ = maximum_matching(_expanded(instance, graph, restrictions))
     level_function = LevelFunction(tuple(levels), tuple(tops))
     agents, objects = instance.agents, instance.objects
     assignment = Matching((agents[ai], objects[bj]) for ai, bj in enumerate(match_l))

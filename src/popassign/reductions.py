@@ -19,7 +19,9 @@ generated name collides with an existing identifier.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import groupby
+from operator import and_, or_
 from typing import Any, Iterable, Mapping, Sequence
 
 from .instance import (
@@ -108,7 +110,15 @@ def _pad(
     worst object ``x`` is covered, since every neighbour's mask, ``b``'s
     too, gained all of them; and a worst object beats nothing, so no chain
     runs on past one, and no cycle appears.  Consecutive agents with one
-    mask, such as the dummies, share one row, resolved once."""
+    mask, such as the dummies, share one row, resolved once.
+
+    The target records the padding's twin classes (see
+    :attr:`Instance.twin_padding`): the longest run of two or more new
+    agents with one mask and no preferences, and the new objects from the
+    last on down that lie in every source agent's ``worst`` and in no new
+    agent's row, if there are two or more.  The first are twin agents, the
+    second twin objects: swapping two members maps the target onto itself.
+    No member of the agent class accepts a member of the object class."""
     _claim(instance, agents, objects)
     n_source, n_objects = instance.n_agents, instance.n_objects
     new_agents = range(n_source, n_source + len(agents))
@@ -137,6 +147,17 @@ def _pad(
             worse[ai] = order
             adj[ai] += added
             nbr[ai] |= low
+    n_target = n_objects + len(objects)
+    common = reduce(and_, worst, _span(len(objects), n_objects) if n_source else 0)
+    common &= ~reduce(or_, rows, 0)
+    twin_objects = n_target
+    while twin_objects > n_objects and common >> twin_objects - 1 & 1:
+        twin_objects -= 1
+    twin_objects = range(twin_objects, n_target)
+    if len(twin_objects) < 2:
+        twin_objects = range(0)
+    twin_agents = range(0)
+    preferences = preferences or {}
     for mask, run in groupby(new_agents, lambda ai: rows[ai - n_source]):
         run = list(run)
         row = bits(mask)
@@ -145,7 +166,9 @@ def _pad(
         adj.extend(row for _ in run)
         nbr.extend(mask for _ in run)
         worse.extend({} for _ in run)
-    for ai, succ in (preferences or {}).items():
+        if len(run) > max(len(twin_agents), 1) and preferences.keys().isdisjoint(run):
+            twin_agents = range(run[0], run[-1] + 1)
+    for ai, succ in preferences.items():
         worse[ai] = Instance._close(succ)
     return Instance._assemble(
         agent_index,
@@ -154,6 +177,7 @@ def _pad(
         tuple(map(tuple, object_adj)),
         tuple(nbr),
         tuple(worse),
+        (twin_agents, twin_objects),
     )
 
 
@@ -179,7 +203,9 @@ def augment_to_perfect(instance: Instance) -> tuple[Instance, ReductionMap]:
     share one row, the mask of every original object, and each original
     agent's worse masks gain the mask of the artificial objects, which
     keeps them closed because those objects are leaves.  Its edge tuple is
-    built only if something reads it.
+    built only if something reads it.  The dummies and the artificial
+    objects are the padding's two twin classes (:attr:`Instance.twin_padding`),
+    and the level loop matches each as one capacitated vertex.
     """
     nu = sum(1 for j in _match_instance(instance) if j >= 0)
     dummies = tuple(f"__dummy:{i}" for i in range(instance.n_objects - nu))

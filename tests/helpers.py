@@ -276,6 +276,35 @@ def ssp_max_weight_perfect_matching(
 INF = float("inf")
 
 
+def check_matching_form(
+    graph: BipartiteGraph, match_l: Sequence[int], match_r: Sequence[int], settled: bool = True
+) -> int:
+    """Assert that ``match_l``/``match_r`` is a matching of ``graph`` in
+    ``maximum_matching``'s form, and return its size.  With class vertices
+    it is a matching of the copy graph: a class vertex's partners name it,
+    no more of them than it has copies, and -- with ``settled``, as in a
+    result; a start's are set by the kernel -- its own entry reads -1 while
+    it has a free copy and one past the other side's last index once full.
+    Every other vertex is matched both ways along an edge of ``graph``."""
+    x, x_cap, y, y_cap = graph.classes or (-1, 0, -1, 0)
+    assert len(match_l) == graph.n_left and len(match_r) == graph.n_right
+    adjacency = graph.adjacency
+    held_x = [r for r, i in enumerate(match_r) if x != -1 and i == x]
+    held_y = [i for i, r in enumerate(match_l) if y != -1 and r == y]
+    assert len(held_x) <= x_cap and len(held_y) <= y_cap
+    for i, r in enumerate(match_l):
+        if i == x:
+            assert not settled or r == (-1 if len(held_x) < x_cap else graph.n_right)
+        elif r != -1:
+            assert r in adjacency[i] and (r == y or match_r[r] == i)
+    for r, i in enumerate(match_r):
+        if r == y:
+            assert not settled or i == (-1 if len(held_y) < y_cap else graph.n_left)
+        elif i != -1:
+            assert r in adjacency[i] and (i == x or match_l[i] == r)
+    return sum(r != -1 for i, r in enumerate(match_l) if i != x) + len(held_x)
+
+
 def reference_maximum_matching(
     graph: BipartiteGraph,
     start: tuple[list[int], list[int]] | None = None,

@@ -41,6 +41,7 @@ from popassign.popular import (
 from helpers import (
     STYLES,
     brute_popular_exists,
+    check_matching_form,
     corpus,
     dense_restrictions,
     free_object_level_loop,
@@ -539,11 +540,7 @@ def test_warm_loop_matches_the_cold_and_the_plain_loop(monkeypatch):
         nonlocal starts, grown
         if start is not None:
             kept_l, kept_r = start
-            assert len(kept_l) == graph.n_left and len(kept_r) == graph.n_right
-            for ai, bj in enumerate(kept_l):
-                if bj != -1:
-                    assert bj in graph.adjacency[ai] and kept_r[bj] == ai
-            assert all(ai == -1 or kept_l[ai] == bj for bj, ai in enumerate(kept_r))
+            check_matching_form(graph, kept_l, kept_r, settled=False)
             assert all(kept_l is not lists[0] for lists, _ in returned)
             starts += 1
             grown += kept_l.count(-1) < len(kept_l)
@@ -581,10 +578,13 @@ def test_every_warm_solve_matches_its_last_graph_cold(monkeypatch):
         calls.append((graph, start is None, list(result[0])))
         return result
 
-    def check_last_calls(instance, assignment):
+    def check_last_calls(instance, assignment, restrictions=None):
         (graph, _, _), (last, cold, match_l) = calls[-2], calls[-1]
-        assert last is graph and cold
-        assert match_l == matching(graph)[0]
+        # the padding's class vertices are expanded to their copies
+        expanded = popular._expanded(instance, graph, restrictions or {})
+        assert cold and last.adjacency == expanded.adjacency
+        assert graph.classes is not None or last is graph
+        assert match_l == matching(last)[0]
         agents, objects = instance.agents, instance.objects
         assert dict(assignment.pairs) == {
             agents[ai]: objects[bj] for ai, bj in enumerate(match_l)
@@ -611,7 +611,11 @@ def test_every_warm_solve_matches_its_last_graph_cold(monkeypatch):
             hit = solve_k_margin(instance, 1)
             if not hit.found:
                 continue
-            check_last_calls(instance, hit.assignment)
+            restrictions = {
+                instance.agent_index(a): (1 << instance.object_index(b), load)
+                for (a, b), load in hit.loads.loads.items()
+            }
+            check_last_calls(instance, hit.assignment, restrictions)
             hits += 1
             loaded_hits += hit.certified_bound > 0
     assert hits > 500 and loaded_hits > 30

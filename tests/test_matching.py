@@ -15,6 +15,7 @@ from popassign import (
 from popassign.matching import alternating_reach
 
 from helpers import (
+    check_matching_form,
     dense_max_weight_perfect_matching,
     reference_maximum_matching,
     ssp_max_weight_perfect_matching,
@@ -349,3 +350,88 @@ def test_max_weight_ties_give_the_same_matching_on_repeated_calls():
     first = max_weight_perfect_matching(graph)
     assert first == ([0, 1, 2, 3, 4], 0)  # ties go to the lower column
     assert all(max_weight_perfect_matching(graph) == first for _ in range(3))
+
+
+def _copy_graph(adj, n_right, classes):
+    """The copy graph of a graph with class vertices: ``x``'s row once per
+    copy, and ``y``'s column once per copy.  Returns the graph and, for each
+    of its left and right vertices, the vertex of ``adj`` it copies."""
+    x, x_cap, y, y_cap = classes
+    left = [i for i in range(len(adj)) if i != x] + [x] * (x_cap if x != -1 else 0)
+    right = [r for r in range(n_right) if r != y] + [y] * (y_cap if y != -1 else 0)
+    position = {r: k for k, r in enumerate(right) if r != y}
+    copies = [k for k, r in enumerate(right) if r == y]
+    rows = [
+        sorted(k for r in adj[i] for k in (copies if r == y else [position[r]]))
+        for i in left
+    ]
+    return BipartiteGraph(len(left), len(right), rows), left, right
+
+
+def _class_graphs(seed):
+    """Random graphs of 1 to 7 rows and columns, one class vertex per side
+    (or none), capacities 0 to 5 and at times above the class's degree;
+    with no row between the class vertices, and at times no edge at all."""
+    rng = random.Random(seed)
+    n_left, n_right = rng.randint(1, 7), rng.randint(1, 7)
+    x = rng.choice([-1] + list(range(n_left)))
+    y = rng.choice([-1] + list(range(n_right)))
+    density = rng.choice((0.2, 0.5, 0.8))
+    adj = [
+        [r for r in range(n_right) if rng.random() < density and not (i == x and r == y)]
+        for i in range(n_left)
+    ]
+    if rng.random() < 0.2 and x != -1:
+        adj[x] = []
+    if rng.random() < 0.2 and y != -1:
+        adj = [[r for r in row if r != y] for row in adj]
+    classes = (x, rng.randint(0, 5), y, rng.randint(0, 5))
+    if rng.random() < 0.2:  # a capacity above the class's degree
+        classes = (x, n_right + 2, y, n_left + 2)
+    return adj, n_right, classes
+
+
+def test_class_vertices_match_and_reach_as_their_copy_graph():
+    """Hopcroft--Karp on 400 graphs with a capacitated class vertex per
+    side, cold and grown from a greedy start, finds as large a matching as
+    on the copy graph, and its alternating reach marks a vertex even exactly
+    when the copy graph's marks every copy of it."""
+    for seed in range(400):
+        _check_class_graph(seed)
+
+
+def _check_class_graph(seed):
+    adj, n_right, classes = _class_graphs(seed)
+    graph = BipartiteGraph(len(adj), n_right, adj, classes)
+    copy_graph, left, right = _copy_graph(adj, n_right, classes)
+    copy_l, copy_r = maximum_matching(copy_graph)
+    size = sum(r != -1 for r in copy_l)
+    even_l, even_r = alternating_reach(copy_graph, copy_l, copy_r)
+    # copies are even together; a class vertex without copies is not even
+    want_l = [any(e for e, i in zip(even_l, left) if i == v) for v in range(len(adj))]
+    want_r = [any(e for e, r in zip(even_r, right) if r == v) for v in range(n_right)]
+    for copies, even in ((left, even_l), (right, even_r)):
+        for v in set(copies):
+            assert len({e for e, c in zip(even, copies) if c == v}) <= 1
+    x, x_cap, y, y_cap = classes
+    # a greedy start: each row takes its first column with room
+    start_l, start_r = [-1] * len(adj), [-1] * n_right
+    room_x, room_y = x_cap, y_cap
+    for i, row in enumerate(adj):
+        for r in row:
+            if i == x:
+                if room_x and start_r[r] == -1:
+                    start_r[r] = x
+                    room_x -= 1
+            elif r == y:
+                if room_y:
+                    start_l[i] = y
+                    room_y -= 1
+                    break
+            elif start_r[r] == -1:
+                start_l[i], start_r[r] = r, i
+                break
+    for start in (None, (start_l, start_r)):
+        match_l, match_r = maximum_matching(graph, start)
+        assert check_matching_form(graph, match_l, match_r) == size
+        assert alternating_reach(graph, match_l, match_r) == (want_l, want_r)
