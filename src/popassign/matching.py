@@ -173,80 +173,15 @@ def maximum_matching(
     to one partner: a path into a full ``y`` goes on from any partner.
     After each augmenting path the copies are settled: ``x`` counts its free
     copies, and the partner a path brings to ``y`` takes the copy it frees
-    or a free one.  The per-edge test is the plain search's, and a graph
-    without class vertices runs the plain search alone.
+    or a free one.  All of this work sits outside the per-edge loop: a
+    graph without class vertices runs the plain search, with one more test
+    per augmenting path.
     """
-    if graph.classes is not None:
-        return _class_matching(graph, start)
-    n_left = graph.n_left
-    adjacency = graph.adjacency
-    match_l, match_r = start or ([-1] * n_left, [-1] * graph.n_right)
-    dist: List[float] = [INF] * n_left
-
-    def free_reachable() -> bool:
-        """Lay out the phase's layers; tells whether they reach a free
-        right vertex."""
-        queue = deque()
-        for i in range(n_left):
-            if match_l[i] == -1:
-                dist[i] = 0
-                queue.append(i)
-            else:
-                dist[i] = INF
-        reachable = False
-        while queue:
-            i = queue.popleft()
-            for r in adjacency[i]:
-                i2 = match_r[r]
-                if i2 == -1:
-                    reachable = True
-                elif dist[i2] == INF:
-                    dist[i2] = dist[i] + 1
-                    queue.append(i2)
-        return reachable
-
-    while free_reachable():
-        for root in range(n_left):
-            if match_l[root] != -1:
-                continue
-            # (vertex, its row's iterator, edge taken down) above vertex i;
-            # ``down`` is the layer one below i's
-            stack: List[Tuple[int, Iterator[int], int]] = []
-            i, scan, down = root, iter(adjacency[root]), 1
-            while True:
-                for r in scan:
-                    i2 = match_r[r]
-                    if i2 == -1 or dist[i2] == down:
-                        break
-                else:  # a dead end: no path through i this phase
-                    dist[i] = INF
-                    if not stack:
-                        break
-                    i, scan, _ = stack.pop()
-                    down -= 1
-                    continue
-                if i2 == -1:  # flip the path
-                    match_l[i] = r
-                    match_r[r] = i
-                    for i, _, r in stack:
-                        match_l[i] = r
-                        match_r[r] = i
-                    break
-                stack.append((i, scan, r))
-                i, scan, down = i2, iter(adjacency[i2]), down + 1
-    return match_l, match_r
-
-
-def _class_matching(
-    graph: BipartiteGraph, start: Tuple[List[int], List[int]] | None
-) -> Tuple[List[int], List[int]]:
-    """:func:`maximum_matching` on a graph with class vertices: the plain
-    search, with the hub of ``y``, the roots of :func:`_roots` and the
-    copies settled after each augmenting path."""
     n_left, n_right = graph.n_left, graph.n_right
     adjacency = graph.adjacency
     match_l, match_r = start or ([-1] * n_left, [-1] * n_right)
-    x, x_cap, y, y_cap = graph.classes
+    classes = graph.classes
+    x, x_cap, y, y_cap = classes or (-1, 0, -1, 0)
     if x != -1:
         x_free = x_cap - match_r.count(x)
         match_l[x] = -1 if x_free > 0 else n_right
@@ -309,6 +244,8 @@ def _class_matching(
                     for i, _, r in stack:
                         match_l[i] = r
                         match_r[r] = i
+                    if classes is None:  # no copies to settle
+                        break
                     if x != -1:
                         if root == x:
                             x_free -= 1

@@ -250,9 +250,13 @@ def _quotient(instance: Instance, restrictions: Restrictions) -> _Quotient:
     a copy each; a restricted dummy stays a vertex of its own.  The
     artificial objects are one right vertex, their first, with a copy each,
     unless some restricted row holds only part of them (:func:`_splits`):
-    then each is a vertex of its own."""
+    then each is a vertex of its own.  On an instance that was not padded
+    the quotient is the level graph itself.  A level loop lays its quotient
+    out once, as its restrictions stay fixed."""
     dummies, arts = instance.twin_padding
     n_agents = instance.n_agents
+    if not dummies and not arts:
+        return _Quotient(range(n_agents), None, instance.n_objects, -1)
     members = [ai for ai in dummies if ai not in restrictions]
     order = [
         *range(dummies.start),
@@ -274,15 +278,16 @@ def _build_level_graph(
     tops: Sequence[int],
     memo: RowMemo,
     restrictions: Restrictions,
+    quotient: _Quotient,
 ) -> tuple[BipartiteGraph, int]:
-    """Build the level graph's quotient (see :func:`_quotient`), and the
-    mask of objects the level graph has an edge to.  ``masks`` maps each
-    level to the mask of its objects (as :func:`_level_masks` gives it), and
-    ``tops`` carries each agent's maximum neighbor level.  ``restrictions``
-    holds the allowed objects and the load allowance of each restricted
-    agent's row.  Rows list objects in index order, which is the instance's
-    adjacency order, the object class as its first object; on an instance
-    that was not padded the quotient is the level graph itself.
+    """Build the level graph's ``quotient``, as :func:`_quotient` lays it
+    out under ``restrictions``, and the mask of objects the level graph has
+    an edge to.  ``masks`` maps each level to the mask of its objects (as
+    :func:`_level_masks` gives it), and ``tops`` carries each agent's
+    maximum neighbor level.  ``restrictions`` holds the allowed objects and
+    the load allowance of each restricted agent's row.  Rows list objects
+    in index order, which is the instance's adjacency order, the object
+    class as its first object.
 
     A restricted agent's row is built afresh, by a kernel call that tests
     only her allowed objects as candidates.  Every other row comes from
@@ -294,10 +299,7 @@ def _build_level_graph(
     as this one's does, which :func:`_run_level_loop` sees to.  A miss
     stores the row's mask and its quotient row."""
     shift = instance.n_objects
-    if any(instance.twin_padding):
-        order, classes, n_right, keep = _quotient(instance, restrictions)
-    else:
-        order, classes, n_right, keep = range(instance.n_agents), None, shift, -1
+    order, classes, n_right, keep = quotient
     rows = []
     covered = 0
     for ai in order:
@@ -325,16 +327,16 @@ def _build_level_graph(
 
 
 def _expanded(
-    instance: Instance, graph: BipartiteGraph, restrictions: Restrictions
+    instance: Instance, graph: BipartiteGraph, order: Sequence[int]
 ) -> BipartiteGraph:
     """The level graph of which ``graph`` is the quotient, as
-    :func:`_build_level_graph` built it under ``restrictions``: every agent
-    of the agent class gets its row, and the object class's vertex becomes
-    all of its objects."""
+    :func:`_build_level_graph` built it with the agents in ``order`` (the
+    quotient's): every agent of the agent class gets its row, and the
+    object class's vertex becomes all of its objects."""
     if graph.classes is None:
         return graph
     x, _, y, _ = graph.classes
-    position = {ai: q for q, ai in enumerate(_quotient(instance, restrictions).order)}
+    position = {ai: q for q, ai in enumerate(order)}
     arts = tuple(instance.twin_padding[1])
     adjacency = graph.adjacency
     rows = []
@@ -354,14 +356,16 @@ def induced_subgraph(
     per-object level sequence."""
     if not isinstance(level_function, LevelFunction):
         level_function = make_level_function(instance, level_function)
+    quotient = _quotient(instance, {})
     graph, _ = _build_level_graph(
         instance,
         _level_masks(level_function.levels),
         level_function.max_neighbor_level,
         _row_memo(instance),
         {},
+        quotient,
     )
-    return _expanded(instance, graph, {})
+    return _expanded(instance, graph, quotient.order)
 
 
 def _even_objects(
@@ -589,18 +593,20 @@ def _run_level_loop(
     iterations = 0
     restrictions = restrictions or {}
     gap = 2 + max((lam for _, lam in restrictions.values()), default=0)
+    quotient = _quotient(instance, restrictions)
+    # the object class's vertex, if any, and its objects
+    y = quotient.classes[2] if quotient.classes else -1
     arts = instance.twin_padding[1]
-    split = arts and _splits(instance, restrictions)
-    if memo is None or split:
+    if memo is None or (arts and y == -1):
         # a memo that other loops share lists the artificial objects as one
         memo = _row_memo(instance)
-    # the object class's vertex, as _quotient places it, and its objects
-    y = arts.start if arts and not split else -1
     span = (1 << arts.stop) - (1 << arts.start)
     match_l: list[int] = []
     match_r: list[int] = []
     while highest < cap and not _too_few_below(masks, gap):
-        graph, covered = _build_level_graph(instance, masks, tops, memo, restrictions)
+        graph, covered = _build_level_graph(
+            instance, masks, tops, memo, restrictions, quotient
+        )
         start = _kept_edges(graph, match_l, match_r) if iterations else None
         match_l, match_r = maximum_matching(graph, start)
         iterations += 1
@@ -629,7 +635,7 @@ def _run_level_loop(
         reason = "truncation-cap" if capped else "level-overflow"
         level_function = LevelFunction(tuple(levels), tuple(tops))
         return SolveOutcome(False, None, level_function, None, reason, iterations)
-    match_l, _ = maximum_matching(_expanded(instance, graph, restrictions))
+    match_l, _ = maximum_matching(_expanded(instance, graph, quotient.order))
     level_function = LevelFunction(tuple(levels), tuple(tops))
     agents, objects = instance.agents, instance.objects
     assignment = Matching((agents[ai], objects[bj]) for ai, bj in enumerate(match_l))

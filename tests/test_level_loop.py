@@ -316,7 +316,10 @@ def test_memoised_rows_match_rows_built_afresh(n, style, density, seed, draw, tw
                     allowed &= rng.getrandbits(n)
                 restrictions[ai] = (allowed, rng.randint(0, 3))
         masks = _level_masks(levels)
-        graph, covered = _build_level_graph(instance, masks, tops, memo, restrictions)
+        quotient = popular._quotient(instance, restrictions)
+        graph, covered = _build_level_graph(
+            instance, masks, tops, memo, restrictions, quotient
+        )
         want, want_covered = reference_build_level_graph(
             instance, masks, tops, *dense_restrictions(instance, restrictions)
         )
@@ -581,7 +584,8 @@ def test_every_warm_solve_matches_its_last_graph_cold(monkeypatch):
     def check_last_calls(instance, assignment, restrictions=None):
         (graph, _, _), (last, cold, match_l) = calls[-2], calls[-1]
         # the padding's class vertices are expanded to their copies
-        expanded = popular._expanded(instance, graph, restrictions or {})
+        order = popular._quotient(instance, restrictions or {}).order
+        expanded = popular._expanded(instance, graph, order)
         assert cold and last.adjacency == expanded.adjacency
         assert graph.classes is not None or last is graph
         assert match_l == matching(last)[0]
@@ -753,9 +757,9 @@ def test_restricted_rows_test_only_their_allowed_objects(monkeypatch):
     build = popular._build_level_graph
     rows = loaded = 0
 
-    def checked(instance, masks, tops, memo, restrictions):
+    def checked(instance, masks, tops, memo, restrictions, quotient):
         nonlocal rows, loaded
-        graph, covered = build(instance, masks, tops, memo, restrictions)
+        graph, covered = build(instance, masks, tops, memo, restrictions, quotient)
         for ai, (allowed, lam) in restrictions.items():
             full = reference_admissible_mask(instance, masks, ai, tops[ai], lam)
             assert graph.adjacency[ai] == tuple(bits(full & allowed))

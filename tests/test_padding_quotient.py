@@ -14,6 +14,7 @@ from popassign import (
     add_last_resorts,
     augment_to_perfect,
     instance_from_document,
+    reduce_diversity,
     reduce_penalty_matching,
     solve_k_margin,
     solve_popular_assignment,
@@ -136,11 +137,12 @@ def test_quotient_solves_match_the_whole_level_graph(monkeypatch):
 
 
 def test_quotient_margin_branches_match_the_whole_level_graph(monkeypatch):
-    """``solve_k_margin`` at k = 0 and 1 on padded instances, with the same
-    outcome -- found, assignment, loads, levels, certificate, bound and
-    ``branches`` -- as with the classes forgotten; then margin branches that
-    load a dummy's edge or an artificial one, once or twice, alone or with a
-    second loaded edge, sharing one memo per instance.  Every loop ends as
+    """``solve_k_margin`` at k = 0 and 1 on padded instances, and at k = 2
+    on those of at most five agents, with the same outcome -- found,
+    assignment, loads, levels, certificate, bound and ``branches`` -- as
+    with the classes forgotten; then margin branches that load a dummy's
+    edge or an artificial one, once or twice, alone or with a second loaded
+    edge, sharing one memo per instance.  Every loop ends as
     ``plain_level_loop`` does."""
     runs = _checked_against_plain(monkeypatch)
     rng = random.Random(13)
@@ -148,7 +150,7 @@ def test_quotient_margin_branches_match_the_whole_level_graph(monkeypatch):
     for instance in _padded(150, 31_000):
         if instance.n_agents > 7:
             continue
-        for k in (0, 1):
+        for k in range(3 if instance.n_agents <= 5 else 2):
             hits += _same(lambda t: solve_k_margin(t, k), instance).found
         dummies, arts = instance.twin_padding
         padding = [(ai, bj) for ai, bj in instance.edge_indices if ai in dummies or bj in arts]
@@ -172,12 +174,17 @@ def test_quotient_margin_branches_match_the_whole_level_graph(monkeypatch):
     assert hits > 80 and len(runs) > 1500 and loaded > 700
 
 
-def test_padding_classes_are_recorded_where_the_padding_is_built():
+def test_padding_classes_are_recorded_where_the_padding_is_built(monkeypatch):
     """``augment_to_perfect`` records its dummies and artificial objects;
     the penalty gadget's dummies are a class, its path objects are not; a
-    last resort is no one's twin; a parse records nothing.  Penalty and
-    last-resort targets solve as their forgotten twins do."""
+    one-colour diversity target's dummies are a class, and so are its
+    artificial objects that no dummy accepts; a last resort is no one's
+    twin; a parse records nothing.  Penalty, diversity and last-resort
+    targets solve as their forgotten twins do, and every loop ends as
+    ``plain_level_loop`` does."""
+    runs = _checked_against_plain(monkeypatch)
     rng = random.Random(11)
+    diverse = 0
     for i in range(80):
         n = rng.randint(2, 8)
         m = max(1, n + rng.choice((-2, 2)))
@@ -196,13 +203,32 @@ def test_padding_classes_are_recorded_where_the_padding_is_built():
         assert [penalty.agents[ai] for ai in dummies] == (
             want_dummies if len(want_dummies) >= 2 else []
         ) and not arts
+        lower = rng.randint(0, min(n, m))
+        upper = rng.randint(lower, n)
+        colors = dict.fromkeys(source.agents, 0)
+        diversity, drmap = reduce_diversity(source, colors, [(lower, upper)])
+        dummies, arts = diversity.twin_padding
+        want_dummies = list(drmap.added_agents)
+        # the designated artificial objects lie in the dummies' row
+        designated = upper - lower if drmap.added_agents else 0
+        want_arts = list(drmap.added_objects[designated:])
+        assert [diversity.agents[ai] for ai in dummies] == (
+            want_dummies if len(want_dummies) >= 2 else []
+        )
+        assert [diversity.objects[bj] for bj in arts] == (
+            want_arts if len(want_arts) >= 2 else []
+        )
+        diverse += bool(dummies) and bool(arts)
         last, _ = add_last_resorts(source)
         assert last.twin_padding == (range(0), range(0))
-        for target in (penalty, last):
+        for target in (penalty, diversity, last):
             _same(lambda t: solve_truncated(t, 2 + i % 3), target)
+        _same(solve_popular_assignment, diversity)
         # the name-level padding builds the same instance, but records nothing
         names = reference_pad(source, rmap.added_agents, rmap.added_objects, [
             (d, b) for d in rmap.added_agents for b in source.objects
         ], {a: rmap.added_objects for a in source.agents}, {})
         assert names.twin_padding == (range(0), range(0))
         assert _same(solve_popular_assignment, padded) == _same(solve_popular_assignment, names)
+    classed = sum(1 for t, _, _ in runs if t.twin_padding[0] and t.twin_padding[1])
+    assert diverse > 20 and classed > 40
