@@ -207,8 +207,9 @@ def _admissible_in(
 RowMemo = list[dict[int, tuple[int, tuple[int, ...]]]]
 
 #: Agent index to ``(allowed, lam)``: the mask of her neighbours that her row
-#: may hold, and her load allowance.  An agent absent from the map is
-#: unrestricted.
+#: may hold, and her load allowance.  A positive ``lam`` comes with exactly
+#: one allowed object (see :func:`_run_level_loop`).  An agent absent from
+#: the map is unrestricted.
 Restrictions = Mapping[int, tuple[int, int]]
 
 
@@ -216,8 +217,12 @@ def _row_memo(instance: Instance) -> RowMemo:
     """An empty row memo for ``instance``'s agents, one entry dict per twin
     class (see :meth:`Instance.twin_classes`).  A row with no load depends
     only on the agent's neighbours, her worse masks and her window, so twins
-    build the same row from the same window and may share their entries:
-    the dummies of a padded instance, for one, build each row once."""
+    build the same row from the same window and may share their entries.
+    The unrestricted dummies of a padded instance are one vertex of the
+    quotient (:func:`_quotient`), which builds one row; so sharing serves
+    twins among the source's agents, such as those of a master list, and
+    among the dummies only one that takes the class vertex's place when a
+    margin branch loads a lower dummy."""
     shared: dict[int, dict] = {}
     return [shared.setdefault(c, {}) for c in instance.twin_classes()]
 
@@ -477,14 +482,14 @@ def _kept_edges(
     return kept_l, kept_r
 
 
-def _too_few_below(masks: Mapping[int, int], gap: int) -> bool:
-    """Does some occupied level ``v`` of ``masks`` have fewer than
-    ``v / gap`` objects below it?  An empty level that fails the test needs
-    no skipping: the next occupied level has as many objects below it, and
+def _too_few_below(masks: Mapping[int, int]) -> bool:
+    """Does some occupied level ``v`` of ``masks`` have fewer than ``v / 2``
+    objects below it?  An empty level that fails the test needs no
+    skipping: the next occupied level has as many objects below it, and
     fails too."""
     below = 0
     for level in sorted(masks):
-        if below * gap < level:
+        if below * 2 < level:
             return True
         below += masks[level].bit_count()
     return False
@@ -500,12 +505,15 @@ def _run_level_loop(
     some object's level reaches ``cap``, or the counting bound below proves
     that no feasible level function exists.  ``restrictions`` restricts and
     widens rows as in :func:`_build_level_graph`; a found assignment matches
-    each restricted agent with a load allowance along an allowed object,
-    which carries that allowance as its load.  ``memo`` is the row memo of
-    :func:`_build_level_graph`, as :func:`_row_memo` makes it; by default
-    the loop starts its own, and so does a loop whose restrictions split
-    the artificial objects (:func:`_splits`), whose rows list them one by
-    one.
+    each restricted agent with a load allowance along her allowed object,
+    which carries that allowance as its load.  A positive load must come
+    with exactly one allowed object: the raise below keeps its invariant
+    only then, and a loaded row with several allowed objects can raise every
+    object and stop a run whose instance has a feasible level function.
+    Nothing checks this; every caller keeps to it.  ``memo`` is the row memo
+    of :func:`_build_level_graph`, as :func:`_row_memo` makes it; by default
+    the loop starts its own, and so does a loop whose restrictions split the
+    artificial objects (:func:`_splits`), whose rows list them one by one.
 
     The memo is exact.  With no load allowance, :func:`_admissible_mask`
     reads the levels only through two masks: the agent's neighbours at her
@@ -537,20 +545,27 @@ def _run_level_loop(
     instance, whatever its labelling.
 
     Runs that find nothing stop on a counting bound, checked before each
-    round is built.  Write ``g`` for 2 plus the largest load allowance.  An
-    agent's row reads the levels only in her *window*, her neighbours at
-    levels ``top - 1 - lam`` to ``top``, and only relative to her top
-    ``top``.  So if ``f`` is a feasible level function, so is
-    ``f - min(f)``; and where two consecutive occupied levels of ``f`` lie
-    more than ``g`` apart, lowering every level above the gap until the gap
-    is ``g`` leaves every row as it was, since no window straddles the gap.
-    So if any feasible level function exists, one has minimum 0 and no gap
-    above ``g``, and by the invariant the loop's levels lie at or below it.
-    Some object sits at ``f``-level ``v`` or higher for each occupied loop
-    level ``v``, so ``f`` occupies at least ``v / g`` levels below ``v``,
-    and every object on them sits below ``v`` in the loop too.  Hence if
-    some occupied level ``v`` has fewer than ``v / g`` objects below it (see
-    :func:`_too_few_below`), no feasible level function exists, and the loop
+    round is built: some occupied level ``v`` has fewer than ``v / 2``
+    objects below it (see :func:`_too_few_below`).  Let ``f`` be a feasible
+    level function, with a perfect matching ``M`` of its level graph.  Close
+    every gap between consecutive occupied levels of ``f`` to at most 2,
+    shift the lowest to 0, and call the result ``f'``.  The map keeps the
+    order of the levels and their differences of 0 and 1, and an empty level
+    just below an agent's top stays empty; so each agent's top and below
+    sets, her neighbours at her top level and one level below it, hold the
+    same objects under ``f'``.  A row with no load reads nothing else, so it
+    stays as it was.  The object ``M`` gives a loaded agent can only come
+    closer to her top.  If it was *low* (at ``top - lam - 1``), it beat
+    every top neighbour, so none beats it, and it stays low, or becomes
+    *middle* (at ``top - lam``) or *upper* (above it).  If it was middle, it
+    stays middle or becomes upper.  The tests of low and middle objects read
+    only the top and below sets, so either way it stays admissible.  So
+    ``M`` lies in the level graph of ``f'``, which is feasible, with minimum
+    0 and no gap above 2; by the invariant the loop's levels lie at or below
+    it.  Some object sits at ``f'``-level ``v`` or higher for each occupied
+    loop level ``v``, so ``f'`` occupies at least ``v / 2`` levels below
+    ``v``, and every object on them sits below ``v`` in the loop too.  Hence
+    if the bound holds, no feasible level function exists, and the loop
     stops with reason ``"level-overflow"`` -- under a lower ``cap`` too, as
     it proves more than the cap does.  A found run never meets the bound,
     and the bound reads the levels alone, so the round counts stay fixed by
@@ -592,7 +607,6 @@ def _run_level_loop(
     highest = max(levels, default=-1)
     iterations = 0
     restrictions = restrictions or {}
-    gap = 2 + max((lam for _, lam in restrictions.values()), default=0)
     quotient = _quotient(instance, restrictions)
     # the object class's vertex, if any, and its objects
     y = quotient.classes[2] if quotient.classes else -1
@@ -603,7 +617,7 @@ def _run_level_loop(
     span = (1 << arts.stop) - (1 << arts.start)
     match_l: list[int] = []
     match_r: list[int] = []
-    while highest < cap and not _too_few_below(masks, gap):
+    while highest < cap and not _too_few_below(masks):
         graph, covered = _build_level_graph(
             instance, masks, tops, memo, restrictions, quotient
         )

@@ -149,9 +149,10 @@ def test_stop_rule_matches_the_plain_loop(monkeypatch):
     constrained and k-margin runs -- every level loop, with the counting
     bound and its rows from a memo, ends as the loop without either does,
     or stops earlier on the reference's way.  The loops of the k-margin
-    search share one memo, and stop early too."""
+    search share one memo, and stop early too, loaded ones included."""
     early = []
     margin_early = []
+    loaded_early = []
 
     def checked(instance, cap, restrictions=None, memo=None):
         out = _loop(instance, cap, restrictions, memo)
@@ -159,6 +160,8 @@ def test_stop_rule_matches_the_plain_loop(monkeypatch):
         early.append(stopped)
         if memo is not None:
             margin_early.append(stopped)
+        if any(lam for _, lam in (restrictions or {}).values()):
+            loaded_early.append(stopped)
         return out
 
     monkeypatch.setattr(popular, "_run_level_loop", checked)
@@ -187,6 +190,7 @@ def test_stop_rule_matches_the_plain_loop(monkeypatch):
     assert solved >= 1000 and searched > 100
     assert sum(early) > 500
     assert sum(margin_early) > 50
+    assert sum(loaded_early) > 40
 
 
 @given(
@@ -197,7 +201,9 @@ def test_stop_rule_matches_the_plain_loop(monkeypatch):
     st.integers(0, 10**6),
 )
 def test_stop_rule_keeps_runs_under_masks_and_allowances(n, style, density, seed, draw):
-    """Random forced and forbidden edges, load allowances and caps."""
+    """Random forced and forbidden edges, load allowances and caps.  A
+    loaded row is forced: a positive load comes with exactly one allowed
+    object, as :func:`popular._run_level_loop` requires."""
     instance = instance_from_document(random_instance_document(n, n, density, style, seed))
     try:
         _require_perfectly_matchable(instance)
@@ -215,6 +221,39 @@ def test_stop_rule_keeps_runs_under_masks_and_allowances(n, style, density, seed
     cap = rng.choice((n, 2, rng.randint(1, n)))
     out = _loop(instance, cap, restrictions)
     _stopped_early(out, instance, cap, restrictions)
+
+
+def test_loaded_loops_stop_on_the_load_free_bound(monkeypatch):
+    """The counting bound's gap is 2 under loads too.  Two margin searches
+    at k = 1 on instances with no popular assignment: each loop matches
+    the loop without a stop rule, or stops earlier on its way, and the
+    rounds are pinned.  A gap of 2 plus the load would stop the first
+    search's loaded misses after 32, 32 and 27 rounds, not 26, 26 and 22,
+    and would let the second search run 2214 rounds, not 1758."""
+    runs = []
+
+    def checked(instance, cap, restrictions=None, memo=None):
+        out = _loop(instance, cap, restrictions, memo)
+        _stopped_early(out, instance, cap, restrictions)
+        runs.append((sorted((restrictions or {}).items()), out.found, out.iterations))
+        return out
+
+    monkeypatch.setattr(variants, "_run_level_loop", checked)
+    first = instance_from_document(random_instance_document(17, 17, 0.2, "strict", 20570))
+    out = solve_k_margin(first, 1)
+    assert (out.found, out.branches) == (True, 5)
+    assert runs == [
+        ([], False, 26),
+        ([(0, (1 << 11, 1))], False, 26),
+        ([(0, (1 << 13, 1))], False, 26),
+        ([(1, (1 << 0, 1))], False, 22),
+        ([(1, (1 << 12, 1))], True, 6),
+    ]
+    runs.clear()
+    second = instance_from_document(random_instance_document(20, 20, 0.3, "strict", 22715))
+    out = solve_k_margin(second, 1)
+    assert (out.found, out.branches) == (False, 116)
+    assert sum(rounds for _, _, rounds in runs) == 1758
 
 
 def test_not_found_agrees_with_brute_force():
