@@ -12,9 +12,11 @@ levels translate directly into a dual certificate of its popularity:
 
 If some object's level reaches the number of objects, or the levels grow
 too sparse for any feasible level function to lie above them (the counting
-bound of :func:`_run_level_loop`), no popular assignment exists.  If some
-level reaches a lower caller-supplied truncation cap first, none exists with
-a certificate whose object values stay within the cap.
+bound of :func:`_run_level_loop`), or a block of objects climbs away from a
+rest that can no longer rise (its frozen gap), no popular assignment
+exists.  If some level reaches a lower caller-supplied truncation cap
+first, none exists with a certificate whose object values stay within the
+cap.
 
 On a padded instance each round matches the level graph's *quotient* by
 the padding's twin classes (:attr:`Instance.twin_padding`): the dummies are
@@ -135,10 +137,10 @@ class SolveOutcome:
     certificate derived from them.  Not-found outcomes carry the levels at
     the stop, ``reason`` and no assignment.  ``"level-overflow"`` means the
     loop proved that no feasible level function exists: a level reached the
-    number of objects, or the levels met the counting bound of
-    :func:`_run_level_loop`.  ``"truncation-cap"`` means a level reached a
-    lower caller-supplied cap first.  ``iterations`` counts the rounds that
-    built and matched a level graph.
+    number of objects, or the levels met the counting bound or the frozen
+    gap of :func:`_run_level_loop`.  ``"truncation-cap"`` means a level
+    reached a lower caller-supplied cap first.  ``iterations`` counts the
+    rounds that built and matched a level graph.
     """
 
     found: bool
@@ -482,16 +484,30 @@ def _kept_edges(
     return kept_l, kept_r
 
 
-def _too_few_below(masks: Mapping[int, int]) -> bool:
-    """Does some occupied level ``v`` of ``masks`` have fewer than ``v / 2``
-    objects below it?  An empty level that fails the test needs no
-    skipping: the next occupied level has as many objects below it, and
-    fails too."""
-    below = 0
+def _no_feasible_above(
+    masks: Mapping[int, int], width: int, levels: Sequence[int], raised: Sequence[int]
+) -> bool:
+    """Do the levels prove that no feasible level function lies above them?
+    One sorted pass over ``masks`` tests both stop rules of
+    :func:`_run_level_loop`.  The counting bound: some occupied level ``v``
+    has fewer than ``v / 2`` objects below it.  An empty level that fails
+    that test needs no skipping: the next occupied level has as many
+    objects below it, and fails too.  The frozen gap: consecutive occupied
+    levels ``a < b`` lie more than ``width`` apart, and every object of
+    ``raised``, the last round's even objects at their ``levels`` after the
+    raise, sat above ``a`` before it, so that they sit above ``a + 1``
+    now.  Their lowest is found only when the pass meets such a gap.  The
+    first occupied level is 0, or the counting bound fires on it."""
+    below = last = 0
     for level in sorted(masks):
         if below * 2 < level:
             return True
-        below += masks[level].bit_count()
+        mask = masks[level]
+        if mask:
+            if level - last > width and min(levels[bj] for bj in raised) > last + 1:
+                return True
+            below += mask.bit_count()
+            last = level
     return False
 
 
@@ -502,11 +518,11 @@ def _run_level_loop(
     memo: RowMemo | None = None,
 ) -> SolveOutcome:
     """The solver core.  Runs until the level graph has a perfect matching,
-    some object's level reaches ``cap``, or the counting bound below proves
-    that no feasible level function exists.  ``restrictions`` restricts and
-    widens rows as in :func:`_build_level_graph`; a found assignment matches
-    each restricted agent with a load allowance along her allowed object,
-    which carries that allowance as its load.  A positive load must come
+    some object's level reaches ``cap``, or one of the two stop rules below
+    proves that no feasible level function exists.  ``restrictions``
+    restricts and widens rows as in :func:`_build_level_graph`; a found
+    assignment matches each restricted agent with a load allowance along her
+    allowed object, which carries that allowance as its load.  A positive load must come
     with exactly one allowed object: the raise below keeps its invariant
     only then, and a loaded row with several allowed objects can raise every
     object and stop a run whose instance has a feasible level function.
@@ -544,11 +560,12 @@ def _run_level_loop(
     trajectory -- rounds and not-found levels included -- is fixed by the
     instance, whatever its labelling.
 
-    Runs that find nothing stop on a counting bound, checked before each
-    round is built: some occupied level ``v`` has fewer than ``v / 2``
-    objects below it (see :func:`_too_few_below`).  Let ``f`` be a feasible
-    level function, with a perfect matching ``M`` of its level graph.  Close
-    every gap between consecutive occupied levels of ``f`` to at most 2,
+    Runs that find nothing stop on a counting bound or on a frozen gap, both
+    checked before each round is built (see :func:`_no_feasible_above`).
+    The counting bound: some occupied level ``v`` has fewer than ``v / 2``
+    objects below it.  Let ``f`` be a feasible level function, with a
+    perfect matching ``M`` of its level graph.  Close every gap between
+    consecutive occupied levels of ``f`` to at most 2,
     shift the lowest to 0, and call the result ``f'``.  The map keeps the
     order of the levels and their differences of 0 and 1, and an empty level
     just below an agent's top stays empty; so each agent's top and below
@@ -570,6 +587,33 @@ def _run_level_loop(
     it proves more than the cap does.  A found run never meets the bound,
     and the bound reads the levels alone, so the round counts stay fixed by
     the instance.
+
+    The counting bound cannot fire while a block of objects climbs away
+    from a settled rest; the frozen gap stops such a run.  Write ``g`` for
+    2 plus the largest load allowance.  Suppose that after a round's
+    raise consecutive occupied levels ``a < b`` have ``b - a > g``, and that
+    the round raised no object from a level at or below ``a``.  Call the
+    objects at levels up to ``a`` *Lo* and the others *Up*; before the
+    raise, Lo held the same objects and Up sat at ``b - 1`` or higher.  An
+    agent's row reads only her window, her neighbours from ``top - 1 - lam``
+    up to her top ``top``.  So an agent with a neighbour in Up has her top
+    at ``b - 1`` or higher and her row inside Up, and every other agent has
+    all of her neighbours in Lo: the level graph, before the raise and
+    after it, is two disjoint parts.  The even set of a disjoint union is
+    the union of its parts' even sets.  The round raised nothing in Lo, so
+    Lo's part has no even object; that part stays the same while Lo's levels
+    do, so Lo never rises again, Up only rises, and the gap only widens.  If
+    a feasible level function existed, the loop would stop at the least
+    one, ``f*``, with Lo at its present levels and Up at ``b`` or higher.
+    Closing that gap to 2, as above, gives a feasible level function below
+    ``f*`` and lower on Up, against the invariant.  So the loop may stop
+    with reason ``"level-overflow"``.  The width must count the loads: a
+    loaded window reaches ``lam`` levels further down, so across a narrower
+    gap a loaded agent in Up can hold her one allowed object in Lo, and
+    leave it free when her top rises; then Lo rises again.  The rule reads
+    the levels and the even set, which do not depend on the matching, so it
+    never fires on a found run, and the round counts stay fixed by the
+    instance.
 
     Each round matches the quotient that :func:`_build_level_graph`
     builds: on a padded instance, the unrestricted dummies as one vertex of
@@ -602,11 +646,16 @@ def _run_level_loop(
     # levels only ever rise, so the objects at each level, each agent's
     # maximum neighbor level and the highest level can be maintained by
     # bumped object rather than recomputed per iteration
-    masks = _level_masks(levels)
+    masks = {0: (1 << n_objects) - 1}
     tops = [0] * instance.n_agents
-    highest = max(levels, default=-1)
+    highest = 0 if n_objects else -1
     iterations = 0
     restrictions = restrictions or {}
+    # the frozen gap's width: 2 plus the largest load
+    width = 2
+    for _, lam in restrictions.values():
+        if lam + 2 > width:
+            width = lam + 2
     quotient = _quotient(instance, restrictions)
     # the object class's vertex, if any, and its objects
     y = quotient.classes[2] if quotient.classes else -1
@@ -617,7 +666,8 @@ def _run_level_loop(
     span = (1 << arts.stop) - (1 << arts.start)
     match_l: list[int] = []
     match_r: list[int] = []
-    while highest < cap and not _too_few_below(masks):
+    raised: list[int] = []
+    while highest < cap and not _no_feasible_above(masks, width, levels, raised):
         graph, covered = _build_level_graph(
             instance, masks, tops, memo, restrictions, quotient
         )
@@ -629,7 +679,8 @@ def _run_level_loop(
         # no agent's top is below ``floor``, so a raise to at most ``floor``
         # moves none of them
         floor = min(tops)
-        for bj in _even_objects(graph, covered, match_l, match_r):
+        raised = _even_objects(graph, covered, match_l, match_r)
+        for bj in raised:
             bit = 1 << bj if bj != y else span
             masks[levels[bj]] ^= bit
             levels[bj] += 1
@@ -696,7 +747,9 @@ def solve_truncated(instance: Instance, max_level: int) -> SolveOutcome:
     A found assignment is popular with a certificate whose object values all
     exceed ``-max_level``.  A not-found outcome with reason
     ``"truncation-cap"`` only rules out popular assignments with such bounded
-    certificates; one with ``"level-overflow"`` rules out all of them.  With
+    certificates; one with ``"level-overflow"`` rules out all of them, which
+    the counting bound or the frozen gap of :func:`_run_level_loop` can
+    prove before any level reaches ``max_level``.  With
     ``max_level`` at least the number of objects this is exactly
     :func:`solve_popular_assignment`.
 

@@ -45,6 +45,7 @@ from helpers import (
     corpus,
     dense_restrictions,
     free_object_level_loop,
+    milp_min_margin,
     plain_level_loop,
     reference_admissible_mask,
     reference_build_level_graph,
@@ -254,6 +255,151 @@ def test_loaded_loops_stop_on_the_load_free_bound(monkeypatch):
     out = solve_k_margin(second, 1)
     assert (out.found, out.branches) == (False, 116)
     assert sum(rounds for _, _, rounds in runs) == 1758
+
+
+def _counting_bound(levels):
+    """The counting bound alone, read off the levels: some occupied level
+    ``v`` has fewer than ``v / 2`` objects below it."""
+    return any(2 * sum(w < v for w in levels) < v for v in set(levels))
+
+
+def test_the_frozen_gap_stops_partial_100_after_35_rounds(monkeypatch):
+    """The benchmark's not-found partial-100 on solve-sparse.  The loop stops
+    after 35 rounds, at the levels of the loop without a stop rule after 35,
+    where the counting bound does not hold: the last round raised only
+    objects above a gap wider than 2.  The counting bound alone stops the
+    run after 63 rounds."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import gen
+
+    document = gen.random_instance(random.Random(41), 100, 0.05, "partial")
+    instance = instance_from_document(document)
+    out = solve_popular_assignment(instance)
+    assert (out.found, out.reason, out.iterations) == (False, "level-overflow", 35)
+    assert out.levels == plain_level_loop(instance, 100, rounds=35).levels
+    levels = out.levels.levels
+    assert not _counting_bound(levels)
+    before = plain_level_loop(instance, 100, rounds=34).levels.levels
+    raised = [bj for bj in range(100) if levels[bj] != before[bj]]
+    occupied = sorted(set(levels))
+    a = next(a for a, b in zip(occupied, occupied[1:]) if b - a > 2)
+    assert min(before[bj] for bj in raised) > a
+
+    def counting_bound_alone(masks, width, levels, raised):
+        return _counting_bound(levels)
+
+    monkeypatch.setattr(popular, "_no_feasible_above", counting_bound_alone)
+    alone = solve_popular_assignment(instance)
+    assert (alone.found, alone.reason, alone.iterations) == (False, "level-overflow", 63)
+
+
+def test_the_frozen_gap_is_two_plus_the_load_wide():
+    """A loaded row reads ``lam`` levels further down than a row without a
+    load, so the frozen gap must be wider than 2 plus the largest load.
+    Here a2 may hold only b3, with load 1, and b5 climbs alone.  After round
+    3 the levels are (0, 0, 0, 0, 3): a gap of 3 above objects the round
+    did not raise, which a width of 2 would take as frozen.  But a2 held b3
+    in round 3, at the foot of her window, and loses it as b5 rises; b3 is
+    then free, and rises in round 4.  So the loop runs on until b5 reaches
+    the cap."""
+    document = {
+        "agents": ["a1", "a2", "a3", "a4", "a5"],
+        "objects": ["b1", "b2", "b3", "b4", "b5"],
+        "edges": [
+            ["a1", "b1"], ["a2", "b2"], ["a2", "b3"], ["a2", "b5"],
+            ["a3", "b2"], ["a4", "b1"], ["a4", "b3"], ["a5", "b4"],
+        ],
+        "preferences": {
+            "a1": {"tiers": [["b1"]]},
+            "a2": {"tiers": [["b2"], ["b3"], ["b5"]]},
+            "a3": {"tiers": [["b2"]]},
+            "a4": {"tiers": [["b1"], ["b3"]]},
+            "a5": {"tiers": [["b4"]]},
+        },
+    }  # fmt: skip
+    instance = instance_from_document(document)
+    restrictions = {1: (1 << 2, 1)}
+    out = _loop(instance, 5, restrictions)
+    assert (out.found, out.reason, out.iterations) == (False, "level-overflow", 5)
+    assert out.levels.levels == (0, 0, 1, 0, 5)
+    allowed, allowance = dense_restrictions(instance, restrictions)
+    third = plain_level_loop(instance, 5, allowed, allowance, rounds=3)
+    assert third.levels.levels == (0, 0, 0, 0, 3)
+    assert not _stopped_early(out, instance, 5, restrictions)
+
+
+def test_the_frozen_gap_waits_for_a_round_that_raises_nothing_below_it():
+    """The rule fires only after a round that raised no object below the
+    gap.  With a3 forced to b3 and a4 to b4, round 4 leaves the levels at
+    (0, 0, 1, 1, 0, 0, 4), a gap of 3 from 1 to 4; but it raised b4 from 0
+    to 1, so the part below the gap was still rising.  Round 5 raises only
+    b7, and the loop stops there, where the counting bound does not hold."""
+    instance = instance_from_document(random_instance_document(7, 7, 0.3, "weak", 479484))
+    forced = EdgeConstraints.of(forced=[("a3", "b3"), ("a4", "b4")])
+    out = solve_with_constraints(instance, forced)
+    assert (out.found, out.reason, out.iterations) == (False, "level-overflow", 5)
+    assert out.levels.levels == (0, 0, 1, 1, 0, 0, 5)
+    assert not _counting_bound(out.levels.levels)
+    allowed, allowance = dense_restrictions(instance, {2: (1 << 2, 0), 3: (1 << 3, 0)})
+    fourth = plain_level_loop(instance, 7, allowed, allowance, rounds=4)
+    assert fourth.levels.levels == (0, 0, 1, 1, 0, 0, 4)
+    third = plain_level_loop(instance, 7, allowed, allowance, rounds=3)
+    assert third.levels.levels == (0, 0, 1, 0, 0, 0, 3)
+
+
+def test_frozen_gap_stops_agree_with_the_plain_loop_and_the_milp(monkeypatch):
+    """On 300 padded random instances of 3 to 16 agents, every level loop --
+    plain solves, one forced and one forbidden edge, truncation caps 2 and
+    3, and margin searches at k = 1 and 2 up to 9 agents -- ends as the
+    loop without a stop rule does, or stops earlier on its way.  Up to 10
+    agents the integer program judges the verdicts: a solve finds exactly
+    when the margin, with the edge pinned, is 0, a ``"level-overflow"``
+    stop under a cap claims as much, and a search finds exactly when the
+    margin is at most k.  Over 450 loops stop early, and 50 or more of them
+    where the counting bound does not hold: the frozen gap alone stopped
+    them."""
+    gap_stops = []
+
+    def checked(instance, cap, restrictions=None, memo=None):
+        out = _loop(instance, cap, restrictions, memo)
+        if _stopped_early(out, instance, cap, restrictions):
+            gap_stops.append(not _counting_bound(out.levels.levels))
+        return out
+
+    monkeypatch.setattr(popular, "_run_level_loop", checked)
+    monkeypatch.setattr(variants, "_run_level_loop", checked)
+    rng = random.Random(32)
+    judged = 0
+    for i in range(300):
+        n = 3 + i % 14
+        style = STYLES[i % 3]
+        density = (0.3, 0.5, 0.7)[(i // 3) % 3]
+        doc = random_instance_document(n, n - 1 + i % 3, density, style, 320_000 + i)
+        instance, _ = augment_to_perfect(instance_from_document(doc))
+        small = instance.n_agents <= 10
+        margin = milp_min_margin(instance) if small else None
+        plain = solve_popular_assignment(instance)
+        if small:
+            judged += 1
+            assert plain.found == (margin == 0)
+        for cap in (2, 3):
+            capped = solve_truncated(instance, cap)
+            if small and capped.reason == "level-overflow":
+                assert margin != 0
+        pairs = plain.assignment.pairs if plain.found else instance.edges
+        forbidden = rng.choice(sorted(pairs))
+        forced = rng.choice(sorted(instance.edges))
+        for edge, value in ((forbidden, 0), (forced, 1)):
+            key = "forbidden" if value == 0 else "forced"
+            out = solve_with_constraints(instance, EdgeConstraints.of(**{key: [edge]}))
+            if small:
+                pin = (instance.agent_index(edge[0]), instance.object_index(edge[1]))
+                assert out.found == (milp_min_margin(instance, {pin: value}) == 0)
+        if instance.n_agents <= 9:
+            for k in (1, 2):
+                assert solve_k_margin(instance, k).found == (margin <= k)
+    assert judged >= 150
+    assert len(gap_stops) > 450 and sum(gap_stops) >= 50
 
 
 def test_not_found_agrees_with_brute_force():
