@@ -158,29 +158,43 @@ def _successor_masks(pairs: list | tuple, neighbors: dict[str, int]) -> dict[int
     return succ
 
 
-def _tiered_worse(tiers: list, object_index: dict[str, int], nbr: int) -> dict[int, int] | None:
+def _tiered_worse(
+    tiers: list, object_index: dict[str, int], nbr: int
+) -> tuple[dict[int, int], int] | None:
     """One agent's tier list read in bulk, from the worst tier up, as a
-    worse mask per object: the union of the tiers below its own.  None if
-    some tier is not a non-empty list, or some entry is not a neighbor (a
-    bit of ``nbr``) or repeats one."""
+    worse mask per object, the union of the tiers below its own, and the
+    ranked mask: every tier but the worst.  None if some tier is not a
+    non-empty list, or some entry is not a neighbor (a bit of ``nbr``) or
+    repeats one.  The worst tier is read first, on its own, so every
+    later entry has a worse mask to store."""
+    if not tiers:
+        return {}, 0
     worse: dict[int, int] = {}
-    below = entries = 0
+    worst = tiers[-1]
     try:
-        for tier in reversed(tiers):
+        if type(worst) is not list or not worst:
+            return None
+        unranked = 0
+        for b in worst:
+            unranked |= 1 << object_index[b]
+        below = unranked
+        entries = len(worst)
+        for tier in tiers[-2::-1]:
             if type(tier) is not list or not tier:
                 return None
             mask = 0
             for b in tier:
                 bj = object_index[b]
-                if below:
-                    worse[bj] = below
+                worse[bj] = below
                 mask |= 1 << bj
             below |= mask
             entries += len(tier)
     except _REFUSED:
         return None
     # a repeated entry sets no bit of its own
-    return worse if below.bit_count() == entries and not (below & ~nbr) else None
+    if below.bit_count() != entries or below & ~nbr:
+        return None
+    return worse, below ^ unranked
 
 
 class Instance:
@@ -212,6 +226,7 @@ class Instance:
         "_nbr_mask",
         "_edges",
         "_worse",
+        "_ranked",
         "_twin_padding",
     )
 
@@ -296,11 +311,13 @@ class Instance:
         object_adj: tuple[tuple[int, ...], ...],
         nbr_mask: tuple[int, ...],
         worse: tuple[dict[int, int], ...],
+        ranked: tuple[int, ...],
         twin_padding: tuple[range, range] = (range(0), range(0)),
     ) -> Instance:
         """An instance from index data that is already consistent and
         closed, as :func:`popassign.reductions._pad` derives it from a
-        checked instance, with the padding's twin classes it records (see
+        checked instance, with each agent's ranked mask (see
+        :meth:`ranked_mask`) and the padding's twin classes it records (see
         :attr:`twin_padding`).  Nothing is checked again."""
         instance = cls.__new__(cls)
         instance._agent_index = agent_index
@@ -312,6 +329,7 @@ class Instance:
         instance._nbr_mask = nbr_mask
         instance._edges = None
         instance._worse = worse
+        instance._ranked = ranked
         instance._twin_padding = twin_padding
         return instance
 
@@ -319,7 +337,7 @@ class Instance:
         self,
         preferences: Mapping[str, Iterable[tuple[str, str]]],
         report: Report,
-        closed: Mapping[int, dict[int, int]] | None = None,
+        closed: Mapping[int, tuple[dict[int, int], int]] | None = None,
     ) -> None:
         """Resolve and close every agent's preferences.  Each agent's
         ``(better, worse)`` pairs are one row, read in bulk by
@@ -329,8 +347,9 @@ class Instance:
         a row that read refuses goes through the per-pair checks, which
         word each problem and skip the pair at fault.  The successor masks
         are closed by :meth:`_close`.  Agents in ``closed`` (index to worse
-        masks, as tiers give them) are taken as they are; their entry in
-        ``preferences`` is only checked to name a known agent."""
+        masks and ranked mask, as tiers give them) are taken as they are;
+        their entry in ``preferences`` is only checked to name a known
+        agent."""
         objects = self._objects
         succ_by_agent: dict[int, dict[int, int]] = {}
         for agent_name, pairs in preferences.items():
@@ -349,15 +368,18 @@ class Instance:
 
         closed = closed or {}
         worse_by_agent: list[dict[int, int]] = []
+        ranked_by_agent: list[int] = []
         for ai, agent_name in enumerate(self._agents):
-            worse = closed.get(ai)
-            if worse is None:
-                worse = self._close(succ_by_agent.get(ai, {}))
-            if worse is None:
+            order = closed.get(ai)
+            if order is None:
+                order = self._close(succ_by_agent.get(ai, {}))
+            if order is None:
                 report(f"cyclic preferences for agent {agent_name!r}")
-                worse = {}
-            worse_by_agent.append(worse)
+                order = {}, 0
+            worse_by_agent.append(order[0])
+            ranked_by_agent.append(order[1])
         self._worse = tuple(worse_by_agent)
+        self._ranked = tuple(ranked_by_agent)
 
     def _checked_pairs(self, ai: int, pairs: list | tuple, report: Report) -> dict[int, int]:
         """Agent ``ai``'s successor masks, from her pairs checked pair by
@@ -391,11 +413,11 @@ class Instance:
         return succ
 
     @staticmethod
-    def _close(succ: Mapping[int, int]) -> dict[int, int] | None:
+    def _close(succ: Mapping[int, int]) -> tuple[dict[int, int], int] | None:
         """Transitive closure of the "strictly better than" relation, given
         as a successor bitmask per node, as a worse-set bitmask per node (left
-        out where empty), or None if it has a cycle.  This is the package's
-        one cycle check.
+        out where empty) and the mask of the nodes that have one, or None if
+        it has a cycle.  This is the package's one cycle check.
 
         It is a depth-first search in postorder over the inner nodes, those
         with successors; a leaf has nothing to close and lies on no cycle.
@@ -405,7 +427,8 @@ class Instance:
         hence a cycle.  A finished node's worse mask is its successors and
         the worse masks of its inner ones, skipping each that an earlier one
         already covers.  It is iterative, so a long chain cannot exhaust the
-        interpreter's recursion limit."""
+        interpreter's recursion limit.  The nodes with a worse set are
+        exactly the inner ones, so their mask is ``inner``."""
         inner = 0
         for node, below in succ.items():
             if below:
@@ -439,12 +462,13 @@ class Instance:
                     below |= deeper
                     rest &= ~(low | deeper)
                 worse[node] = below
-        return worse
+        return worse, inner
 
-    def _tier_worse(self, ai: int, tiers: list, report: Report) -> dict[int, int]:
+    def _tier_worse(self, ai: int, tiers: list, report: Report) -> tuple[dict[int, int], int]:
         """Agent ``ai``'s worse masks from a tier list, best tier first: each
         object's is the union of the tiers below its own, so the order comes
-        out closed.  Each entry that is not an object adjacent to the agent
+        out closed.  With them comes her ranked mask, every tier but the
+        worst.  Each entry that is not an object adjacent to the agent
         is reported and left out, and so is a tier left empty by that.
         Tiers that are not non-empty lists of distinct strings give one
         report and no order.
@@ -452,12 +476,13 @@ class Instance:
         The tier list is one row, read in bulk by :func:`_tiered_worse`;
         only a row that read refuses goes through the per-entry checks,
         which word each problem."""
-        worse = _tiered_worse(tiers, self._object_index, self._nbr_mask[ai])
-        return self._checked_tiers(ai, tiers, report) if worse is None else worse
+        order = _tiered_worse(tiers, self._object_index, self._nbr_mask[ai])
+        return self._checked_tiers(ai, tiers, report) if order is None else order
 
-    def _checked_tiers(self, ai: int, tiers: list, report: Report) -> dict[int, int]:
-        """Agent ``ai``'s worse masks, from her tiers checked entry by
-        entry: the read of a row that :func:`_tiered_worse` refuses."""
+    def _checked_tiers(self, ai: int, tiers: list, report: Report) -> tuple[dict[int, int], int]:
+        """Agent ``ai``'s worse masks and ranked mask, from her tiers
+        checked entry by entry: the read of a row that :func:`_tiered_worse`
+        refuses."""
         agent = self._agents[ai]
         find_object = self._object_index.get
         nbr = self._nbr_mask[ai]
@@ -466,15 +491,15 @@ class Instance:
         for tier in tiers:
             if not isinstance(tier, list) or not tier:
                 report(f"tiers for agent {agent!r} must be non-empty lists")
-                return {}
+                return {}, 0
             entries = []
             for b in tier:
                 if not isinstance(b, str):
                     report(f"tier entry {b!r} for agent {agent!r} is not a string")
-                    return {}
+                    return {}, 0
                 if b in seen:
                     report(f"object {b!r} appears twice in tiers of agent {agent!r}")
-                    return {}
+                    return {}, 0
                 seen.add(b)
                 bj = find_object(b)
                 if bj is None:
@@ -493,7 +518,7 @@ class Instance:
                     worse[bj] = below
             for bj in entries:
                 below |= 1 << bj
-        return worse
+        return worse, sum(1 << bj for bj in worse)
 
     # -- basic shape -------------------------------------------------------
 
@@ -585,14 +610,14 @@ class Instance:
         """Each agent's twin class: the index of the first agent with the
         same neighbors and the same worse mask at each of them.  Every
         construction path stores only the non-empty worse masks, so the
-        neighbor mask, the neighbors with a stored mask and their masks in
-        index order are that key.  (Sorting those neighbors, plain ints, is
-        cheaper than sorting the stored pairs.)"""
+        neighbor mask, the ranked mask (:meth:`ranked_mask`) and the stored
+        masks in index order are that key.  (Sorting the stored neighbors,
+        plain ints, is cheaper than sorting the stored pairs.)"""
         first: dict[tuple, int] = {}
         classes = []
-        for ai, (nbr, worse) in enumerate(zip(self._nbr_mask, self._worse)):
-            ranked = tuple(sorted(worse))
-            key = (nbr, ranked, tuple(map(worse.__getitem__, ranked)))
+        rows = zip(self._nbr_mask, self._ranked, self._worse)
+        for ai, (nbr, ranked, worse) in enumerate(rows):
+            key = (nbr, ranked, tuple(map(worse.__getitem__, sorted(worse))))
             classes.append(first.setdefault(key, ai))
         return classes
 
@@ -600,22 +625,36 @@ class Instance:
         """Bitmask of objects strictly worse than ``bj`` for agent ``ai``."""
         return self._worse[ai].get(bj, 0)
 
+    def ranked_mask(self, ai: int) -> int:
+        """Bitmask of agent ``ai``'s *ranked* neighbors, those that beat
+        some neighbor: exactly the neighbors with a stored worse mask.  Each
+        construction path derives it where it builds the worse masks: a
+        tier list ranks every tier but its worst, :meth:`_close` ranks its
+        inner nodes, and :func:`popassign.reductions._pad` ranks every
+        source neighbor of an agent that gains worst objects, and nothing
+        of an indifferent added agent."""
+        return self._ranked[ai]
+
     def dominated(self, ai: int, mask: int) -> int:
         """Bitmask of the objects that some member of ``mask`` beats in
         agent ``ai``'s order.  Worse masks lie inside the neighbor mask, so
         for neighbors ``S``, ``S & ~dominated(ai, S)`` is exactly the
-        undominated members of ``S``.  Preferences are closed, so a member
-        already in the union adds nothing and leaves the work list."""
+        undominated members of ``S``.
+
+        Only the ranked members of ``mask`` are walked: an unranked one
+        beats nothing, so it adds nothing to the union.  That skips the
+        artificial objects of a padded instance, which every source agent
+        ranks tied last, and every neighbor of an indifferent dummy.
+        Preferences are closed, so a member already in the union adds
+        nothing either and leaves the work list."""
         worse = self._worse[ai]
         union = 0
-        todo = mask
+        todo = mask & self._ranked[ai]
         while todo:
             bit = todo & -todo
-            todo ^= bit
-            below = worse.get(bit.bit_length() - 1)
-            if below:
-                union |= below
-                todo &= ~below
+            below = worse[bit.bit_length() - 1]
+            union |= below
+            todo &= ~(bit | below)
         return union
 
     # -- preference queries --------------------------------------------------
@@ -892,7 +931,7 @@ def _from_document(doc: Any, report: Report) -> Instance | None:
     instance._build(doc["agents"], doc["objects"], doc["edges"], report)
     # tiers become worse masks once the graph is built, and their agents
     # give _order no pairs; _order reports an unknown agent, reading no pair
-    closed: dict[int, dict[int, int]] = {}
+    closed: dict[int, tuple[dict[int, int], int]] = {}
     preferences = {}
     for agent, (kind, body) in specs.items():
         ai = _find(instance._agent_index, agent)

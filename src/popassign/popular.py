@@ -192,10 +192,22 @@ def _admissible_in(
     members of ``low`` that beat every member of ``top`` and that no member
     of ``below`` beats: the core of :func:`_admissible_mask`, on ``ai``'s
     neighbours at her top level, one level below it, and at the levels a
-    load allowance shifts those two to."""
+    load allowance shifts those two to.
+
+    Only the ranked members of ``low`` (:meth:`Instance.ranked_mask`) are
+    tested when ``top`` is not empty.  An unranked one beats nothing, so it
+    cannot beat every member of a non-empty ``top``.  And ``top`` is never
+    empty at the agent's true top level, since it holds her highest
+    neighbour; only a :class:`LevelFunction` whose cached maxima are not
+    those of its levels gives an empty one, and then every member of
+    ``low`` beats all of it.  So no padding's artificial object, which
+    beats nothing, is tested as a low candidate."""
     admissible = middle & ~instance.dominated(ai, top) if middle else 0
-    if low:
-        candidates = low & ~instance.dominated(ai, below)
+    candidates = low
+    if candidates and top:
+        candidates &= instance.ranked_mask(ai)
+    if candidates:
+        candidates &= ~instance.dominated(ai, below)
         while candidates:
             bit = candidates & -candidates
             candidates ^= bit

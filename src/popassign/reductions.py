@@ -109,8 +109,10 @@ def _pad(
     mask keeps every order closed.  A chain ``b > c > x`` that ends at a
     worst object ``x`` is covered, since every neighbour's mask, ``b``'s
     too, gained all of them; and a worst object beats nothing, so no chain
-    runs on past one, and no cycle appears.  Consecutive agents with one
-    mask, such as the dummies, share one row, resolved once.
+    runs on past one, and no cycle appears.  So such an agent's ranked mask
+    (:meth:`Instance.ranked_mask`) becomes her old neighbour mask, and an
+    indifferent new agent's is 0.  Consecutive agents with one mask, such
+    as the dummies, share one row, resolved once.
 
     The target records the padding's twin classes (see
     :attr:`Instance.twin_padding`): the longest run of two or more new
@@ -129,6 +131,7 @@ def _pad(
     adj = list(instance._adj)
     nbr = list(instance._nbr_mask)
     worse = list(instance._worse)
+    ranked = list(instance._ranked)
     object_adj = [list(column) for column in instance._object_adj]
     object_adj.extend([] for _ in objects)
     # a run of agents with one mask shares its row and extends each column
@@ -145,6 +148,7 @@ def _pad(
             for bj, below in worse[ai].items():
                 order[bj] = below | low
             worse[ai] = order
+            ranked[ai] = nbr[ai]
             adj[ai] += added
             nbr[ai] |= low
     n_target = n_objects + len(objects)
@@ -166,10 +170,11 @@ def _pad(
         adj.extend(row for _ in run)
         nbr.extend(mask for _ in run)
         worse.extend({} for _ in run)
+        ranked.extend(0 for _ in run)
         if len(run) > max(len(twin_agents), 1) and preferences.keys().isdisjoint(run):
             twin_agents = range(run[0], run[-1] + 1)
     for ai, succ in preferences.items():
-        worse[ai] = Instance._close(succ)
+        worse[ai], ranked[ai] = Instance._close(succ)
     return Instance._assemble(
         agent_index,
         object_index,
@@ -177,6 +182,7 @@ def _pad(
         tuple(map(tuple, object_adj)),
         tuple(nbr),
         tuple(worse),
+        tuple(ranked),
         (twin_agents, twin_objects),
     )
 

@@ -498,6 +498,8 @@ class ReferenceInstance(Instance):
                 worse = {}
             worse_by_agent.append(worse)
         self._worse = tuple(worse_by_agent)
+        # each agent ranks exactly the objects with a stored worse mask
+        self._ranked = tuple(sum(1 << bj for bj in worse) for worse in worse_by_agent)
 
     @staticmethod
     def _close(succ: Mapping[int, set[int]]) -> dict[int, int] | None:
@@ -580,7 +582,17 @@ def reference_from_document(doc, report: Report) -> ReferenceInstance | None:
 #
 # ``popular._admissible_mask`` and ``popular._build_level_graph`` as they were
 # before the build took rows from a memo, copied verbatim: every row is
-# computed afresh from the levels.
+# computed afresh from the levels.  Dominance is read as its definition,
+# :func:`reference_dominated`, so a wrong ``Instance.dominated`` walk shows.
+
+
+def reference_dominated(instance: Instance, ai: int, mask: int) -> int:
+    """``Instance.dominated`` by its definition: the union of the worse
+    masks of every member of ``mask``, ranked or not."""
+    union = 0
+    for bj in bits(mask):
+        union |= instance.worse_mask(ai, bj)
+    return union
 
 
 def reference_admissible_mask(
@@ -606,9 +618,9 @@ def reference_admissible_mask(
             admissible |= masks.get(level, 0) & nbr
         middle = masks.get(top_level - lam, 0) & nbr
         low = masks.get(top_level - lam - 1, 0) & nbr
-    admissible |= middle & ~instance.dominated(ai, top)
+    admissible |= middle & ~reference_dominated(instance, ai, top)
     if low:
-        candidates = low & ~instance.dominated(ai, below)
+        candidates = low & ~reference_dominated(instance, ai, below)
         while candidates:
             bit = candidates & -candidates
             candidates ^= bit

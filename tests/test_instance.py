@@ -32,10 +32,11 @@ from popassign import (
     solve_with_constraints,
     validate,
 )
+from popassign.reductions import housing_to_assignment, reduce_penalty_matching, weak_to_strict
 from popassign.generate import PREF_STYLES, random_instance_document
 from popassign.instance import _from_document
 
-from helpers import ReferenceInstance, corpus, inst, reference_from_document
+from helpers import ReferenceInstance, corpus, inst, market_corpus, reference_from_document
 
 
 def test_basic_shape():
@@ -496,16 +497,97 @@ def test_random_documents_always_validate(seed):
 
 
 def test_dominated_is_the_union_of_worse_masks():
-    for instance in corpus(30, 2, 7, seed0=40):
-        n = instance.n_objects
-        for ai in range(instance.n_agents):
-            worse = [instance.worse_mask(ai, cj) for cj in range(n)]
-            for mask in range(1 << n):
-                union = 0
-                for cj in range(n):
-                    if mask >> cj & 1:
-                        union |= worse[cj]
-                assert instance.dominated(ai, mask) == union
+    """On every mask of the objects, of the corpus, square and unbalanced,
+    and of two paddings of it: the dummies and artificial objects of
+    :func:`augment_to_perfect`, and the dummies and private worst objects
+    of the penalty gadget at kappa 1.  Artificial and worst objects beat
+    nothing, and neither does a dummy's neighbour, so ``dominated`` does
+    not walk them."""
+    padded = 0
+    sources = (*corpus(30, 2, 7, seed0=40), *corpus(30, 1, 6, seed0=4400, square=False))
+    for source in sources:
+        targets = [source, augment_to_perfect(source)[0], reduce_penalty_matching(source, 1)[0]]
+        padded += targets[1] is not source
+        for instance in targets:
+            n = instance.n_objects
+            assert n <= 14
+            for ai in range(instance.n_agents):
+                worse = [instance.worse_mask(ai, cj) for cj in range(n)]
+                union = [0] * (1 << n)
+                for mask in range(1, 1 << n):
+                    low = mask & -mask
+                    union[mask] = union[mask ^ low] | worse[low.bit_length() - 1]
+                    assert instance.dominated(ai, mask) == union[mask]
+    assert padded >= 20
+
+
+def _ranked_by_keys(instance):
+    """Each agent's stored worse-mask keys, OR-ed."""
+    return [sum(1 << bj for bj in worse) for worse in instance._worse]
+
+
+def _ranked(instance):
+    return [instance.ranked_mask(ai) for ai in range(instance.n_agents)]
+
+
+def test_the_ranked_mask_is_the_stored_keys_on_every_construction_path(checked_rows):
+    """Each agent's ranked mask is the OR of her stored worse-mask keys on
+    every path that builds an instance: documents of pairs (closed by
+    ``_close``) and of tiers, bulk-read or checked row by row; the
+    constructor, also as the housing and weak-to-strict reductions use
+    it; and the padding of :func:`augment_to_perfect` and of the penalty
+    gadget, where each source agent that gains worst objects ranks her old
+    neighbours, the dummies rank nothing and no agent ranks an artificial
+    object."""
+    paths = dict.fromkeys(("document", "constructor", "housing", "weak-to-strict"), 0)
+
+    def check(instance, path):
+        assert _ranked(instance) == _ranked_by_keys(instance)
+        paths[path] += 1
+
+    for doc in (*SINGLE_FAULT_DOCUMENTS.values(), *_parser_documents(), *_dense_documents()):
+        instance = _from_document(doc, [].append)
+        if instance is None:
+            continue
+        check(instance, "document")
+        if isinstance(doc.get("preferences", {}), dict):
+            try:
+                built = Instance(doc["agents"], doc["objects"], doc["edges"], _pair_preferences(doc))
+            except InstanceError:
+                continue
+            check(built, "constructor")
+    checked = {kind: 0 for kind in ("edges", "pairs", "tiers")}
+    for kind, _ in checked_rows:
+        checked[kind] += 1
+    assert checked["pairs"] >= 500 and checked["tiers"] >= 200
+    assert paths["document"] >= 1000 and paths["constructor"] >= 300
+
+    for market in market_corpus(60):
+        check(housing_to_assignment(market), "housing")
+    padded = dict.fromkeys(("augment", "penalty"), 0)
+    for source in corpus(120, 1, 6, seed0=3300, square=False):
+        if source.has_weak_rankings():
+            check(weak_to_strict(source)[0], "weak-to-strict")
+        paddings = [("augment", augment_to_perfect(source))]
+        paddings += [("penalty", reduce_penalty_matching(source, k)) for k in (1, 2)]
+        for kind, (target, rmap) in paddings:
+            if target is source:
+                continue
+            padded[kind] += 1
+            ranked = _ranked(target)
+            assert ranked == _ranked_by_keys(target)
+            for ai in range(source.n_agents):
+                gained = target.neighbor_mask(ai) != source.neighbor_mask(ai)
+                old = source.neighbor_mask(ai) if gained else source.ranked_mask(ai)
+                assert ranked[ai] == old
+            for a in rmap.added_agents:
+                if a.startswith("__dummy:"):
+                    assert ranked[target.agent_index(a)] == 0
+            if kind == "augment":
+                added = sum(1 << target.object_index(b) for b in rmap.added_objects)
+                assert not any(mask & added for mask in ranked)
+    assert paths["housing"] == 60 and paths["weak-to-strict"] >= 80
+    assert padded["augment"] >= 60 and padded["penalty"] == 240
 
 
 def _weak_by_definition(instance, agent):
@@ -668,7 +750,7 @@ def _same_parse(doc):
     if want is None:
         assert got is None
         return False
-    for slot in ("_agents", "_objects", "_adj", "_object_adj", "_nbr_mask", "_worse"):
+    for slot in ("_agents", "_objects", "_adj", "_object_adj", "_nbr_mask", "_worse", "_ranked"):
         assert getattr(got, slot) == getattr(want, slot), slot
     # the edge tuple is built on first read, so it is compared through its accessor
     assert got.edge_indices == want.edge_indices

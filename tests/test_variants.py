@@ -15,6 +15,7 @@ from popassign import (
     EdgeConstraints,
     Instance,
     InstanceError,
+    LevelFunction,
     LoadCapacity,
     Matching,
     NoPerfectMatchingError,
@@ -184,11 +185,13 @@ def test_constrained_outcomes_are_pinned(request, fixture, forced, forbidden, ex
 # -- load feasibility -------------------------------------------------------------
 
 
-def _feasible_by_the_book(instance, levels, a, b, load):
+def _feasible_by_the_book(instance, levels, a, b, load, top=None):
     """Literal transcription of the three admissibility clauses for an edge
-    allowed to carry ``load``, written against the instance API only."""
+    allowed to carry ``load``, written against the instance API only.
+    ``top`` is ``a``'s top level, by default her highest neighbour's."""
     level = {obj: levels[j] for j, obj in enumerate(instance.objects)}
-    top = max(level[nb] for nb in instance.neighbors(a))
+    if top is None:
+        top = max(level[nb] for nb in instance.neighbors(a))
     lb = level[b]
     if lb >= top - load + 1:
         return True
@@ -242,6 +245,26 @@ def test_load_feasibility_matches_the_clause_by_clause_transcription():
                     ) == _feasible_by_the_book(instance, levels, a, b, load)
                     checked += 1
     assert checked > 500
+
+
+def test_load_feasibility_reads_the_cached_top_level():
+    """A :class:`LevelFunction` whose cached maxima lie above its levels'
+    leaves an agent no top-level neighbour, so every neighbour one level
+    below the cached top beats all of them, an unranked one too."""
+    unranked = 0
+    for instance in corpus(18, min_n=2, max_n=5, seed0=62):
+        for levels in _level_menu(instance):
+            tops = make_level_function(instance, levels).max_neighbor_level
+            stale = LevelFunction(tuple(levels), tuple(top + 1 for top in tops))
+            for a, b in instance.edges:
+                ai = instance.agent_index(a)
+                bj = instance.object_index(b)
+                for load in range(3):
+                    want = _feasible_by_the_book(instance, levels, a, b, load, tops[ai] + 1)
+                    assert lambda_feasible(instance, stale, (a, b), load) == want
+                    if load == 0 and want and not instance.ranked_mask(ai) >> bj & 1:
+                        unranked += 1
+    assert unranked > 20
 
 
 def test_feasibility_rejects_bad_arguments(unanimous_k33):
