@@ -27,11 +27,14 @@ the restriction to the original instance alongside the padded solution.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import time
 from collections.abc import Sequence
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from .generate import PREF_STYLES, random_instance_document
 from .instance import (
@@ -60,9 +63,81 @@ from .variants import EdgeConstraints, solve_k_margin, solve_with_constraints
 # -- report plumbing ------------------------------------------------------------
 
 
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.cache
+def _encoder(depth: int) -> json.JSONEncoder:
+    """A C encoder for the items of a container at ``depth - 1``: each sits
+    on its own line, indented by ``depth`` steps, so the item separator
+    carries that indent."""
+    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "))
+
+
+def _indented(value, depth: int) -> str:
+    """``json.dumps(value, indent=2)`` for a value at nesting ``depth``:
+    what that call writes for it inside its container, with its inner
+    lines indented by ``depth`` steps more."""
+    outer = "  " * depth
+    inner = outer + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        if set(map(type, value)) != {str}:  # keys json.dumps converts
+            return json.dumps(value, indent=2).replace("\n", "\n" + outer)
+        if set(map(type, value.values())) <= _SCALARS:
+            body = _encoder(depth + 1).encode(value)[1:-1]
+        else:
+            body = (",\n" + inner).join(
+                [
+                    f"{encode_basestring_ascii(key)}: {_indented(item, depth + 1)}"
+                    for key, item in value.items()
+                ]
+            )
+        return "{\n" + inner + body + "\n" + outer + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        types = set(map(type, value))
+        if types <= _SCALARS:
+            body = _encoder(depth + 1).encode(value)[1:-1]
+        elif (
+            types == {list}
+            and all(value)
+            and set(map(type, chain.from_iterable(value))) <= _SCALARS
+        ):
+            # one call lays out the inner lists; only the seams between
+            # them, "],\n<deeper>[", need the inner lists' own lines
+            deeper = inner + "  "
+            seam = "\n" + inner + "],\n" + inner + "[\n" + deeper
+            flat = _encoder(depth + 2).encode(value)[2:-2]
+            body = "[\n" + deeper + flat.replace("],\n" + deeper + "[", seam)
+            body += "\n" + inner + "]"
+        else:
+            body = (",\n" + inner).join([_indented(item, depth + 1) for item in value])
+        return "[\n" + inner + body + "\n" + outer + "]"
+    return _encoder(0).encode(value)
+
+
 def _emit(report: dict, summary: str) -> None:
+    """Print ``report`` as ``json.dumps(report, indent=2)`` would, byte for
+    byte, but through the C encoder, which only writes compact layouts.
+
+    The indented layout puts every item of a non-empty container on its own
+    line, indented one step deeper than the container.  A C encoder whose
+    item separator is a comma, a newline and that indent writes exactly
+    those lines for a container of scalars, so one call lays it out and the
+    brackets get their newlines around it.  A list of non-empty lists of
+    scalars is one call at the inner lists' depth: there the outer
+    separator comes out as ``]``, the item separator and ``[``, and one
+    replace gives it the inner lists' closing and opening lines.  The
+    replace is exact because JSON text holds a newline only between tokens,
+    never inside a string, so that pattern occurs at the seams alone.  Empty containers are
+    ``[]`` and ``{}``, as with ``indent``; every other container is laid
+    out item by item, and a dict with a key that is not a ``str`` goes to
+    ``json.dumps`` itself, its lines shifted to its depth."""
     # flushed here, so a closed stdout fails inside main rather than at exit
-    print(json.dumps(report, indent=2), flush=True)
+    print(_indented(report, 0), flush=True)
     print(summary, file=sys.stderr)
 
 
@@ -345,7 +420,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
 # -- argument parsing -----------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: ``parse_args`` leaves no
+    state on it, so every call of :func:`main` reuses it."""
     parser = argparse.ArgumentParser(
         prog="popassign",
         description="Popular assignments under partial-order preferences.",

@@ -538,7 +538,7 @@ def _run_level_loop(
     with exactly one allowed object: the raise below keeps its invariant
     only then, and a loaded row with several allowed objects can raise every
     object and stop a run whose instance has a feasible level function.
-    Nothing checks this; every caller keeps to it.  ``memo`` is the row memo
+    So such a row raises :class:`ValueError` before the first round.  ``memo`` is the row memo
     of :func:`_build_level_graph`, as :func:`_row_memo` makes it; by default
     the loop starts its own, and so does a loop whose restrictions split the
     artificial objects (:func:`_splits`), whose rows list them one by one.
@@ -665,7 +665,9 @@ def _run_level_loop(
     restrictions = restrictions or {}
     # the frozen gap's width: 2 plus the largest load
     width = 2
-    for _, lam in restrictions.values():
+    for allowed, lam in restrictions.values():
+        if lam > 0 and allowed & (allowed - 1):
+            raise ValueError("a loaded row must allow exactly one object")
         if lam + 2 > width:
             width = lam + 2
     quotient = _quotient(instance, restrictions)

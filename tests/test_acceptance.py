@@ -77,7 +77,10 @@ def quiet_main(argv: list[str]) -> tuple[int, dict | None]:
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     text = out.getvalue()
-    return code, json.loads(text) if text.strip() else None
+    report = json.loads(text) if text.strip() else None
+    if report is not None:  # the layout of json.dumps(report, indent=2)
+        assert text == json.dumps(report, indent=2) + "\n"
+    return code, report
 
 
 # -- 1: worked example, no popular assignment -------------------------------------

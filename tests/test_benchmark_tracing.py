@@ -51,7 +51,9 @@ def test_traced_padded_solve_counts(tmp_path, capsys):
         tracer.recording = False
     finally:
         tracer.uninstall()
-    report = json.loads(capsys.readouterr().out)
+    text = capsys.readouterr().out
+    report = json.loads(text)
+    assert text == json.dumps(report, indent=2) + "\n"
     assert code == 0 and report["augmentation"]["artificial_objects"]
     assert tracer.calls["instance.augment"] == 1
     # the padding matches the source through popular.maximum_matching too

@@ -1,7 +1,11 @@
-"""Command-line behavior: exit codes, JSON reports, verification fragments."""
+"""Command-line behavior: exit codes, JSON reports, verification fragments,
+the report layout and the parser a process reuses."""
 
 import argparse
+import contextlib
+import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -9,6 +13,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import popassign
 from popassign import (
@@ -113,6 +118,8 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     report = json.loads(captured.out) if captured.out.strip() else None
+    if report is not None:  # the layout of json.dumps(report, indent=2)
+        assert captured.out == json.dumps(report, indent=2) + "\n"
     return code, report, captured.err
 
 
@@ -610,3 +617,80 @@ def test_usage_errors_exit_two(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_one_parser_serves_every_call_in_a_process(write, capsys):
+    """``main`` reuses one parser.  A run of calls in one process, a usage
+    error and ``--help`` among them, answers each as the same call made
+    alone, with a parser of its own: no list of ``--forced`` edges, no
+    ``--verify`` and no ``--truncate`` carries over into the next call."""
+    chain, k33 = write("chain.json", CHAIN), write("k33.json", K33)
+    calls = [
+        ["solve", chain, "--forced", "a2,b1"],
+        ["solve", chain, "--verify", "--truncate", "2"],
+        ["solve", chain, "--truncate"],  # a usage error
+        ["--help"],
+        ["solve", chain],
+        ["margin", k33, "--k", "1"],
+        ["verify", k33, write("ident.json", IDENTITY)],
+    ]
+
+    def answer(argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        if out.startswith("{"):
+            report = json.loads(out)
+            report.pop("timing_ms")
+            out = report
+        return code, out, err
+
+    alone = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        alone.append(answer(argv))
+    # the cap of 2 stops the chain, which the plain solve then solves
+    assert [code for code, _, _ in alone] == [0, 1, 2, 0, 0, 0, 1]
+    assert alone[1][1]["reason"] == "truncation-cap"
+    assert ["a2", "b1"] in alone[0][1]["assignment"]
+    assert ["a2", "b1"] not in alone[4][1]["assignment"]
+    assert "verification" not in alone[4][1]
+    cli._build_parser.cache_clear()
+    assert [answer(argv) for argv in calls] == alone
+    assert cli._build_parser.cache_info().misses == 1
+
+
+_STRINGS = st.text() | st.sampled_from(
+    ["", "],\n  [", "\x00\x1f\"\\", "\u2028é\U0001f600"]
+)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([-0.0, 1e300, math.nan, math.inf, -math.inf])
+    | _STRINGS
+)
+_JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(st.lists(_SCALARS, max_size=3), max_size=4)
+        | st.dictionaries(_STRINGS, children, max_size=4)
+        | st.dictionaries(
+            st.integers() | st.booleans() | st.none(), children, max_size=3
+        )
+    ),
+    max_leaves=30,
+)
+
+
+@given(_JSON_VALUES)
+def test_reports_are_laid_out_as_json_dumps_with_indent_2(value):
+    """The report encoder writes ``json.dumps(value, indent=2)`` byte for
+    byte: nested and empty containers, lists of lists, empty inner lists,
+    strings holding the seam of two inner lists, control characters,
+    non-ASCII text, every float, and keys that are not strings."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        cli._emit(value, "summary")
+    assert out.getvalue() == json.dumps(value, indent=2) + "\n"

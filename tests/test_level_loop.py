@@ -328,6 +328,28 @@ def test_the_frozen_gap_is_two_plus_the_load_wide():
     assert not _stopped_early(out, instance, 5, restrictions)
 
 
+def test_a_loaded_row_with_several_allowed_objects_is_refused():
+    """A positive load must come with exactly one allowed object.  Under
+    the two loaded rows below, one allowing every object, the loop without
+    a stop rule finds a perfect matching after 5 rounds at levels
+    (1, 2, 1, 1, 2, 1), but a loop that took them would stop
+    ``level-overflow`` after 3 rounds.  So the loop refuses them before its
+    first round; the same masks with no load run as before."""
+    document = random_instance_document(6, 6, 1.0, "strict", 52058)
+    instance = instance_from_document(document)
+    restrictions = {0: (0b111111, 1), 4: (0b100100, 1)}
+    allowed, allowance = dense_restrictions(instance, restrictions)
+    plain = plain_level_loop(instance, 6, allowed, allowance)
+    assert (plain.found, plain.iterations) == (True, 5)
+    assert plain.levels.levels == (1, 2, 1, 1, 2, 1)
+    with pytest.raises(ValueError, match="exactly one object"):
+        _loop(instance, 6, restrictions)
+    with pytest.raises(ValueError, match="exactly one object"):
+        _loop(instance, 6, {0: (0b000001, 1), 4: (0b100100, 2)})
+    unloaded = {ai: (mask, 0) for ai, (mask, _) in restrictions.items()}
+    assert not _loop(instance, 6, unloaded).found
+
+
 def test_the_frozen_gap_waits_for_a_round_that_raises_nothing_below_it():
     """The rule fires only after a round that raised no object below the
     gap.  With a3 forced to b3 and a4 to b4, round 4 leaves the levels at

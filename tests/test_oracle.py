@@ -587,6 +587,7 @@ def test_verify_witness_re_tallies_to_the_margin(data):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(["verify", str(instance_path), str(matching_path)])
     report = json.loads(out.getvalue())
+    assert out.getvalue() == json.dumps(report, indent=2) + "\n"
     margin = report["margin"]
     assert code == (0 if margin <= 0 else 1)
     witness = Matching(tuple(pair) for pair in report["witness"])
